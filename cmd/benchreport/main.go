@@ -5,8 +5,8 @@
 // baseline; regenerate it after intentional performance work with:
 //
 //	go run ./cmd/benchreport -pkg ./... \
-//	    -bench 'BenchmarkNetworkCycle|BenchmarkChipNetworkPacket|BenchmarkAsyncEvent|BenchmarkAsyncExtension|BenchmarkDamqvetAnalysis' \
-//	    -count 5 -notime 'Sharded|1024|Damqvet' -out BENCH_netsim.json
+//	    -bench 'BenchmarkNetworkCycle|BenchmarkChipNetworkPacket|BenchmarkAsyncEvent|BenchmarkAsyncExtension|BenchmarkDamqvetAnalysis|BenchmarkPolicyAdmit' \
+//	    -count 5 -notime 'Sharded|Damqvet' -out BENCH_netsim.json
 //
 // The regex spans packages (the async event-engine benchmarks live in
 // internal/eventsim, the analyzer benchmark in cmd/damqvet), so -pkg is

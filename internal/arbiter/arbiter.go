@@ -62,27 +62,43 @@ func ParsePolicy(s string) (Policy, error) {
 		s, names.List(policyNames[:]), cfgerr.ErrBadPolicy)
 }
 
-// View is what the arbiter can see of the switch each cycle: the state of
-// every (input buffer, output queue) pair. Implementations are provided by
-// the switch model. A queue with QueueLen > 0 is understood to have a
-// deliverable head packet (FIFOs report 0 when the head is for a different
-// output), so QueueLen doubles as the head-availability test.
-type View interface {
-	// Ports returns the number of input buffers and output ports.
-	Ports() (inputs, outputs int)
-	// InputLen is the total packet count buffered at input in, across all
-	// of its queues. It must be O(1): the arbiter uses it to skip whole
-	// input rows without touching their queues.
-	InputLen(in int) int
-	// QueueLen is the number of packets input in could eventually send to
-	// out (0 when a FIFO's head is for a different output).
-	QueueLen(in, out int) int
+// Snapshot is what the arbiter sees of its switch in one cycle: the
+// state of every (input buffer, output queue) pair. The switch fills it
+// before each Arbitrate call; Arbitrate only reads it. A queue with
+// QueueLen > 0 is understood to have a deliverable head packet (FIFOs
+// report 0 when the head is for a different output), so QueueLen doubles
+// as the head-availability test.
+type Snapshot struct {
+	// InputLen[in] is the total packet count buffered at input in. The
+	// arbiter skips a row whose InputLen is 0 without reading its queues,
+	// so the switch need not fill QueueLen rows of empty inputs.
+	InputLen []int
+	// QueueLen[in*outputs+out] is the number of packets input in could
+	// eventually send to out (0 when a FIFO's head is for a different
+	// output).
+	QueueLen []int
+	// MaxReads[in] is the read-port limit of input in's buffer.
+	MaxReads []int
 	// Blocked reports whether the head packet of (in, out) cannot be
-	// forwarded because the downstream buffer refuses it. Only meaningful
-	// when QueueLen > 0; under a discarding protocol it is always false.
-	Blocked(in, out int) bool
-	// MaxReads is the read-port limit of input in's buffer this cycle.
-	MaxReads(in int) int
+	// forwarded because the downstream buffer refuses it. It is only
+	// called when QueueLen > 0; nil means nothing ever blocks (a
+	// discarding protocol, or a stage feeding sinks).
+	Blocked func(in, out int) bool
+}
+
+// NewSnapshot allocates a snapshot for an inputs×outputs switch with one
+// read port per input, its three tables carved from one array.
+func NewSnapshot(inputs, outputs int) Snapshot {
+	t := make([]int, inputs*(outputs+2))
+	v := Snapshot{
+		InputLen: t[:inputs:inputs],
+		MaxReads: t[inputs : 2*inputs : 2*inputs],
+		QueueLen: t[2*inputs:],
+	}
+	for i := range v.MaxReads {
+		v.MaxReads[i] = 1
+	}
+	return v
 }
 
 // Grant is one crossbar connection for the current cycle.
@@ -97,14 +113,12 @@ type Arbiter struct {
 	inputs  int
 	outputs int
 	prio    int
-	stale   [][]int64 // [in][out] cycles the queue has waited with traffic
+	stale   []int64 // [in*outputs+out] cycles the queue has waited with traffic
 
-	// Per-cycle scratch, allocated once: Arbitrate runs for every switch
-	// on every network cycle, so per-call slice allocations would dominate
-	// the simulator's heap profile.
+	// Per-cycle scratch of the general scan, allocated once: Arbitrate
+	// runs for every switch on every network cycle, so per-call slice
+	// allocations would dominate the simulator's heap profile.
 	outTaken []bool
-	granted  []bool
-	qlen     []int  // current input row's queue lengths
 	sentRow  []bool // current input row's granted outputs
 
 	// Observability probes (nil when no observer is attached). Every use
@@ -120,16 +134,12 @@ func New(policy Policy, inputs, outputs int) *Arbiter {
 	if inputs <= 0 || outputs <= 0 {
 		panic("arbiter: ports must be positive")
 	}
-	st := make([][]int64, inputs)
-	for i := range st {
-		st[i] = make([]int64, outputs)
-	}
+	scratch := make([]bool, 2*outputs)
 	return &Arbiter{
-		policy: policy, inputs: inputs, outputs: outputs, stale: st,
-		outTaken: make([]bool, outputs),
-		granted:  make([]bool, inputs),
-		qlen:     make([]int, outputs),
-		sentRow:  make([]bool, outputs),
+		policy: policy, inputs: inputs, outputs: outputs,
+		stale:    make([]int64, inputs*outputs),
+		outTaken: scratch[:outputs:outputs],
+		sentRow:  scratch[outputs:],
 	}
 }
 
@@ -161,15 +171,13 @@ func (a *Arbiter) AdvanceIdle(cycles int64) {
 }
 
 // Stale exposes the stale counter of queue (in, out) for tests.
-func (a *Arbiter) Stale(in, out int) int64 { return a.stale[in][out] }
+func (a *Arbiter) Stale(in, out int) int64 { return a.stale[in*a.outputs+out] }
 
 // Reset clears priority and stale state.
 func (a *Arbiter) Reset() {
 	a.prio = 0
 	for i := range a.stale {
-		for j := range a.stale[i] {
-			a.stale[i][j] = 0
-		}
+		a.stale[i] = 0
 	}
 }
 
@@ -182,17 +190,19 @@ func (a *Arbiter) Reset() {
 // matching as boolean expressions; every other shape (or an arbiter with
 // counters attached, which must count candidate rejections the boolean
 // form never enumerates) takes the general scan. Both produce identical
-// grants, priority movement, and stale counts; TestArbitrate2x2Equivalence
-// pins that against the general path run on the same state.
+// grants, priority movement, and stale counts; TestArbitrate2x2Exhaustive
+// and TestArbitrate2x2Trajectory pin that against the general path run on
+// the same state, and TestArbitrateMatchesReference pins the general scan
+// against a brute-force reference.
 // damqvet:hotpath
-func (a *Arbiter) Arbitrate(v View, dst []Grant) []Grant {
-	in, out := v.Ports()
-	if in != a.inputs || out != a.outputs {
-		panic(fmt.Sprintf("arbiter: view is %dx%d, arbiter is %dx%d", in, out, a.inputs, a.outputs))
+func (a *Arbiter) Arbitrate(v *Snapshot, dst []Grant) []Grant {
+	if len(v.InputLen) != a.inputs || len(v.QueueLen) != a.inputs*a.outputs || len(v.MaxReads) != a.inputs {
+		panic(fmt.Sprintf("arbiter: snapshot is %d inputs × %d queues, arbiter is %dx%d",
+			len(v.InputLen), len(v.QueueLen), a.inputs, a.outputs))
 	}
-	if in == 2 && out == 2 &&
+	if a.inputs == 2 && a.outputs == 2 &&
 		a.mGrants == nil && a.mConflicts == nil && a.mBlocked == nil &&
-		v.MaxReads(0) == 1 && v.MaxReads(1) == 1 {
+		v.MaxReads[0] == 1 && v.MaxReads[1] == 1 {
 		return a.arbitrate2x2(v, dst)
 	}
 	return a.arbitrateGeneral(v, dst)
@@ -205,11 +215,11 @@ func (a *Arbiter) Arbitrate(v View, dst []Grant) []Grant {
 // one gate level per term. Row i0 (the priority holder) picks first; row
 // i1 then sees i0's winning output as taken.
 // damqvet:hotpath
-func (a *Arbiter) arbitrate2x2(v View, dst []Grant) []Grant {
+func (a *Arbiter) arbitrate2x2(v *Snapshot, dst []Grant) []Grant {
 	i0 := a.prio
 	i1 := i0 ^ 1
-	len0 := v.InputLen(i0) > 0
-	len1 := v.InputLen(i1) > 0
+	len0 := v.InputLen[i0] > 0
+	len1 := v.InputLen[i1] > 0
 
 	var g0, g1, g0hi bool // row grants; g0hi = row i0 took output 1
 	if len0 {
@@ -249,12 +259,12 @@ func (a *Arbiter) arbitrate2x2(v View, dst []Grant) []Grant {
 // exactly as the general row epilogue: waiting queues age, transmitting
 // or empty queues reset.
 // damqvet:hotpath
-func (a *Arbiter) pick2(v View, i int, t0, t1 bool) (p0, p1 bool) {
-	s := a.stale[i]
-	q0 := v.QueueLen(i, 0)
-	q1 := v.QueueLen(i, 1)
-	e0 := !t0 && q0 > 0 && !v.Blocked(i, 0)
-	e1 := !t1 && q1 > 0 && !v.Blocked(i, 1)
+func (a *Arbiter) pick2(v *Snapshot, i int, t0, t1 bool) (p0, p1 bool) {
+	s := a.stale[2*i : 2*i+2]
+	q0 := v.QueueLen[2*i]
+	q1 := v.QueueLen[2*i+1]
+	e0 := !t0 && q0 > 0 && (v.Blocked == nil || !v.Blocked(i, 0))
+	e1 := !t1 && q1 > 0 && (v.Blocked == nil || !v.Blocked(i, 1))
 	smart := a.policy == Smart
 	beats := (smart && s[1] > s[0]) || ((!smart || s[1] == s[0]) && q1 > q0)
 	p1 = e1 && (!e0 || beats)
@@ -285,22 +295,20 @@ func b2i(b bool) int {
 // arbitrateGeneral is the reference matching algorithm for every port
 // count, read-port limit, and observed arbiter.
 // damqvet:hotpath
-func (a *Arbiter) arbitrateGeneral(v View, dst []Grant) []Grant {
+func (a *Arbiter) arbitrateGeneral(v *Snapshot, dst []Grant) []Grant {
 	outTaken := a.outTaken
-	granted := a.granted // whether the buffer transmitted at all
 	for i := range outTaken {
 		outTaken[i] = false
 	}
-	for i := range granted {
-		granted[i] = false
-	}
-	firstGranted := -1 // first input served, in examination order
-	qlen := a.qlen
+	// firstGranted is the first input served, in examination order. The
+	// priority holder is examined first, so it transmitted exactly when
+	// firstGranted == a.prio.
+	firstGranted := -1
 	sentRow := a.sentRow
 
 	for k := 0; k < a.inputs; k++ {
 		i := (a.prio + k) % a.inputs
-		if v.InputLen(i) == 0 {
+		if v.InputLen[i] == 0 {
 			// An empty input can receive no grant, and its stale counts
 			// are already zero (a queue only carries a nonzero stale
 			// count while it holds traffic — any pop routes through a
@@ -308,21 +316,16 @@ func (a *Arbiter) arbitrateGeneral(v View, dst []Grant) []Grant {
 			// skipped without touching its queues.
 			continue
 		}
-		// Snapshot this row's queue lengths once. Arbitrate never pops,
-		// so they cannot change mid-call; the snapshot replaces the
-		// per-candidate HasHead/QueueLen view calls on the simulator's
-		// hottest path.
-		for o := 0; o < a.outputs; o++ {
-			qlen[o] = v.QueueLen(i, o)
+		qlen := v.QueueLen[i*a.outputs : (i+1)*a.outputs]
+		stale := a.stale[i*a.outputs : (i+1)*a.outputs]
+		for o := range sentRow {
 			sentRow[o] = false
 		}
-		stale := a.stale[i]
-		reads := v.MaxReads(i)
-		for r := 0; r < reads; r++ {
+		for r := 0; r < v.MaxReads[i]; r++ {
 			best := -1
 			// The three rejection tests keep the pre-observability
 			// short-circuit order (taken output, empty queue, blocked head)
-			// so the unobserved path performs the exact same view calls.
+			// so the unobserved path makes the exact same Blocked calls.
 			for o := 0; o < a.outputs; o++ {
 				if outTaken[o] {
 					if a.mConflicts != nil {
@@ -335,7 +338,7 @@ func (a *Arbiter) arbitrateGeneral(v View, dst []Grant) []Grant {
 				if qlen[o] == 0 {
 					continue
 				}
-				if v.Blocked(i, o) {
+				if v.Blocked != nil && v.Blocked(i, o) {
 					if a.mBlocked != nil {
 						a.mBlocked.Inc()
 					}
@@ -349,7 +352,6 @@ func (a *Arbiter) arbitrateGeneral(v View, dst []Grant) []Grant {
 				break
 			}
 			outTaken[best] = true
-			granted[i] = true
 			sentRow[best] = true
 			if firstGranted == -1 {
 				firstGranted = i
@@ -364,7 +366,7 @@ func (a *Arbiter) arbitrateGeneral(v View, dst []Grant) []Grant {
 		// traffic that did not transmit age by one; transmitting or
 		// empty queues reset. (A queue that sent one of several waiting
 		// packets still made progress, so it resets.)
-		for o := 0; o < a.outputs; o++ {
+		for o := range stale {
 			if qlen[o] > 0 && !sentRow[o] {
 				stale[o]++
 			} else {
@@ -385,9 +387,9 @@ func (a *Arbiter) arbitrateGeneral(v View, dst []Grant) []Grant {
 		// and the pointer rotates to just past the first buffer actually
 		// served, so quiet inputs cannot pin the examination order and
 		// starve later buffers.
-		holderHadTraffic := v.InputLen(a.prio) > 0
+		holderHadTraffic := v.InputLen[a.prio] > 0
 		switch {
-		case holderHadTraffic && !granted[a.prio]:
+		case holderHadTraffic && firstGranted != a.prio:
 			// Blocked with traffic: turn not counted, priority retained.
 		case firstGranted >= 0:
 			a.prio = (firstGranted + 1) % a.inputs
@@ -400,9 +402,7 @@ func (a *Arbiter) arbitrateGeneral(v View, dst []Grant) []Grant {
 
 // better reports whether output o beats the incumbent best within one
 // input row under the active policy's selection rule: stalest first
-// (smart only), then longest queue, ties keeping the lowest output. It
-// works on the row's snapshotted state so candidate comparison costs no
-// interface calls.
+// (smart only), then longest queue, ties keeping the lowest output.
 // damqvet:hotpath
 func better(policy Policy, stale []int64, qlen []int, o, best int) bool {
 	if policy == Smart && stale[o] != stale[best] {
@@ -422,11 +422,7 @@ type State struct {
 
 // SaveState captures the cross-cycle state.
 func (a *Arbiter) SaveState() State {
-	st := State{Prio: a.prio, Stale: make([]int64, 0, a.inputs*a.outputs)}
-	for _, row := range a.stale {
-		st.Stale = append(st.Stale, row...)
-	}
-	return st
+	return State{Prio: a.prio, Stale: append([]int64(nil), a.stale...)}
 }
 
 // LoadState overwrites the cross-cycle state with a previously saved
@@ -444,8 +440,6 @@ func (a *Arbiter) LoadState(st State) error {
 		}
 	}
 	a.prio = st.Prio
-	for i, row := range a.stale {
-		copy(row, st.Stale[i*a.outputs:(i+1)*a.outputs])
-	}
+	copy(a.stale, st.Stale)
 	return nil
 }

@@ -13,14 +13,13 @@ import (
 func clone2x2(policy Policy, prio int, stale [4]int64) *Arbiter {
 	a := New(policy, 2, 2)
 	a.prio = prio
-	a.stale[0][0], a.stale[0][1] = stale[0], stale[1]
-	a.stale[1][0], a.stale[1][1] = stale[2], stale[3]
+	copy(a.stale, stale[:])
 	return a
 }
 
 // stateOf snapshots the cross-cycle state for comparison.
 func stateOf(a *Arbiter) (int, [4]int64) {
-	return a.prio, [4]int64{a.stale[0][0], a.stale[0][1], a.stale[1][0], a.stale[1][1]}
+	return a.prio, [4]int64(a.stale)
 }
 
 // TestArbitrate2x2Exhaustive proves the branchless 2×2 path equivalent to
@@ -55,8 +54,8 @@ func TestArbitrate2x2Exhaustive(t *testing.T) {
 												v.block(i, o, blk&(1<<(2*i+o)) != 0)
 											}
 										}
-										gotG := fast.arbitrate2x2(v, nil)
-										wantG := ref.arbitrateGeneral(v, nil)
+										gotG := fast.arbitrate2x2(&v.Snapshot, nil)
+										wantG := ref.arbitrateGeneral(&v.Snapshot, nil)
 										if !reflect.DeepEqual(gotG, wantG) {
 											t.Fatalf("%v prio=%d q=%v blk=%04b stale=%v: grants %v, general %v",
 												policy, prio, q, blk, s, gotG, wantG)
@@ -99,8 +98,8 @@ func TestArbitrate2x2Trajectory(t *testing.T) {
 					v.block(i, o, src.Intn(3) == 0)
 				}
 			}
-			gotG := fast.Arbitrate(v, nil)
-			wantG := ref.arbitrateGeneral(v, nil)
+			gotG := fast.Arbitrate(&v.Snapshot, nil)
+			wantG := ref.arbitrateGeneral(&v.Snapshot, nil)
 			if !reflect.DeepEqual(gotG, wantG) {
 				t.Fatalf("%v step %d: grants %v, general %v", policy, step, gotG, wantG)
 			}
@@ -122,7 +121,7 @@ func TestArbitrate2x2AllocFree(t *testing.T) {
 	v.set(1, 1, 1)
 	dst := make([]Grant, 0, 2)
 	avg := testing.AllocsPerRun(1000, func() {
-		dst = a.Arbitrate(v, dst[:0])
+		dst = a.Arbitrate(&v.Snapshot, dst[:0])
 	})
 	if avg != 0 {
 		t.Fatalf("2x2 Arbitrate allocates %.3f allocs/op, want 0", avg)

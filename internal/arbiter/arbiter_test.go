@@ -5,40 +5,27 @@ import (
 	"testing/quick"
 )
 
-// tableView is a scriptable View for tests.
+// tableView is a scriptable snapshot for tests: set and block edit the
+// queue table, keeping InputLen in step, and Blocked reads the blocked
+// table.
 type tableView struct {
-	in, out  int
-	queues   [][]int  // packets per (in,out)
-	blocked  [][]bool // blocked per (in,out)
-	maxReads []int
+	Snapshot
+	out     int
+	blocked []bool // [in*out+o]
 }
 
 func newTableView(in, out int) *tableView {
-	v := &tableView{in: in, out: out}
-	v.queues = make([][]int, in)
-	v.blocked = make([][]bool, in)
-	v.maxReads = make([]int, in)
-	for i := 0; i < in; i++ {
-		v.queues[i] = make([]int, out)
-		v.blocked[i] = make([]bool, out)
-		v.maxReads[i] = 1
-	}
+	v := &tableView{Snapshot: NewSnapshot(in, out), out: out, blocked: make([]bool, in*out)}
+	v.Blocked = func(i, o int) bool { return v.blocked[i*out+o] }
 	return v
 }
 
-func (v *tableView) Ports() (int, int)     { return v.in, v.out }
-func (v *tableView) QueueLen(i, o int) int { return v.queues[i][o] }
-func (v *tableView) InputLen(i int) int {
-	total := 0
-	for _, n := range v.queues[i] {
-		total += n
-	}
-	return total
+func (v *tableView) queue(i, o int) int { return v.QueueLen[i*v.out+o] }
+func (v *tableView) set(i, o, n int) {
+	v.InputLen[i] += n - v.queue(i, o)
+	v.QueueLen[i*v.out+o] = n
 }
-func (v *tableView) Blocked(i, o int) bool  { return v.blocked[i][o] }
-func (v *tableView) MaxReads(i int) int     { return v.maxReads[i] }
-func (v *tableView) set(i, o, n int)        { v.queues[i][o] = n }
-func (v *tableView) block(i, o int, b bool) { v.blocked[i][o] = b }
+func (v *tableView) block(i, o int, b bool) { v.blocked[i*v.out+o] = b }
 
 func TestPolicyString(t *testing.T) {
 	if Dumb.String() != "dumb" || Smart.String() != "smart" {
@@ -66,7 +53,7 @@ func TestLongestQueueWins(t *testing.T) {
 	v := newTableView(4, 4)
 	v.set(0, 1, 2)
 	v.set(0, 3, 5) // longest
-	grants := a.Arbitrate(v, nil)
+	grants := a.Arbitrate(&v.Snapshot, nil)
 	if len(grants) != 1 || grants[0] != (Grant{In: 0, Out: 3}) {
 		t.Fatalf("grants = %v", grants)
 	}
@@ -78,7 +65,7 @@ func TestOneGrantPerOutput(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		v.set(i, 2, 1) // everyone wants output 2
 	}
-	grants := a.Arbitrate(v, nil)
+	grants := a.Arbitrate(&v.Snapshot, nil)
 	if len(grants) != 1 {
 		t.Fatalf("output 2 granted %d times", len(grants))
 	}
@@ -90,7 +77,7 @@ func TestOneGrantPerSingleReadBuffer(t *testing.T) {
 	v.set(0, 0, 1)
 	v.set(0, 1, 1)
 	v.set(0, 2, 1)
-	grants := a.Arbitrate(v, nil)
+	grants := a.Arbitrate(&v.Snapshot, nil)
 	if len(grants) != 1 {
 		t.Fatalf("single-read buffer got %d grants", len(grants))
 	}
@@ -99,11 +86,11 @@ func TestOneGrantPerSingleReadBuffer(t *testing.T) {
 func TestSAFCMultiRead(t *testing.T) {
 	a := New(Dumb, 4, 4)
 	v := newTableView(4, 4)
-	v.maxReads[0] = 4
+	v.MaxReads[0] = 4
 	v.set(0, 0, 1)
 	v.set(0, 1, 1)
 	v.set(0, 2, 1)
-	grants := a.Arbitrate(v, nil)
+	grants := a.Arbitrate(&v.Snapshot, nil)
 	if len(grants) != 3 {
 		t.Fatalf("multi-read buffer got %d grants, want 3", len(grants))
 	}
@@ -122,7 +109,7 @@ func TestBlockedQueueSkipped(t *testing.T) {
 	v.set(0, 0, 5)
 	v.set(0, 1, 1)
 	v.block(0, 0, true)
-	grants := a.Arbitrate(v, nil)
+	grants := a.Arbitrate(&v.Snapshot, nil)
 	if len(grants) != 1 || grants[0].Out != 1 {
 		t.Fatalf("grants = %v, want the unblocked queue", grants)
 	}
@@ -133,7 +120,7 @@ func TestNothingEligible(t *testing.T) {
 	v := newTableView(2, 2)
 	v.set(0, 0, 3)
 	v.block(0, 0, true)
-	if grants := a.Arbitrate(v, nil); len(grants) != 0 {
+	if grants := a.Arbitrate(&v.Snapshot, nil); len(grants) != 0 {
 		t.Fatalf("grants = %v, want none", grants)
 	}
 }
@@ -146,7 +133,7 @@ func TestDumbRoundRobinRotates(t *testing.T) {
 	v.set(1, 0, 1)
 	winners := []int{}
 	for c := 0; c < 4; c++ {
-		g := a.Arbitrate(v, nil)
+		g := a.Arbitrate(&v.Snapshot, nil)
 		if len(g) != 1 {
 			t.Fatalf("cycle %d: %v", c, g)
 		}
@@ -168,14 +155,14 @@ func TestSmartPriorityNotCountedWhenBlocked(t *testing.T) {
 	v.set(0, 0, 1)
 	v.block(0, 0, true)
 	v.set(1, 1, 1)
-	g := a.Arbitrate(v, nil)
+	g := a.Arbitrate(&v.Snapshot, nil)
 	if len(g) != 1 || g[0].In != 1 {
 		t.Fatalf("cycle 0 grants = %v", g)
 	}
 	// Unblock input 0: it should win output 0 immediately and input 1
 	// should also win output 1 (different outputs).
 	v.block(0, 0, false)
-	g = a.Arbitrate(v, nil)
+	g = a.Arbitrate(&v.Snapshot, nil)
 	if len(g) != 2 {
 		t.Fatalf("cycle 1 grants = %v", g)
 	}
@@ -195,7 +182,7 @@ func TestSmartEmptyHolderDoesNotRetainPriority(t *testing.T) {
 	v.set(2, 0, 1)
 	winners := map[int]int{}
 	for c := 0; c < 40; c++ {
-		g := a.Arbitrate(v, nil)
+		g := a.Arbitrate(&v.Snapshot, nil)
 		if len(g) != 1 {
 			t.Fatalf("cycle %d: %v", c, g)
 		}
@@ -212,12 +199,12 @@ func TestDumbPriorityAlwaysAdvances(t *testing.T) {
 	v := newTableView(2, 2)
 	v.set(0, 0, 1)
 	v.block(0, 0, true)
-	a.Arbitrate(v, nil) // input 0 had priority, transmitted nothing
+	a.Arbitrate(&v.Snapshot, nil) // input 0 had priority, transmitted nothing
 	// Priority must have moved to input 1 anyway: with both unblocked and
 	// contending for output 0, input 1 now wins.
 	v.block(0, 0, false)
 	v.set(1, 0, 1)
-	g := a.Arbitrate(v, nil)
+	g := a.Arbitrate(&v.Snapshot, nil)
 	if len(g) != 1 || g[0].In != 1 {
 		t.Fatalf("grants = %v, want input 1 to hold priority", g)
 	}
@@ -233,7 +220,7 @@ func TestStaleCountPrefersStarvedQueue(t *testing.T) {
 	v.set(0, 1, 1)
 	v.block(0, 1, true)
 	for c := 0; c < 3; c++ {
-		g := a.Arbitrate(v, nil)
+		g := a.Arbitrate(&v.Snapshot, nil)
 		if len(g) != 1 || g[0].Out != 0 {
 			t.Fatalf("cycle %d: %v", c, g)
 		}
@@ -242,7 +229,7 @@ func TestStaleCountPrefersStarvedQueue(t *testing.T) {
 		t.Fatalf("stale = %d, want 3", a.Stale(0, 1))
 	}
 	v.block(0, 1, false)
-	g := a.Arbitrate(v, nil)
+	g := a.Arbitrate(&v.Snapshot, nil)
 	if len(g) != 1 || g[0].Out != 1 {
 		t.Fatalf("stale queue not preferred: %v", g)
 	}
@@ -258,10 +245,10 @@ func TestDumbIgnoresStale(t *testing.T) {
 	v.set(0, 1, 1)
 	v.block(0, 1, true)
 	for c := 0; c < 3; c++ {
-		a.Arbitrate(v, nil)
+		a.Arbitrate(&v.Snapshot, nil)
 	}
 	v.block(0, 1, false)
-	g := a.Arbitrate(v, nil)
+	g := a.Arbitrate(&v.Snapshot, nil)
 	// Dumb ignores stale counts: longest queue (output 0) still wins.
 	if len(g) != 1 || g[0].Out != 0 {
 		t.Fatalf("grants = %v, want longest queue", g)
@@ -273,7 +260,7 @@ func TestReset(t *testing.T) {
 	v := newTableView(2, 2)
 	v.set(0, 0, 1)
 	v.block(0, 0, true)
-	a.Arbitrate(v, nil)
+	a.Arbitrate(&v.Snapshot, nil)
 	if a.Stale(0, 0) == 0 {
 		t.Fatal("stale should be nonzero before reset")
 	}
@@ -290,7 +277,7 @@ func TestArbitratePanicsOnMismatchedView(t *testing.T) {
 		}
 	}()
 	a := New(Dumb, 2, 2)
-	a.Arbitrate(newTableView(3, 3), nil)
+	a.Arbitrate(&newTableView(3, 3).Snapshot, nil)
 }
 
 // TestMatchingValidityProperty: for random views, the matching is always
@@ -307,14 +294,14 @@ func TestMatchingValidityProperty(t *testing.T) {
 		v := newTableView(4, 4)
 		for i := 0; i < 4; i++ {
 			if safc[i] {
-				v.maxReads[i] = 4
+				v.MaxReads[i] = 4
 			}
 			for o := 0; o < 4; o++ {
 				v.set(i, o, int(queues[i][o]%4))
 				v.block(i, o, blocked[i][o])
 			}
 		}
-		grants := a.Arbitrate(v, nil)
+		grants := a.Arbitrate(&v.Snapshot, nil)
 		outSeen := map[int]bool{}
 		inCount := map[int]int{}
 		for _, g := range grants {
@@ -323,21 +310,21 @@ func TestMatchingValidityProperty(t *testing.T) {
 			}
 			outSeen[g.Out] = true
 			inCount[g.In]++
-			if inCount[g.In] > v.MaxReads(g.In) {
+			if inCount[g.In] > v.MaxReads[g.In] {
 				return false // read-port violation
 			}
-			if v.queues[g.In][g.Out] == 0 || v.blocked[g.In][g.Out] {
+			if v.queue(g.In, g.Out) == 0 || v.blocked[g.In*4+g.Out] {
 				return false // ineligible grant
 			}
 		}
 		// Maximality: no input with remaining read capacity has an
 		// eligible queue for a free output.
 		for i := 0; i < 4; i++ {
-			if inCount[i] >= v.MaxReads(i) {
+			if inCount[i] >= v.MaxReads[i] {
 				continue
 			}
 			for o := 0; o < 4; o++ {
-				if !outSeen[o] && v.queues[i][o] > 0 && !v.blocked[i][o] {
+				if !outSeen[o] && v.queue(i, o) > 0 && !v.blocked[i*4+o] {
 					return false
 				}
 			}
@@ -360,7 +347,7 @@ func BenchmarkArbitrate4x4(b *testing.B) {
 	var grants []Grant
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		grants = a.Arbitrate(v, grants[:0])
+		grants = a.Arbitrate(&v.Snapshot, grants[:0])
 	}
 }
 
@@ -376,7 +363,7 @@ func TestAdvanceIdleMatchesEmptyArbitration(t *testing.T) {
 			jumped := New(policy, 4, 4)
 			empty := newTableView(4, 4)
 			for i := int64(0); i < k; i++ {
-				if g := stepped.Arbitrate(empty, nil); len(g) != 0 {
+				if g := stepped.Arbitrate(&empty.Snapshot, nil); len(g) != 0 {
 					t.Fatalf("%v: empty view produced grants %v", policy, g)
 				}
 			}
@@ -388,8 +375,8 @@ func TestAdvanceIdleMatchesEmptyArbitration(t *testing.T) {
 			busy.set(1, 1, 1)
 			busy.set(2, 3, 1)
 			busy.set(3, 2, 4)
-			gs := stepped.Arbitrate(busy, nil)
-			gj := jumped.Arbitrate(busy, nil)
+			gs := stepped.Arbitrate(&busy.Snapshot, nil)
+			gj := jumped.Arbitrate(&busy.Snapshot, nil)
 			if len(gs) != len(gj) {
 				t.Fatalf("%v k=%d: grant counts differ: %v vs %v", policy, k, gs, gj)
 			}

@@ -7,8 +7,8 @@
 //     slots threaded into per-queue linked lists by per-slot pointer
 //     registers. A FIFO is the pool with a single queue; multi-queue
 //     kinds give each output port its own queue.
-//   - An AdmissionPolicy decides, from read-only occupancy state, whether
-//     a routed packet may enter. It is pure and allocation-free.
+//   - An admission rule decides, from the pool's occupancy registers,
+//     whether a routed packet may enter. It is pure and allocation-free.
 //
 // The 1988 kinds under this split:
 //
@@ -89,20 +89,7 @@ func (k Kind) String() string {
 
 // PolicyName is the short name of the admission policy the kind composes
 // over the slot pool, for error messages, metrics, and reports.
-func (k Kind) PolicyName() string {
-	switch k {
-	case SAMQ, SAFC:
-		return completePartition{}.Name()
-	case DT:
-		return dynThreshold{}.Name()
-	case FB:
-		return fbSharing{}.Name()
-	case BSHARE:
-		return bshare{}.Name()
-	default:
-		return completeSharing{}.Name()
-	}
-}
+func (k Kind) PolicyName() string { return ruleNames[ruleOf(k)] }
 
 // Kinds lists the paper's four buffer kinds in its comparison order.
 // The DAFC ablation variant and the modern policies are excluded; use
@@ -260,14 +247,6 @@ type Buffer interface {
 	Reset()
 }
 
-// Ticker is implemented by buffers whose admission policy reads packet
-// ages (KindUsesClock). The owning switch calls Tick once per buffer per
-// long cycle; shared-pool views coordinate so the group clock still
-// advances exactly once per cycle.
-type Ticker interface {
-	Tick()
-}
-
 // ErrFull is wrapped by Accept when the packet does not fit.
 var ErrFull = errors.New("buffer full")
 
@@ -403,19 +382,11 @@ func New(cfg Config) (Buffer, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	switch cfg.Kind {
-	case FIFO:
-		return newFIFO(cfg.NumOutputs, cfg.Capacity), nil
-	case SAMQ, SAFC:
-		return newStatic(cfg.Kind, cfg.NumOutputs, cfg.Capacity), nil
-	case DAMQ, DAFC, DT, FB, BSHARE:
-		pol, classes, clocked := buildPolicy(cfg, cfg.Capacity)
-		return newPoolBuffer(cfg.Kind, cfg.NumOutputs, cfg.Capacity,
-			kindReads(cfg.Kind, cfg.NumOutputs), pol, classes, clocked,
-			KindModern(cfg.Kind), kindPrefix(cfg.Kind)), nil
-	default:
-		return nil, fmt.Errorf("buffer: unknown kind %v: %w", cfg.Kind, cfgerr.ErrBadKind)
+	pt := newPort(cfg)
+	if KindSharesPool(cfg.Kind) {
+		return &pt.PoolBuffer, nil
 	}
+	return &pt.Composed, nil
 }
 
 // MustNew is New for tests and examples with known-good configs.

@@ -8,152 +8,201 @@ import (
 )
 
 // group is the sharing unit of the admission/storage split: one slot
-// pool, the admission policy that guards it, and the cross-queue
-// accounting the policy reads. A per-port buffer owns a group privately;
+// pool, the admission rule that guards it, and the cross-queue
+// accounting the rule reads. A per-port buffer owns a group privately;
 // the switch-wide shared-pool mode hands one group to every input port's
 // view, which is all it takes for admission at one port to see — and
 // compete for — the whole switch's storage.
 type group struct {
-	pool    *SlotPool
-	policy  AdmissionPolicy
-	classes int
+	rule rule
+	pool SlotPool
 	// classSlots tracks pool-wide slots per priority class; nil unless the
-	// policy is class-aware (FB), so everyone else skips the bookkeeping.
+	// rule is class-aware (FB), so everyone else skips the bookkeeping.
 	classSlots []int
 	// expectOut maps a pool queue index to the OutPort its packets must
 	// carry; CheckInvariants uses it, nil skips the routing check.
 	expectOut func(q int) int
 }
 
-func newGroup(pool *SlotPool, pol AdmissionPolicy, classes int, expectOut func(q int) int) *group {
-	g := &group{pool: pool, policy: pol, classes: classes, expectOut: expectOut}
-	if classes > 1 {
-		g.classSlots = make([]int, classes)
+func (g *group) init(numQueues, capacity int, r rule, expectOut func(q int) int) {
+	g.pool.init(numQueues, capacity)
+	if r.kind == bshare { // the delay-driven rule reads head ages
+		g.pool.EnableClock()
 	}
-	return g
+	g.rule, g.expectOut = r, expectOut
+	if r.classes > 1 {
+		g.classSlots = make([]int, r.classes)
+	}
 }
 
-// group implements PoolState for its policy. All O(1), allocation-free.
-
-// damqvet:hotpath
-func (g *group) Capacity() int { return g.pool.capacity }
-
-// damqvet:hotpath
-func (g *group) FreeSlots() int { return g.pool.freeCount }
-
-// damqvet:hotpath
-func (g *group) QueueSlots(q int) int { return g.pool.qSlots[q] }
-
-// damqvet:hotpath
-func (g *group) QueueLen(q int) int { return g.pool.qPkts[q] }
-
-// damqvet:hotpath
-func (g *group) ClassSlots(c int) int {
-	if g.classSlots == nil {
-		return 0
-	}
-	return g.classSlots[c]
-}
-
-// damqvet:hotpath
-func (g *group) HeadAge(q int) int64 { return g.pool.HeadAge(q) }
-
-var _ PoolState = (*group)(nil)
-
-// composed is a Buffer assembled from a storage group and the view
+// Composed is a Buffer assembled from a storage group and the view
 // parameters that map this input port onto it. Every kind in the package
-// is a composed buffer; they differ only in policy, queue layout
-// (single/per-output), read bandwidth, and which group they share.
-type composed struct {
+// is a composed buffer; they differ only in admission rule, queue layout
+// (single/per-output), read bandwidth, and which group they share. The
+// switch and the event-driven simulator hold it as this concrete type, so
+// the per-packet path makes direct calls.
+type Composed struct {
+	// The fields the per-packet path reads come first.
 	g          *group
-	kind       Kind
+	pkts       int // packets in this view's queues, for O(1) Len
 	numOutputs int
+	qBase      int  // first pool queue belonging to this view
+	single     bool // one queue for every output (FIFO)
+	portCheck  bool // CanAccept rejects out-of-range ports (static and modern kinds do)
+	kind       Kind
 	nominalCap int // Capacity() this view reports: its own port's share
-	qBase      int // first pool queue belonging to this view
 	slotBase   int // first pool slot of this view's quarantine window
 	maxReads   int
-	perQueue   int // static per-queue budget; >0 only for partitioned kinds
-	single     bool
-	portCheck  bool // CanAccept rejects out-of-range ports (static kinds do)
-	prefix     string
-	pkts       int // packets in this view's queues, for O(1) Len
 }
 
-func (c *composed) Kind() Kind            { return c.kind }
-func (c *composed) NumOutputs() int       { return c.numOutputs }
-func (c *composed) Capacity() int         { return c.nominalCap }
-func (c *composed) MaxReadsPerCycle() int { return c.maxReads }
+// newView returns the view of input port port onto g: its queues are
+// the port's numOutputs pool queues (one for a FIFO) and its quarantine
+// window is the port's capacity slots.
+func newView(g *group, kind Kind, numOutputs, capacity, port int) Composed {
+	return Composed{
+		g:          g,
+		kind:       kind,
+		numOutputs: numOutputs,
+		nominalCap: capacity,
+		qBase:      port * numOutputs,
+		slotBase:   port * capacity,
+		maxReads:   kindReads(kind, numOutputs),
+		single:     kind == FIFO,
+		portCheck:  kind == SAMQ || kind == SAFC || KindModern(kind),
+	}
+}
+
+func (c *Composed) Kind() Kind            { return c.kind }
+func (c *Composed) NumOutputs() int       { return c.numOutputs }
+func (c *Composed) Capacity() int         { return c.nominalCap }
+func (c *Composed) MaxReadsPerCycle() int { return c.maxReads }
 
 // Free reports the slots available in the backing pool. For a shared
 // group this is the switch-wide free count, which may exceed this view's
-// nominal Capacity — admission is the policy's call, not a per-view cap.
+// nominal Capacity — admission is the rule's call, not a per-view cap.
 // damqvet:hotpath
-func (c *composed) Free() int { return c.g.pool.freeCount }
+func (c *Composed) Free() int { return c.g.pool.FreeSlots() }
 
 // damqvet:hotpath
-func (c *composed) Len() int { return c.pkts }
+func (c *Composed) Len() int { return c.pkts }
 
 // damqvet:hotpath
-func (c *composed) Empty() bool { return c.pkts == 0 }
+func (c *Composed) Empty() bool { return c.pkts == 0 }
 
-// queueOf maps a routed packet to its pool queue.
+// queueOf maps an output port to its pool queue.
 // damqvet:hotpath
-func (c *composed) queueOf(p *packet.Packet) int {
+func (c *Composed) queueOf(out int) int {
 	if c.single {
 		return c.qBase
 	}
-	return c.qBase + p.OutPort
+	return c.qBase + out
 }
 
-// CanAccept asks the admission policy whether p fits right now. The pool
-// fit check runs first so policies may assume p.Slots <= FreeSlots.
+// CanAccept asks the admission rule whether p fits right now.
 // damqvet:hotpath
-func (c *composed) CanAccept(p *packet.Packet) bool {
-	if c.portCheck && (p.OutPort < 0 || p.OutPort >= c.numOutputs) {
+func (c *Composed) CanAccept(p *packet.Packet) bool { return c.CanAcceptOut(p, p.OutPort) }
+
+// CanAcceptOut is CanAccept for p routed to output out, whatever
+// p.OutPort says: upstream flow control asks it about a packet still
+// routed for the hop it is leaving, without copying or rewriting it.
+// The pool fit check runs first, and is the whole decision under
+// complete sharing.
+// damqvet:hotpath
+func (c *Composed) CanAcceptOut(p *packet.Packet, out int) bool {
+	if c.portCheck && uint(out) >= uint(c.numOutputs) {
 		return false
 	}
-	if p.Slots > c.g.pool.freeCount {
+	g := c.g
+	if p.Slots > int(g.pool.freeCount) {
 		return false
 	}
-	return c.g.policy.Admit(p, c.g, c.queueOf(p))
+	if g.rule.kind == completeSharing {
+		return true
+	}
+	return g.admit(p, c.queueOf(out))
 }
 
-func (c *composed) Accept(p *packet.Packet) error {
+func (c *Composed) Accept(p *packet.Packet) error {
+	prefix := kindPrefix(c.kind)
 	if p.OutPort < 0 || p.OutPort >= c.numOutputs {
-		return fmt.Errorf("%s: %w: %d", c.prefix, ErrBadPort, p.OutPort)
+		return fmt.Errorf("%s: %w: %d", prefix, ErrBadPort, p.OutPort)
 	}
 	if p.Slots <= 0 {
-		return fmt.Errorf("%s: packet %v has non-positive slot count", c.prefix, p)
+		return fmt.Errorf("%s: packet %v has non-positive slot count", prefix, p)
 	}
 	if !c.CanAccept(p) {
-		if c.perQueue > 0 {
+		if c.g.rule.kind == completePartition {
 			return fmt.Errorf("%s: %w (queue %d free %d, need %d)",
-				c.prefix, ErrFull, p.OutPort, c.QueueFree(p.OutPort), p.Slots)
+				prefix, ErrFull, p.OutPort, c.QueueFree(p.OutPort), p.Slots)
 		}
-		return fmt.Errorf("%s: %w (free %d, need %d)", c.prefix, ErrFull, c.g.pool.freeCount, p.Slots)
+		return fmt.Errorf("%s: %w (free %d, need %d)", prefix, ErrFull, c.g.pool.freeCount, p.Slots)
 	}
-	c.g.pool.Push(c.queueOf(p), p)
-	if c.g.classSlots != nil {
-		c.g.classSlots[classOf(p, c.g.classes)] += p.Slots
-	}
-	c.pkts++
+	c.push(p)
 	return nil
 }
 
+// Offer is Accept reduced to the one admission decision a switch makes
+// per arriving packet: it stores p and reports true exactly when
+// CanAccept(p) holds. A packet CanAccept admits but Accept would refuse
+// as malformed — an out-of-range port on a kind that does not check
+// ports, or a non-positive slot count — can only come from a routing
+// bug, and panics.
 // damqvet:hotpath
-func (c *composed) QueueLen(out int) int {
+func (c *Composed) Offer(p *packet.Packet) bool {
+	if !c.CanAcceptOut(p, p.OutPort) {
+		return false
+	}
+	if uint(p.OutPort) >= uint(c.numOutputs) || p.Slots <= 0 {
+		panic(fmt.Sprintf("%s: admitted malformed packet %v", kindPrefix(c.kind), p))
+	}
+	c.push(p)
+	return true
+}
+
+// push stores an admitted packet.
+// damqvet:hotpath
+func (c *Composed) push(p *packet.Packet) {
+	c.g.pool.Push(c.queueOf(p.OutPort), p)
+	if c.g.classSlots != nil {
+		c.g.classSlots[classOf(p, c.g.rule.classes)] += p.Slots
+	}
+	c.pkts++
+}
+
+// damqvet:hotpath
+func (c *Composed) QueueLen(out int) int {
 	if c.single {
 		head := c.g.pool.Head(c.qBase)
 		if head == nil || head.OutPort != out {
 			return 0
 		}
-		return c.g.pool.qPkts[c.qBase]
+		return c.g.pool.QueueLen(c.qBase)
 	}
-	return c.g.pool.qPkts[c.qBase+out]
+	return c.g.pool.QueueLen(c.qBase + out)
+}
+
+// QueueLens writes QueueLen(out) of every output out into dst, which
+// holds NumOutputs entries: one pass over the pool's queue registers, to
+// fill a row of the switch's arbitration snapshot.
+// damqvet:hotpath
+func (c *Composed) QueueLens(dst []int) {
+	sp := &c.g.pool
+	if c.single {
+		for o := range dst {
+			dst[o] = 0
+		}
+		if head := sp.Head(c.qBase); head != nil {
+			dst[head.OutPort] = sp.QueueLen(c.qBase)
+		}
+		return
+	}
+	for o := range dst {
+		dst[o] = sp.QueueLen(c.qBase + o)
+	}
 }
 
 // damqvet:hotpath
-func (c *composed) Head(out int) *packet.Packet {
+func (c *Composed) Head(out int) *packet.Packet {
 	if c.single {
 		head := c.g.pool.Head(c.qBase)
 		if head == nil || head.OutPort != out {
@@ -165,7 +214,7 @@ func (c *composed) Head(out int) *packet.Packet {
 }
 
 // damqvet:hotpath
-func (c *composed) Pop(out int) *packet.Packet {
+func (c *Composed) Pop(out int) *packet.Packet {
 	q := c.qBase
 	if c.single {
 		head := c.g.pool.Head(c.qBase)
@@ -180,7 +229,7 @@ func (c *composed) Pop(out int) *packet.Packet {
 		return nil
 	}
 	if c.g.classSlots != nil {
-		c.g.classSlots[classOf(p, c.g.classes)] -= p.Slots
+		c.g.classSlots[classOf(p, c.g.rule.classes)] -= p.Slots
 	}
 	c.pkts--
 	return p
@@ -191,7 +240,7 @@ func (c *composed) Pop(out int) *packet.Packet {
 // expressed in slot-pool hardware. Callers resetting a shared-pool
 // switch reset every view (sw.Switch.Reset does), which also squares the
 // per-view packet counters.
-func (c *composed) Reset() {
+func (c *Composed) Reset() {
 	c.g.pool.Reset()
 	for i := range c.g.classSlots {
 		c.g.classSlots[i] = 0
@@ -203,21 +252,34 @@ func (c *composed) Reset() {
 // serving out. It is the quantity the paper's per-queue flow control
 // must communicate upstream (four times the flow-control information of
 // a FIFO, as Section 2 notes). Meaningful only for partitioned kinds.
-func (c *composed) QueueFree(out int) int {
-	return c.perQueue - c.g.pool.qSlots[c.qBase+out]
+func (c *Composed) QueueFree(out int) int {
+	return c.g.rule.perQueue - c.g.pool.QueueSlots(c.qBase+out)
 }
 
 // Tick advances the group's clock by one cycle. Exactly one view per
 // group has qBase 0, so ticking every view of a shared pool — which is
 // what a per-buffer loop naturally does — advances the clock once.
 // damqvet:hotpath
-func (c *composed) Tick() {
+func (c *Composed) Tick() {
 	if c.qBase == 0 {
 		c.g.pool.Tick()
 	}
 }
 
-var _ Buffer = (*composed)(nil)
+var _ Buffer = (*Composed)(nil)
+
+// ViewOf returns the concrete view behind a Buffer this package
+// constructed — the buffer itself, or the view a PoolBuffer wraps — and
+// nil for any other implementation.
+func ViewOf(b Buffer) *Composed {
+	switch v := b.(type) {
+	case *Composed:
+		return v
+	case *PoolBuffer:
+		return &v.Composed
+	}
+	return nil
+}
 
 // PoolBuffer is a composed buffer whose storage faults can be injected:
 // it exposes the slot-pool quarantine machinery and structural
@@ -227,7 +289,7 @@ var _ Buffer = (*composed)(nil)
 // which target only quarantine-capable buffers — are unchanged from the
 // seed implementations.
 type PoolBuffer struct {
-	composed
+	Composed
 }
 
 // DAMQBuffer is the paper's dynamically allocated multi-queue buffer —
@@ -236,27 +298,29 @@ type PoolBuffer struct {
 // comcobb chip model keep their vocabulary.
 type DAMQBuffer = PoolBuffer
 
+// port is one per-port buffer in a single allocation: the view and its
+// private group, which embeds the slot pool in turn. Only the pool's
+// register file and owner table live elsewhere.
+type port struct {
+	PoolBuffer
+	g group
+}
+
+func newPort(cfg Config) *port {
+	numQueues, expect := cfg.NumOutputs, func(q int) int { return q }
+	if cfg.Kind == FIFO {
+		numQueues, expect = 1, nil
+	}
+	pt := &port{}
+	pt.g.init(numQueues, cfg.Capacity, buildRule(cfg, cfg.Capacity), expect)
+	pt.Composed = newView(&pt.g, cfg.Kind, cfg.NumOutputs, cfg.Capacity, 0)
+	return pt
+}
+
 // NewDAMQ constructs a DAMQ buffer with the given queue count and total
 // slot capacity.
 func NewDAMQ(numOutputs, capacity int) *DAMQBuffer {
-	return newPoolBuffer(DAMQ, numOutputs, capacity, 1, completeSharing{}, 0, false, false, "damq")
-}
-
-func newPoolBuffer(kind Kind, numOutputs, capacity, maxReads int, pol AdmissionPolicy, classes int, clocked, portCheck bool, prefix string) *PoolBuffer {
-	pool := NewSlotPool(numOutputs, capacity)
-	if clocked {
-		pool.EnableClock()
-	}
-	g := newGroup(pool, pol, classes, func(q int) int { return q })
-	return &PoolBuffer{composed{
-		g:          g,
-		kind:       kind,
-		numOutputs: numOutputs,
-		nominalCap: capacity,
-		maxReads:   maxReads,
-		portCheck:  portCheck,
-		prefix:     prefix,
-	}}
+	return &newPort(Config{Kind: DAMQ, NumOutputs: numOutputs, Capacity: capacity}).PoolBuffer
 }
 
 // QuarantineSlot takes this view's slot s out of service; see
@@ -266,7 +330,7 @@ func newPoolBuffer(kind Kind, numOutputs, capacity, maxReads int, pol AdmissionP
 // storage spans ports.
 func (b *PoolBuffer) QuarantineSlot(s int) bool {
 	if s < 0 || s >= b.nominalCap {
-		panic(fmt.Sprintf("%s: QuarantineSlot(%d) out of range [0,%d)", b.prefix, s, b.nominalCap))
+		panic(fmt.Sprintf("%s: QuarantineSlot(%d) out of range [0,%d)", kindPrefix(b.kind), s, b.nominalCap))
 	}
 	return b.g.pool.QuarantineSlot(b.slotBase + s)
 }
@@ -289,84 +353,47 @@ func (b *PoolBuffer) Dump() string { return b.g.pool.Dump() }
 
 // QueueSlots reports the slots currently held by the queue for out, used
 // by tests and the occupancy ablation.
-func (b *PoolBuffer) QueueSlots(out int) int { return b.g.pool.qSlots[b.qBase+out] }
+func (b *PoolBuffer) QueueSlots(out int) int { return b.g.pool.QueueSlots(b.qBase + out) }
 
 // Pool exposes the backing slot pool for tests and structural tooling.
-func (b *PoolBuffer) Pool() *SlotPool { return b.g.pool }
+func (b *PoolBuffer) Pool() *SlotPool { return &b.g.pool }
 
 var _ Buffer = (*PoolBuffer)(nil)
 
-// newFIFO composes the control design: one queue over the whole pool,
-// complete sharing, one read port. Only the head packet is visible to
-// the crossbar — head-of-line blocking falls out of the single-queue
-// layout, not the policy.
-func newFIFO(numOutputs, capacity int) *composed {
-	g := newGroup(NewSlotPool(1, capacity), completeSharing{}, 0, nil)
-	return &composed{
-		g:          g,
-		kind:       FIFO,
-		numOutputs: numOutputs,
-		nominalCap: capacity,
-		maxReads:   1,
-		single:     true,
-		prefix:     "fifo",
-	}
-}
-
-// newStatic composes both statically allocated designs, SAMQ and SAFC:
-// per-output queues with a complete-partitioning policy. The two differ
-// only in read bandwidth: SAMQ keeps all queues in one single-read-port
-// RAM, SAFC gives every queue its own RAM and crossbar lane. Admission
-// is identical.
-func newStatic(kind Kind, numOutputs, capacity int) *composed {
-	per := capacity / numOutputs
-	reads := 1
-	if kind == SAFC {
-		reads = numOutputs
-	}
-	g := newGroup(NewSlotPool(numOutputs, capacity), completePartition{perQueue: per},
-		0, func(q int) int { return q })
-	return &composed{
-		g:          g,
-		kind:       kind,
-		numOutputs: numOutputs,
-		nominalCap: capacity,
-		maxReads:   reads,
-		perQueue:   per,
-		portCheck:  true,
-		prefix:     kind.String(),
-	}
-}
-
-// buildPolicy resolves cfg's kind and sharing knobs into the admission
-// policy for a pool of poolCap total slots, plus the class count and
-// whether the pool needs the enqueue-stamp clock. poolCap equals
-// cfg.Capacity for a per-port buffer and inputs*cfg.Capacity for a
-// shared group — FB's per-class reserve scales with the real pool.
-func buildPolicy(cfg Config, poolCap int) (pol AdmissionPolicy, classes int, clocked bool) {
-	switch cfg.Kind {
+// ruleOf is the admission rule kind k composes over the slot pool.
+func ruleOf(k Kind) ruleKind {
+	switch k {
 	case SAMQ, SAFC:
-		return completePartition{perQueue: cfg.Capacity / cfg.NumOutputs}, 0, false
+		return completePartition
 	case DT:
-		return dynThreshold{alpha: cfg.Sharing.alpha()}, 0, false
+		return dynThreshold
 	case FB:
-		classes = cfg.Sharing.classes()
+		return fbSharing
+	case BSHARE:
+		return bshare
+	default: // FIFO, DAMQ, DAFC
+		return completeSharing
+	}
+}
+
+// buildRule resolves cfg's kind and sharing knobs into the admission
+// rule for a pool of poolCap total slots. poolCap equals cfg.Capacity for
+// a per-port buffer and inputs*cfg.Capacity for a shared group — FB's
+// per-class reserve scales with the real pool.
+func buildRule(cfg Config, poolCap int) rule {
+	r := rule{kind: ruleOf(cfg.Kind), alpha: cfg.Sharing.alpha()}
+	switch r.kind {
+	case completePartition:
+		r.perQueue = cfg.Capacity / cfg.NumOutputs
+	case fbSharing:
+		r.classes = cfg.Sharing.classes()
 		// Half the pool is hard-reserved in equal per-class quotas, the
 		// other half is shared under the per-class decaying thresholds.
-		return fbSharing{
-			classes: classes,
-			alpha:   cfg.Sharing.alpha(),
-			reserve: poolCap / classes / 2,
-		}, classes, false
-	case BSHARE:
-		return bshare{
-			alpha:   cfg.Sharing.alpha(),
-			target:  cfg.Sharing.delayTarget(),
-			reserve: 1,
-		}, 0, true
-	default: // FIFO, DAMQ, DAFC
-		return completeSharing{}, 0, false
+		r.reserve = poolCap / r.classes / 2
+	case bshare:
+		r.target, r.reserve = cfg.Sharing.delayTarget(), 1
 	}
+	return r
 }
 
 func kindReads(k Kind, numOutputs int) int {
@@ -396,7 +423,7 @@ func kindPrefix(k Kind) string {
 // NewSharedGroup constructs one storage group spanning inputs ports and
 // returns the per-port Buffer views onto it: pool capacity is
 // inputs*cfg.Capacity, pool queues are the inputs*NumOutputs (input,
-// output) pairs, and the admission policy decides over switch-wide
+// output) pairs, and the admission rule decides over switch-wide
 // occupancy. Only pooled kinds may share (KindSharesPool); the static
 // 1988 designs pre-partition storage per port by definition, so asking
 // for them shared is a config error wrapping cfgerr.ErrBadSharing.
@@ -416,27 +443,15 @@ func NewSharedGroup(cfg Config, inputs int) ([]Buffer, error) {
 		return nil, fmt.Errorf("buffer: %v (policy %s) cannot share one pool across ports: %w",
 			cfg.Kind, cfg.Kind.PolicyName(), cfgerr.ErrBadSharing)
 	}
-	poolCap := inputs * cfg.Capacity
-	pol, classes, clocked := buildPolicy(cfg, poolCap)
-	pool := NewSlotPool(inputs*cfg.NumOutputs, poolCap)
-	if clocked {
-		pool.EnableClock()
-	}
 	n := cfg.NumOutputs
-	g := newGroup(pool, pol, classes, func(q int) int { return q % n })
+	poolCap := inputs * cfg.Capacity
+	g := &group{}
+	g.init(inputs*n, poolCap, buildRule(cfg, poolCap), func(q int) int { return q % n })
+	pbs := make([]PoolBuffer, inputs)
 	views := make([]Buffer, inputs)
-	for i := range views {
-		views[i] = &PoolBuffer{composed{
-			g:          g,
-			kind:       cfg.Kind,
-			numOutputs: n,
-			nominalCap: cfg.Capacity,
-			qBase:      i * n,
-			slotBase:   i * cfg.Capacity,
-			maxReads:   kindReads(cfg.Kind, n),
-			portCheck:  KindModern(cfg.Kind),
-			prefix:     kindPrefix(cfg.Kind),
-		}}
+	for i := range pbs {
+		pbs[i].Composed = newView(g, cfg.Kind, n, cfg.Capacity, i)
+		views[i] = &pbs[i]
 	}
 	return views, nil
 }

@@ -2,135 +2,98 @@ package buffer
 
 import "damq/internal/packet"
 
-// PoolState is the read-only occupancy view an AdmissionPolicy decides
-// over. It is implemented by the shared group behind each composed
-// buffer; every method is O(1) and allocation-free so admission stays on
-// the switch's hot path.
-type PoolState interface {
-	// Capacity is the pool's total slot count.
-	Capacity() int
-	// FreeSlots is the number of unoccupied, in-service slots.
-	FreeSlots() int
-	// QueueSlots is the slots held by queue q.
-	QueueSlots(q int) int
-	// QueueLen is the packets held by queue q.
-	QueueLen(q int) int
-	// ClassSlots is the slots held pool-wide by priority class c, 0 when
-	// the pool does not track classes.
-	ClassSlots(c int) int
-	// HeadAge is how long queue q's head packet has waited, in pool
-	// ticks; 0 for an empty queue or a clockless pool.
-	HeadAge(q int) int64
+// ruleKind names the admission rule of the admission/storage split: the
+// decision whether a routed packet may join its queue, made over the
+// group's occupancy registers. Every rule is pure — no mutation, no
+// allocation, no randomness — so the same (packet, state) always decides
+// the same way regardless of worker count; that is what keeps the
+// sharded simulator byte-identical.
+type ruleKind uint8
+
+const (
+	// completeSharing is 1988's FIFO/DAMQ/DAFC admission: any packet
+	// that fits in the pool's free space enters. Maximal storage
+	// utilization, no isolation — one hot output can monopolize every
+	// slot.
+	completeSharing ruleKind = iota
+	// completePartition is 1988's SAMQ/SAFC admission: each queue owns a
+	// fixed share of the slots that no other traffic can use, so a burst
+	// toward one output can be rejected while slots reserved for other
+	// outputs sit empty — the storage inefficiency the DAMQ removes.
+	completePartition
+	// dynThreshold is the classic Dynamic Threshold policy (Choudhury &
+	// Hahne): a queue may grow to at most alpha times the pool's current
+	// free space. The threshold is self-regulating — as the pool fills,
+	// free space shrinks and with it every queue's allowance,
+	// deliberately holding a fraction 1/(1+alpha·n_active) of the pool in
+	// reserve for queues that were idle when a burst began.
+	dynThreshold
+	// fbSharing is FB-style flexible sharing across priority classes
+	// (Apostolaki et al.): class c gets a reserved quota no other class
+	// can touch, plus a dynamic-threshold share of free space that halves
+	// with each step down in priority (alpha_c = alpha / 2^c). High
+	// classes therefore burst into most of the pool while low classes are
+	// capped early, and the reserved quota keeps every class live under
+	// overload.
+	fbSharing
+	// bshare is BShare-style queueing-delay-driven sharing (Agarwal et
+	// al.): admission starts from a dynamic threshold, but a queue whose
+	// head packet has waited past the delay target is draining too slowly
+	// to justify its share — its allowance shrinks in proportion to the
+	// overshoot (never below a one-packet reserve), shifting buffer
+	// toward queues that are actually moving.
+	bshare
+)
+
+var ruleNames = [...]string{"complete-sharing", "complete-partitioning", "dynamic-threshold", "fb-flexible", "bshare-delay"}
+
+// rule is one group's admission rule and its parameters; each kind reads
+// only its own fields.
+type rule struct {
+	kind     ruleKind
+	perQueue int     // completePartition: slots statically owned by each queue
+	classes  int     // fbSharing: priority class count
+	alpha    float64 // dynThreshold, fbSharing, bshare: threshold multiplier
+	reserve  int     // fbSharing: slots guaranteed per class; bshare: slots a queue may always hold
+	target   int64   // bshare: head-of-line delay target, in pool ticks
 }
 
-// AdmissionPolicy is the decision half of the admission/storage split:
-// given a routed packet, the pool's occupancy state, and the queue the
-// packet would join, Admit says whether the packet may enter. Policies
-// are pure — no mutation, no allocation, no randomness — so the same
-// (packet, state) always decides the same way regardless of worker
-// count; that is what keeps the sharded simulator byte-identical.
-type AdmissionPolicy interface {
-	// Name is the policy's short name for error messages and reports.
-	Name() string
-	// Admit reports whether p may join queue q. The composed buffer has
-	// already rejected out-of-range ports (where the kind demands it)
-	// and packets larger than the pool's free space.
-	Admit(p *packet.Packet, st PoolState, q int) bool
-}
-
-// completeSharing is 1988's FIFO/DAMQ/DAFC admission: any packet that
-// fits in the pool's free space enters. Maximal storage utilization, no
-// isolation — one hot output can monopolize every slot.
-type completeSharing struct{}
-
-func (completeSharing) Name() string { return "complete-sharing" }
-
+// admit reports whether p may join queue q of g under g's rule. The
+// caller has already rejected out-of-range ports (where the kind demands
+// it) and packets larger than the pool's free space, and answered
+// complete sharing, whose decision is that fit check alone.
 // damqvet:hotpath
-func (completeSharing) Admit(p *packet.Packet, st PoolState, q int) bool {
-	return p.Slots <= st.FreeSlots()
-}
-
-// completePartition is 1988's SAMQ/SAFC admission: each queue owns a
-// fixed share of the slots that no other traffic can use, so a burst
-// toward one output can be rejected while slots reserved for other
-// outputs sit empty — the storage inefficiency the DAMQ removes.
-type completePartition struct {
-	perQueue int // slots statically owned by each queue
-}
-
-func (completePartition) Name() string { return "complete-partitioning" }
-
-// damqvet:hotpath
-func (cp completePartition) Admit(p *packet.Packet, st PoolState, q int) bool {
-	return st.QueueSlots(q)+p.Slots <= cp.perQueue
-}
-
-// dynThreshold is the classic Dynamic Threshold policy (Choudhury &
-// Hahne): a queue may grow to at most alpha times the pool's current
-// free space. The threshold is self-regulating — as the pool fills,
-// free space shrinks and with it every queue's allowance, deliberately
-// holding a fraction 1/(1+alpha·n_active) of the pool in reserve for
-// queues that were idle when a burst began.
-type dynThreshold struct {
-	alpha float64
-}
-
-func (dynThreshold) Name() string { return "dynamic-threshold" }
-
-// damqvet:hotpath
-func (dt dynThreshold) Admit(p *packet.Packet, st PoolState, q int) bool {
-	return float64(st.QueueSlots(q)+p.Slots) <= dt.alpha*float64(st.FreeSlots())
-}
-
-// fbSharing is FB-style flexible sharing across priority classes
-// (Apostolaki et al.): class c gets a reserved quota no other class can
-// touch, plus a dynamic-threshold share of free space that halves with
-// each step down in priority (alpha_c = alpha / 2^c). High classes
-// therefore burst into most of the pool while low classes are capped
-// early, and the reserved quota keeps every class live under overload.
-type fbSharing struct {
-	classes int
-	alpha   float64
-	reserve int // slots guaranteed per class
-}
-
-func (fbSharing) Name() string { return "fb-flexible" }
-
-// damqvet:hotpath
-func (fb fbSharing) Admit(p *packet.Packet, st PoolState, q int) bool {
-	c := classOf(p, fb.classes)
-	after := st.ClassSlots(c) + p.Slots
-	if after <= fb.reserve {
+func (g *group) admit(p *packet.Packet, q int) bool {
+	r := &g.rule
+	sp := &g.pool
+	switch r.kind {
+	case completePartition:
+		return sp.QueueSlots(q)+p.Slots <= r.perQueue
+	case dynThreshold:
+		return float64(sp.QueueSlots(q)+p.Slots) <= r.alpha*float64(sp.FreeSlots())
+	case fbSharing:
+		c := classOf(p, r.classes)
+		after := p.Slots
+		if g.classSlots != nil { // a one-class pool keeps no class tally
+			after += g.classSlots[c]
+		}
+		if after <= r.reserve {
+			return true
+		}
+		alphaC := r.alpha / float64(int64(1)<<uint(c))
+		return float64(after) <= float64(r.reserve)+alphaC*float64(sp.FreeSlots())
+	case bshare:
+		limit := r.alpha * float64(sp.FreeSlots())
+		if age := sp.HeadAge(q); age > r.target {
+			limit *= float64(r.target) / float64(age)
+			if limit < float64(r.reserve) {
+				limit = float64(r.reserve)
+			}
+		}
+		return float64(sp.QueueSlots(q)+p.Slots) <= limit
+	default: // completeSharing
 		return true
 	}
-	alphaC := fb.alpha / float64(int64(1)<<uint(c))
-	return float64(after) <= float64(fb.reserve)+alphaC*float64(st.FreeSlots())
-}
-
-// bshare is BShare-style queueing-delay-driven sharing (Agarwal et
-// al.): admission starts from a dynamic threshold, but a queue whose
-// head packet has waited past the delay target is draining too slowly
-// to justify its share — its allowance shrinks in proportion to the
-// overshoot (never below a one-packet reserve), shifting buffer toward
-// queues that are actually moving.
-type bshare struct {
-	alpha   float64
-	target  int64 // head-of-line delay target, in pool ticks
-	reserve int   // slots a queue may always hold
-}
-
-func (bshare) Name() string { return "bshare-delay" }
-
-// damqvet:hotpath
-func (bs bshare) Admit(p *packet.Packet, st PoolState, q int) bool {
-	limit := bs.alpha * float64(st.FreeSlots())
-	if age := st.HeadAge(q); age > bs.target {
-		limit *= float64(bs.target) / float64(age)
-		if limit < float64(bs.reserve) {
-			limit = float64(bs.reserve)
-		}
-	}
-	return float64(st.QueueSlots(q)+p.Slots) <= limit
 }
 
 // classOf derives a packet's priority class from its ID with a

@@ -89,7 +89,7 @@ func TestBShareShrinksStalledQueue(t *testing.T) {
 	// Stall the head far past the 4-tick target: allowance collapses
 	// toward the one-packet reserve, so the same offer is now refused.
 	for i := 0; i < 40; i++ {
-		b.(Ticker).Tick()
+		ViewOf(b).Tick()
 	}
 	if b.CanAccept(mk(2, 0, 2)) {
 		t.Fatal("BSHARE kept admitting behind a stalled head")

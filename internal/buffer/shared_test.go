@@ -100,7 +100,7 @@ func TestSharedGroupTickOnce(t *testing.T) {
 	views := sharedViews(t, Config{Kind: BSHARE, NumOutputs: 2, Capacity: 4}, 4)
 	for cycle := 0; cycle < 3; cycle++ {
 		for _, v := range views {
-			v.(Ticker).Tick()
+			ViewOf(v).Tick()
 		}
 	}
 	if now := views[0].(*PoolBuffer).Pool().Now(); now != 3 {

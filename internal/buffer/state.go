@@ -42,19 +42,25 @@ type SlotPoolState struct {
 // the packet pointers are shared (checkpointing serializes their fields,
 // it does not mutate them).
 func (sp *SlotPool) SaveState() *SlotPoolState {
+	nq := sp.NumQueues()
 	st := &SlotPoolState{
 		Next:      append([]int32(nil), sp.next...),
-		Owner:     make([]int32, sp.capacity),
+		Owner:     make([]int32, len(sp.next)),
 		FreeHead:  sp.freeHead,
 		FreeTail:  sp.freeTail,
-		FreeCount: sp.freeCount,
-		QHead:     append([]int32(nil), sp.qHead...),
-		QTail:     append([]int32(nil), sp.qTail...),
-		QPkts:     append([]int(nil), sp.qPkts...),
-		QSlots:    append([]int(nil), sp.qSlots...),
-		QuarCount: sp.quarCount,
+		FreeCount: int(sp.freeCount),
+		QHead:     make([]int32, nq),
+		QTail:     make([]int32, nq),
+		QPkts:     make([]int, nq),
+		QSlots:    make([]int, nq),
+		QuarCount: int(sp.quarCount),
 		HasClock:  sp.stamp != nil,
 		Now:       sp.now,
+	}
+	for q := 0; q < nq; q++ {
+		r := sp.queue(q)
+		st.QHead[q], st.QTail[q] = r[regHead], r[regTail]
+		st.QPkts[q], st.QSlots[q] = int(r[regPkts]), int(r[regSlots])
 	}
 	if sp.quar != nil {
 		st.Quar = append([]uint8(nil), sp.quar...)
@@ -81,42 +87,45 @@ func (sp *SlotPool) SaveState() *SlotPoolState {
 // stream. Any mismatch is an error; the pool is unchanged on failure
 // only in the sense that the caller must treat it as dead.
 func (sp *SlotPool) LoadState(st *SlotPoolState) error {
-	if len(st.Next) != sp.capacity || len(st.Owner) != sp.capacity {
-		return fmt.Errorf("slotpool: state for %d slots loaded into %d-slot pool", len(st.Next), sp.capacity)
+	capacity, nq := len(sp.next), sp.NumQueues()
+	if len(st.Next) != capacity || len(st.Owner) != capacity {
+		return fmt.Errorf("slotpool: state for %d slots loaded into %d-slot pool", len(st.Next), capacity)
 	}
-	if len(st.QHead) != sp.numQueues || len(st.QTail) != sp.numQueues ||
-		len(st.QPkts) != sp.numQueues || len(st.QSlots) != sp.numQueues {
-		return fmt.Errorf("slotpool: state for %d queues loaded into %d-queue pool", len(st.QHead), sp.numQueues)
+	if len(st.QHead) != nq || len(st.QTail) != nq || len(st.QPkts) != nq || len(st.QSlots) != nq {
+		return fmt.Errorf("slotpool: state for %d queues loaded into %d-queue pool", len(st.QHead), nq)
 	}
 	if st.HasClock != (sp.stamp != nil) {
 		return fmt.Errorf("slotpool: clock presence mismatch (state %v, pool %v)", st.HasClock, sp.stamp != nil)
 	}
-	if st.HasClock && len(st.Stamp) != sp.capacity {
-		return fmt.Errorf("slotpool: %d enqueue stamps for %d slots", len(st.Stamp), sp.capacity)
+	if st.HasClock && len(st.Stamp) != capacity {
+		return fmt.Errorf("slotpool: %d enqueue stamps for %d slots", len(st.Stamp), capacity)
 	}
-	if st.Quar != nil && len(st.Quar) != sp.capacity {
-		return fmt.Errorf("slotpool: %d quarantine bytes for %d slots", len(st.Quar), sp.capacity)
+	if st.Quar != nil && len(st.Quar) != capacity {
+		return fmt.Errorf("slotpool: %d quarantine bytes for %d slots", len(st.Quar), capacity)
 	}
-	inRange := func(s int32) bool { return s == nilSlot || (s >= 0 && int(s) < sp.capacity) }
+	inRange := func(s int32) bool { return s == nilSlot || (s >= 0 && int(s) < capacity) }
 	for _, s := range st.Next {
 		if !inRange(s) {
 			return fmt.Errorf("slotpool: next register points at invalid slot %d", s)
 		}
 	}
-	for q := 0; q < sp.numQueues; q++ {
+	for q := 0; q < nq; q++ {
 		if !inRange(st.QHead[q]) || !inRange(st.QTail[q]) {
 			return fmt.Errorf("slotpool: queue %d head/tail registers out of range", q)
 		}
-		if st.QPkts[q] < 0 || st.QSlots[q] < 0 || st.QSlots[q] > sp.capacity {
+		// Every queued packet holds a slot, so neither counter can exceed
+		// the capacity; the bound also keeps them exact in the int32
+		// registers.
+		if st.QPkts[q] < 0 || st.QPkts[q] > capacity || st.QSlots[q] < 0 || st.QSlots[q] > capacity {
 			return fmt.Errorf("slotpool: queue %d has impossible counters (%d pkts, %d slots)",
 				q, st.QPkts[q], st.QSlots[q])
 		}
 	}
 	if !inRange(st.FreeHead) || !inRange(st.FreeTail) ||
-		st.FreeCount < 0 || st.FreeCount > sp.capacity {
+		st.FreeCount < 0 || st.FreeCount > capacity {
 		return fmt.Errorf("slotpool: free list registers out of range")
 	}
-	if st.QuarCount < 0 || st.QuarCount > sp.capacity {
+	if st.QuarCount < 0 || st.QuarCount > capacity {
 		return fmt.Errorf("slotpool: quarantine count %d out of range", st.QuarCount)
 	}
 	for s, v := range st.Quar {
@@ -145,7 +154,7 @@ func (sp *SlotPool) LoadState(st *SlotPoolState) error {
 	// indices are validated above, and the step bound kills cycles).
 	last, steps := nilSlot, 0
 	for s := st.FreeHead; s != nilSlot; s = st.Next[s] {
-		if steps++; steps > sp.capacity {
+		if steps++; steps > capacity {
 			return fmt.Errorf("slotpool: free list is cyclic")
 		}
 		last = s
@@ -155,12 +164,14 @@ func (sp *SlotPool) LoadState(st *SlotPoolState) error {
 			steps, last, st.FreeCount, st.FreeTail)
 	}
 	copy(sp.next, st.Next)
-	copy(sp.qHead, st.QHead)
-	copy(sp.qTail, st.QTail)
-	copy(sp.qPkts, st.QPkts)
-	copy(sp.qSlots, st.QSlots)
-	sp.freeHead, sp.freeTail, sp.freeCount = st.FreeHead, st.FreeTail, st.FreeCount
-	sp.quar, sp.quarCount = nil, st.QuarCount
+	for q := 0; q < nq; q++ {
+		*sp.queue(q) = [queueRegs]int32{
+			regHead: st.QHead[q], regTail: st.QTail[q],
+			regPkts: int32(st.QPkts[q]), regSlots: int32(st.QSlots[q]),
+		}
+	}
+	sp.freeHead, sp.freeTail, sp.freeCount = st.FreeHead, st.FreeTail, int32(st.FreeCount)
+	sp.quar, sp.quarCount = nil, int32(st.QuarCount)
 	if st.Quar != nil {
 		sp.quar = append([]uint8(nil), st.Quar...)
 	}
@@ -168,36 +179,23 @@ func (sp *SlotPool) LoadState(st *SlotPoolState) error {
 		copy(sp.stamp, st.Stamp)
 	}
 	sp.now = st.Now
-	pkts := 0
 	for s := range sp.owner {
 		if st.Owner[s] == -1 {
 			sp.owner[s] = nil
 			continue
 		}
 		sp.owner[s] = st.Packets[st.Owner[s]]
-		pkts++
 	}
-	sp.pkts = pkts
 	return nil
 }
 
-// viewer exposes a composed buffer's view parameters to the restore
-// path. Every Buffer this package constructs is a composed view (plain
-// for the 1988 static kinds, PoolBuffer for the pooled ones), so the
-// interface is satisfied across the board without widening Buffer.
-type viewer interface {
-	poolView() *composed
-}
-
-func (c *composed) poolView() *composed { return c }
-
 // PoolOf returns the slot pool backing b, for the checkpoint codec.
 func PoolOf(b Buffer) (*SlotPool, bool) {
-	v, ok := b.(viewer)
-	if !ok {
+	c := ViewOf(b)
+	if c == nil {
 		return nil, false
 	}
-	return v.poolView().g.pool, true
+	return &c.g.pool, true
 }
 
 // ResyncAfterRestore recomputes the derived counters of the views over
@@ -209,13 +207,12 @@ func PoolOf(b Buffer) (*SlotPool, bool) {
 // tallies, so a corrupted stream fails with an error instead of looping.
 func ResyncAfterRestore(bufs []Buffer) error {
 	var g *group
-	views := make([]*composed, 0, len(bufs))
+	views := make([]*Composed, 0, len(bufs))
 	for _, b := range bufs {
-		v, ok := b.(viewer)
-		if !ok {
+		c := ViewOf(b)
+		if c == nil {
 			return fmt.Errorf("buffer: %T cannot be checkpoint-restored", b)
 		}
-		c := v.poolView()
 		if g == nil {
 			g = c.g
 		} else if c.g != g {
@@ -236,7 +233,7 @@ func ResyncAfterRestore(bufs []Buffer) error {
 		}
 		n := 0
 		for q := c.qBase; q < c.qBase+qn; q++ {
-			n += g.pool.qPkts[q]
+			n += g.pool.QueueLen(q)
 		}
 		c.pkts = n
 	}
@@ -244,10 +241,10 @@ func ResyncAfterRestore(bufs []Buffer) error {
 		for i := range g.classSlots {
 			g.classSlots[i] = 0
 		}
-		for q := 0; q < g.pool.numQueues; q++ {
-			for s := g.pool.qHead[q]; s != nilSlot; s = g.pool.next[s] {
+		for q := 0; q < g.pool.NumQueues(); q++ {
+			for s := g.pool.queue(q)[regHead]; s != nilSlot; s = g.pool.next[s] {
 				if p := g.pool.owner[s]; p != nil {
-					g.classSlots[classOf(p, g.classes)] += p.Slots
+					g.classSlots[classOf(p, g.rule.classes)] += p.Slots
 				}
 			}
 		}

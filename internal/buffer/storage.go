@@ -7,31 +7,6 @@ import (
 	"damq/internal/packet"
 )
 
-// Storage is the slot-pool contract of the admission/storage split: a
-// fixed pool of packet slots threaded into per-queue linked lists, the
-// hardware structure of Tamir & Frazier's DAMQ generalized to any queue
-// count. Storage answers only "where do packets live"; whether a packet
-// may enter at all is the AdmissionPolicy's question. Push has no
-// admission logic and must only be called after the caller has
-// established p.Slots <= FreeSlots() (composed buffers do this via
-// their policy).
-//
-// SlotPool is the one implementation; the interface documents the
-// contract an alternative backend (e.g. a banked RAM model) would have
-// to meet.
-type Storage interface {
-	NumQueues() int
-	Capacity() int
-	FreeSlots() int
-	Packets() int
-	QueueLen(q int) int
-	QueueSlots(q int) int
-	Head(q int) *packet.Packet
-	Push(q int, p *packet.Packet)
-	Pop(q int) *packet.Packet
-	Reset()
-}
-
 // SlotPool is the dynamically allocated slot pool of Tamir & Frazier —
 // the storage half of every buffer kind in this package. It is
 // deliberately implemented the way the hardware works rather than with
@@ -57,28 +32,27 @@ type Storage interface {
 // pairs to queues, and a FIFO uses a single queue. That mapping lives in
 // the composed Buffer, not here.
 type SlotPool struct {
-	numQueues int
-	capacity  int
-
-	next  []int32          // per-slot pointer register
-	owner []*packet.Packet // packet whose *first* slot this is; nil for continuation slots
-
+	// The scalar registers come first, so an admission check reads the
+	// free count from the same cache line as the view and rule before it.
+	freeCount int32
 	freeHead  int32
 	freeTail  int32
-	freeCount int
-	pkts      int // total packets across queues, kept for O(1) Packets
+	quarCount int32
 
-	qHead  []int32 // per-queue head register
-	qTail  []int32 // per-queue tail register
-	qPkts  []int   // packets per queue
-	qSlots []int   // slots per queue
+	// The register file: next is the per-slot pointer register, queues
+	// holds queueRegs registers per queue (head, tail, packet count, slot
+	// count) so one queue's registers share a cache line. Both are carved
+	// from one backing array, and their lengths are the pool's capacity
+	// and queue count.
+	next   []int32
+	queues []int32
+	owner  []*packet.Packet // packet whose *first* slot this is; nil for continuation slots
 
 	// Quarantine state, nil until the first QuarantineSlot call so the
 	// fault-free pool pays nothing beyond one nil check in giveFree.
 	// A quarantined slot is on no list: the pool's capacity shrinks
 	// instead of a dead pointer register corrupting a linked list.
-	quar      []uint8
-	quarCount int
+	quar []uint8
 
 	// Clock state for delay-driven admission (BShare): stamp records the
 	// pool tick at which each packet's first slot was enqueued. nil unless
@@ -89,6 +63,15 @@ type SlotPool struct {
 
 const nilSlot = int32(-1)
 
+// Offsets of one queue's registers within SlotPool.queues.
+const (
+	regHead  = iota // first slot of the queue
+	regTail         // last slot of the queue
+	regPkts         // packets in the queue
+	regSlots        // slots held by the queue
+	queueRegs
+)
+
 // Quarantine slot states (entries of quar).
 const (
 	slotHealthy     uint8 = iota
@@ -96,50 +79,48 @@ const (
 	slotQuarantined       // out of service, on no list
 )
 
-// NewSlotPool constructs a pool with the given queue count and total
-// slot capacity.
-func NewSlotPool(numQueues, capacity int) *SlotPool {
-	sp := &SlotPool{
-		numQueues: numQueues,
-		capacity:  capacity,
-		next:      make([]int32, capacity),
-		owner:     make([]*packet.Packet, capacity),
-		qHead:     make([]int32, numQueues),
-		qTail:     make([]int32, numQueues),
-		qPkts:     make([]int, numQueues),
-		qSlots:    make([]int, numQueues),
-	}
+// init allocates the register file and owner table of a pool with the
+// given queue count and total slot capacity, and frees every slot. A
+// pool lives inside its group, which a per-port buffer allocates in one
+// block with its view.
+func (sp *SlotPool) init(numQueues, capacity int) {
+	regs := make([]int32, capacity+numQueues*queueRegs)
+	sp.next = regs[:capacity:capacity]
+	sp.queues = regs[capacity:]
+	sp.owner = make([]*packet.Packet, capacity)
 	sp.Reset()
-	return sp
 }
 
-func (sp *SlotPool) NumQueues() int { return sp.numQueues }
-func (sp *SlotPool) Capacity() int  { return sp.capacity }
+func (sp *SlotPool) NumQueues() int { return len(sp.queues) / queueRegs }
+func (sp *SlotPool) Capacity() int  { return len(sp.next) }
+
+// queue returns queue q's four registers.
+// damqvet:hotpath
+func (sp *SlotPool) queue(q int) *[queueRegs]int32 {
+	return (*[queueRegs]int32)(sp.queues[q*queueRegs:])
+}
 
 // FreeSlots is the number of slots available to a new packet, across the
 // whole pool.
 // damqvet:hotpath
-func (sp *SlotPool) FreeSlots() int { return sp.freeCount }
-
-// Packets is the number of packets stored across all queues, in O(1).
-// damqvet:hotpath
-func (sp *SlotPool) Packets() int { return sp.pkts }
+func (sp *SlotPool) FreeSlots() int { return int(sp.freeCount) }
 
 // QueueLen is the number of packets in queue q.
 // damqvet:hotpath
-func (sp *SlotPool) QueueLen(q int) int { return sp.qPkts[q] }
+func (sp *SlotPool) QueueLen(q int) int { return int(sp.queues[q*queueRegs+regPkts]) }
 
 // QueueSlots is the number of slots held by queue q.
 // damqvet:hotpath
-func (sp *SlotPool) QueueSlots(q int) int { return sp.qSlots[q] }
+func (sp *SlotPool) QueueSlots(q int) int { return int(sp.queues[q*queueRegs+regSlots]) }
 
 // Head returns the first packet of queue q without removing it, or nil.
 // damqvet:hotpath
 func (sp *SlotPool) Head(q int) *packet.Packet {
-	if sp.qPkts[q] == 0 {
+	r := sp.queue(q)
+	if r[regPkts] == 0 {
 		return nil
 	}
-	return sp.owner[sp.qHead[q]]
+	return sp.owner[r[regHead]]
 }
 
 // takeFree removes and returns the head of the free list.
@@ -159,15 +140,13 @@ func (sp *SlotPool) takeFree() int32 {
 // diverted out of service instead of rejoining the pool.
 // damqvet:hotpath
 func (sp *SlotPool) giveFree(s int32) {
+	sp.next[s] = nilSlot
+	sp.owner[s] = nil
 	if sp.quar != nil && sp.quar[s] == slotQuarPending {
 		sp.quar[s] = slotQuarantined
 		sp.quarCount++
-		sp.next[s] = nilSlot
-		sp.owner[s] = nil
 		return
 	}
-	sp.next[s] = nilSlot
-	sp.owner[s] = nil
 	if sp.freeTail == nilSlot {
 		sp.freeHead = s
 	} else {
@@ -199,24 +178,25 @@ func (sp *SlotPool) Push(q int, p *packet.Packet) {
 
 	// Append to the queue: point the old tail's slot at the packet's first
 	// slot, then move the tail register.
-	if sp.qTail[q] == nilSlot {
-		sp.qHead[q] = first
+	r := sp.queue(q)
+	if r[regTail] == nilSlot {
+		r[regHead] = first
 	} else {
-		sp.next[sp.qTail[q]] = first
+		sp.next[r[regTail]] = first
 	}
-	sp.qTail[q] = last
-	sp.qPkts[q]++
-	sp.qSlots[q] += p.Slots
-	sp.pkts++
+	r[regTail] = last
+	r[regPkts]++
+	r[regSlots] += int32(p.Slots)
 }
 
 // Pop removes and returns the head packet of queue q, or nil.
 // damqvet:hotpath
 func (sp *SlotPool) Pop(q int) *packet.Packet {
-	if sp.qPkts[q] == 0 {
+	r := sp.queue(q)
+	if r[regPkts] == 0 {
 		return nil
 	}
-	first := sp.qHead[q]
+	first := r[regHead]
 	p := sp.owner[first]
 	// Walk the packet's slots, advancing the head register and returning
 	// each slot to the free list as the hardware does after transmission.
@@ -226,13 +206,12 @@ func (sp *SlotPool) Pop(q int) *packet.Packet {
 		sp.giveFree(s)
 		s = n
 	}
-	sp.qHead[q] = s
+	r[regHead] = s
 	if s == nilSlot {
-		sp.qTail[q] = nilSlot
+		r[regTail] = nilSlot
 	}
-	sp.qPkts[q]--
-	sp.qSlots[q] -= p.Slots
-	sp.pkts--
+	r[regPkts]--
+	r[regSlots] -= int32(p.Slots)
 	return p
 }
 
@@ -242,7 +221,7 @@ func (sp *SlotPool) Pop(q int) *packet.Packet {
 // stamp write.
 func (sp *SlotPool) EnableClock() {
 	if sp.stamp == nil {
-		sp.stamp = make([]int64, sp.capacity)
+		sp.stamp = make([]int64, len(sp.next))
 	}
 }
 
@@ -261,10 +240,11 @@ func (sp *SlotPool) Now() int64 { return sp.now }
 // reads 0.
 // damqvet:hotpath
 func (sp *SlotPool) HeadAge(q int) int64 {
-	if sp.qPkts[q] == 0 || sp.stamp == nil {
+	r := sp.queue(q)
+	if r[regPkts] == 0 || sp.stamp == nil {
 		return 0
 	}
-	return sp.now - sp.stamp[sp.qHead[q]]
+	return sp.now - sp.stamp[r[regHead]]
 }
 
 // QuarantineSlot takes slot s out of service, modelling a stuck-at/dead
@@ -279,11 +259,11 @@ func (sp *SlotPool) HeadAge(q int) int64 {
 // it was already quarantined or pending. This is a cold path: it may
 // allocate (first call) and walk the free list.
 func (sp *SlotPool) QuarantineSlot(s int) bool {
-	if s < 0 || s >= sp.capacity {
-		panic(fmt.Sprintf("slotpool: QuarantineSlot(%d) out of range [0,%d)", s, sp.capacity))
+	if s < 0 || s >= len(sp.next) {
+		panic(fmt.Sprintf("slotpool: QuarantineSlot(%d) out of range [0,%d)", s, len(sp.next)))
 	}
 	if sp.quar == nil {
-		sp.quar = make([]uint8, sp.capacity)
+		sp.quar = make([]uint8, len(sp.next))
 	}
 	if sp.quar[s] != slotHealthy {
 		return false
@@ -314,7 +294,7 @@ func (sp *SlotPool) QuarantineSlot(s int) bool {
 
 // Quarantined reports how many slots are fully out of service (pending
 // slots still serving a packet are not counted until released).
-func (sp *SlotPool) Quarantined() int { return sp.quarCount }
+func (sp *SlotPool) Quarantined() int { return int(sp.quarCount) }
 
 // QuarantinedIn counts fully out-of-service slots in [lo, hi). A shared
 // pool's per-port views use it to report their own window's casualties.
@@ -349,21 +329,18 @@ func (sp *SlotPool) Reset() {
 		sp.next[i] = int32(i + 1)
 		sp.owner[i] = nil
 	}
-	if sp.capacity > 0 {
-		sp.next[sp.capacity-1] = nilSlot
+	capacity := int32(len(sp.next))
+	if capacity > 0 {
+		sp.next[capacity-1] = nilSlot
 		sp.freeHead = 0
-		sp.freeTail = int32(sp.capacity - 1)
+		sp.freeTail = capacity - 1
 	} else {
 		sp.freeHead, sp.freeTail = nilSlot, nilSlot
 	}
-	sp.freeCount = sp.capacity
-	for i := 0; i < sp.numQueues; i++ {
-		sp.qHead[i] = nilSlot
-		sp.qTail[i] = nilSlot
-		sp.qPkts[i] = 0
-		sp.qSlots[i] = 0
+	sp.freeCount = capacity
+	for q := 0; q < sp.NumQueues(); q++ {
+		*sp.queue(q) = [queueRegs]int32{regHead: nilSlot, regTail: nilSlot}
 	}
-	sp.pkts = 0
 }
 
 // CheckInvariants verifies the structural health of the slot pool: every
@@ -375,11 +352,12 @@ func (sp *SlotPool) Reset() {
 // it after random operation sequences; it is the software analogue of the
 // FSM synchronization argument in Section 3.2.3 of the paper.
 func (sp *SlotPool) CheckInvariants(expect func(q int) int) error {
-	seen := make([]bool, sp.capacity)
+	capacity := len(sp.next)
+	seen := make([]bool, capacity)
 
 	walk := func(head int32, name string) (slots int, err error) {
 		for s := head; s != nilSlot; s = sp.next[s] {
-			if s < 0 || int(s) >= sp.capacity {
+			if s < 0 || int(s) >= capacity {
 				return 0, fmt.Errorf("slotpool: %s list points at invalid slot %d", name, s)
 			}
 			if seen[s] {
@@ -387,7 +365,7 @@ func (sp *SlotPool) CheckInvariants(expect func(q int) int) error {
 			}
 			seen[s] = true
 			slots++
-			if slots > sp.capacity {
+			if slots > capacity {
 				return 0, fmt.Errorf("slotpool: %s list is cyclic", name)
 			}
 		}
@@ -398,7 +376,7 @@ func (sp *SlotPool) CheckInvariants(expect func(q int) int) error {
 	if err != nil {
 		return err
 	}
-	if freeSlots != sp.freeCount {
+	if freeSlots != int(sp.freeCount) {
 		return fmt.Errorf("slotpool: free list has %d slots, counter says %d", freeSlots, sp.freeCount)
 	}
 	for s := sp.freeHead; s != nilSlot; s = sp.next[s] {
@@ -408,9 +386,10 @@ func (sp *SlotPool) CheckInvariants(expect func(q int) int) error {
 	}
 
 	total := freeSlots
-	for q := 0; q < sp.numQueues; q++ {
+	for q := 0; q < sp.NumQueues(); q++ {
 		// Walk the queue packet by packet to validate per-packet chaining.
-		s := sp.qHead[q]
+		r := sp.queue(q)
+		s := r[regHead]
 		pkts, slots := 0, 0
 		for s != nilSlot {
 			p := sp.owner[s]
@@ -439,29 +418,29 @@ func (sp *SlotPool) CheckInvariants(expect func(q int) int) error {
 					last = sp.next[last]
 				}
 			}
-			if sp.next[last] == nilSlot && sp.qTail[q] != last {
-				return fmt.Errorf("slotpool: queue %d tail register %d != actual tail %d", q, sp.qTail[q], last)
+			if sp.next[last] == nilSlot && r[regTail] != last {
+				return fmt.Errorf("slotpool: queue %d tail register %d != actual tail %d", q, r[regTail], last)
 			}
 			s = sp.next[last]
 			pkts++
-			if pkts > sp.capacity {
+			if pkts > capacity {
 				return fmt.Errorf("slotpool: queue %d is cyclic", q)
 			}
 		}
-		if pkts != sp.qPkts[q] {
-			return fmt.Errorf("slotpool: queue %d has %d packets, counter says %d", q, pkts, sp.qPkts[q])
+		if pkts != int(r[regPkts]) {
+			return fmt.Errorf("slotpool: queue %d has %d packets, counter says %d", q, pkts, r[regPkts])
 		}
-		if slots != sp.qSlots[q] {
-			return fmt.Errorf("slotpool: queue %d holds %d slots, counter says %d", q, slots, sp.qSlots[q])
+		if slots != int(r[regSlots]) {
+			return fmt.Errorf("slotpool: queue %d holds %d slots, counter says %d", q, slots, r[regSlots])
 		}
-		if pkts == 0 && (sp.qHead[q] != nilSlot || sp.qTail[q] != nilSlot) {
+		if pkts == 0 && (r[regHead] != nilSlot || r[regTail] != nilSlot) {
 			return fmt.Errorf("slotpool: empty queue %d has live head/tail registers", q)
 		}
 		total += slots
 	}
 	quarSlots := 0
 	if sp.quar != nil {
-		for s := 0; s < sp.capacity; s++ {
+		for s := 0; s < capacity; s++ {
 			if sp.quar[s] != slotQuarantined {
 				continue
 			}
@@ -472,19 +451,12 @@ func (sp *SlotPool) CheckInvariants(expect func(q int) int) error {
 			quarSlots++
 		}
 	}
-	if quarSlots != sp.quarCount {
+	if quarSlots != int(sp.quarCount) {
 		return fmt.Errorf("slotpool: %d slots quarantined, counter says %d", quarSlots, sp.quarCount)
 	}
 	total += quarSlots
-	if total != sp.capacity {
-		return fmt.Errorf("slotpool: %d slots accounted for, capacity %d", total, sp.capacity)
-	}
-	sum := 0
-	for _, c := range sp.qPkts {
-		sum += c
-	}
-	if sum != sp.pkts {
-		return fmt.Errorf("slotpool: queues hold %d packets, total counter says %d", sum, sp.pkts)
+	if total != capacity {
+		return fmt.Errorf("slotpool: %d slots accounted for, capacity %d", total, capacity)
 	}
 	return nil
 }
@@ -495,10 +467,10 @@ func (sp *SlotPool) CheckInvariants(expect func(q int) int) error {
 // registers.
 func (sp *SlotPool) Dump() string {
 	var sb strings.Builder
-	for q := 0; q < sp.numQueues; q++ {
+	for q := 0; q < sp.NumQueues(); q++ {
 		fmt.Fprintf(&sb, "q%d:", q)
-		s := sp.qHead[q]
-		for n := 0; n < sp.qPkts[q]; n++ {
+		s := sp.queue(q)[regHead]
+		for n := 0; n < sp.QueueLen(q); n++ {
 			p := sp.owner[s]
 			fmt.Fprintf(&sb, " [pkt%d:", p.ID)
 			for i := 0; i < p.Slots; i++ {
@@ -516,7 +488,7 @@ func (sp *SlotPool) Dump() string {
 	sb.WriteString("\n")
 	if sp.quarCount > 0 {
 		sb.WriteString("quarantined:")
-		for s := 0; s < sp.capacity; s++ {
+		for s := range sp.quar {
 			if sp.quar[s] == slotQuarantined {
 				fmt.Fprintf(&sb, " %d", s)
 			}
@@ -525,5 +497,3 @@ func (sp *SlotPool) Dump() string {
 	}
 	return sb.String()
 }
-
-var _ Storage = (*SlotPool)(nil)

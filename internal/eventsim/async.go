@@ -95,11 +95,11 @@ type Sim struct {
 	eng Engine
 
 	// Per stage, per switch, per port state.
-	bufs         [][][]buffer.Buffer // [stage][switch][input]
-	outBusyUntil [][][]int64         // [stage][switch][output]
-	readCount    [][][]int           // concurrent reads per input buffer
-	transmitting [][][]bool          // per switch, flat [in*radix+out]: pairs mid-transmission
-	rr           [][]int             // per-switch rotating fairness offset
+	bufs         [][][]*buffer.Composed // [stage][switch][input]
+	outBusyUntil [][][]int64            // [stage][switch][output]
+	readCount    [][][]int              // concurrent reads per input buffer
+	transmitting [][][]bool             // per switch, flat [in*radix+out]: pairs mid-transmission
+	rr           [][]int                // per-switch rotating fairness offset
 
 	srcQ         []pktq.Queue // per-source injection backlog (ring, shrink-on-drain)
 	srcBusyUntil []int64
@@ -107,12 +107,6 @@ type Sim struct {
 	gens  []*rng.Source // per-source generation streams
 	sizes *rng.Source
 	alloc packet.Alloc
-
-	// probe is the reusable admission-probe scratch: CanAccept takes a
-	// routed copy of the candidate packet, and handing every probe its
-	// own heap copy (as the seed code did) allocated once per admission
-	// check.
-	probe packet.Packet
 
 	measureStart, measureEnd int64
 	res                      *Result
@@ -152,13 +146,13 @@ func New(cfg Config) (*Sim, error) {
 	}
 
 	for st := 0; st < top.Stages(); st++ {
-		var bufRow [][]buffer.Buffer
+		var bufRow [][]*buffer.Composed
 		var busyRow [][]int64
 		var readRow [][]int
 		var txRow [][]bool
 		for sw := 0; sw < top.SwitchesPerStage(); sw++ {
-			var bs []buffer.Buffer
-			for in := 0; in < cfg.Radix; in++ {
+			bs := make([]*buffer.Composed, cfg.Radix)
+			for in := range bs {
 				b, err := buffer.New(buffer.Config{
 					Kind:       cfg.BufferKind,
 					NumOutputs: cfg.Radix,
@@ -167,7 +161,7 @@ func New(cfg Config) (*Sim, error) {
 				if err != nil {
 					return nil, err
 				}
-				bs = append(bs, b)
+				bs[in] = buffer.ViewOf(b)
 			}
 			bufRow = append(bufRow, bs)
 			busyRow = append(busyRow, make([]int64, cfg.Radix))
@@ -270,19 +264,19 @@ func (s *Sim) kickSource(src int) {
 	}
 	p := q.Front()
 	swIdx, port := s.top.FirstStageSwitch(src)
-	s.probe = *p
-	s.probe.OutPort = s.top.RouteDigit(p.Dest, 0)
-	if !s.bufs[0][swIdx][port].CanAccept(&s.probe) {
+	b := s.bufs[0][swIdx][port]
+	out := s.top.RouteDigit(p.Dest, 0)
+	if !b.CanAcceptOut(p, out) {
 		return // retried when the stage-0 buffer frees slots
 	}
 	q.PopFront()
 	dur := s.duration(p)
 	s.srcBusyUntil[src] = now + dur
-	p.OutPort = s.probe.OutPort
+	p.OutPort = out
 	p.ReadyAt = now + s.cfg.RouteDelay
 	p.Injected = now
-	if err := s.bufs[0][swIdx][port].Accept(p); err != nil {
-		panic(err)
+	if !b.Offer(p) {
+		panic("eventsim: stage-0 buffer refused a probed packet")
 	}
 	s.eng.At(p.ReadyAt, Event{kind: evKickSwitch, a: 0, b: int32(swIdx)})
 	s.eng.At(now+dur, Event{kind: evKickSource, a: int32(src)})
@@ -335,9 +329,7 @@ func (s *Sim) downstreamAccepts(st, sw, out int, p *packet.Packet) bool {
 		return true // sinks always accept
 	}
 	nsw, nport := s.top.NextStage(sw, out)
-	s.probe = *p
-	s.probe.OutPort = s.top.RouteDigit(p.Dest, st+1)
-	return s.bufs[st+1][nsw][nport].CanAccept(&s.probe)
+	return s.bufs[st+1][nsw][nport].CanAcceptOut(p, s.top.RouteDigit(p.Dest, st+1))
 }
 
 // startTx begins forwarding the head of (st, sw, in)'s queue for out.
@@ -367,8 +359,8 @@ func (s *Sim) startTx(st, sw, in, out int) {
 		np := s.alloc.Clone(p)
 		np.OutPort = s.top.RouteDigit(p.Dest, st+1)
 		np.ReadyAt = now + s.cfg.RouteDelay
-		if err := s.bufs[st+1][nsw][nport].Accept(np); err != nil {
-			panic(fmt.Sprintf("eventsim: downstream accept after probe: %v", err))
+		if !s.bufs[st+1][nsw][nport].Offer(np) {
+			panic("eventsim: downstream buffer refused a probed packet")
 		}
 		s.eng.At(np.ReadyAt, Event{kind: evKickSwitch, a: int32(st + 1), b: int32(nsw)})
 	}

@@ -1,12 +1,53 @@
 package netsim
 
 import (
+	"math"
+	"runtime"
 	"testing"
 
 	"damq/internal/arbiter"
 	"damq/internal/buffer"
 	"damq/internal/sw"
 )
+
+// TestNewAllocs pins what building the 1024×1024 Omega network costs —
+// the set-up work every omegasim run and every benchmark process pays
+// before its first cycle. A per-port buffer is one block (view, group and
+// slot pool) plus its register file and owner table, and a switch's
+// snapshot and arbiter scratch are carved from shared arrays; an object
+// or byte count above the pins means construction grew a per-port or
+// per-switch allocation again. The pins are go1.24 figures; before this
+// layout New allocated 65,901 objects and 4.67 MB.
+func TestNewAllocs(t *testing.T) {
+	cfg := Config{
+		Radix: 4, Inputs: 1024, BufferKind: buffer.DAMQ, Capacity: 4,
+		Policy: arbiter.Smart, Protocol: sw.Blocking,
+		Traffic: TrafficSpec{Kind: Uniform, Load: 0.5}, Workers: 1,
+	}
+	// The counters are process-wide, so a goroutine an earlier test left
+	// running can inflate one reading; the minimum of three is New's own.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	objects, bytes := uint64(math.MaxUint64), uint64(math.MaxUint64)
+	for i := 0; i < 3; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		sim, err := New(cfg)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.KeepAlive(sim)
+		objects = min(objects, after.Mallocs-before.Mallocs)
+		bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
+	}
+	// Race-detector builds allocate the same objects but about 10 KB more,
+	// so the byte pin allows 0.5%.
+	const maxObjects, maxBytes = 27_501, 4_116_464 + 4_116_464/200
+	if objects > maxObjects || bytes > maxBytes {
+		t.Errorf("New(1024 inputs) allocates %d objects, %d bytes; pinned at most %d, %d",
+			objects, bytes, maxObjects, maxBytes)
+	}
+}
 
 // TestStepSteadyStateAllocs pins the simulator's allocation diet: once a
 // run reaches steady state (scratch grown, free list populated, histogram

@@ -438,9 +438,6 @@ type shard struct {
 	// probes holds one blocking probe per (stage, owned switch), built at
 	// construction: creating the closures inside the step would allocate.
 	probes [][]sw.BlockProbe
-	// probePkt is scratch for the blocking probe's routed copy of a head
-	// packet; one per shard so concurrent probes never share it.
-	probePkt packet.Packet
 
 	grantScratch []arbiter.Grant
 	// pending records the arbitrate phase's grants; pops are deferred to
@@ -664,12 +661,9 @@ func (sh *shard) blockProbe(st, si int) sw.BlockProbe {
 	}
 	return func(out int, p *packet.Packet) bool {
 		nsw, nport := s.top.NextStage(si, out)
-		// Probe with a routed copy so p itself is not mutated; the copy
-		// lives in shard-owned scratch to keep the probe allocation-free
-		// and race-free across concurrent shards.
-		sh.probePkt = *p
-		sh.probePkt.OutPort = s.top.RouteDigit(p.Dest, st+1)
-		return !s.stages[st+1][nsw].CanAcceptAt(nport, &sh.probePkt)
+		// Ask about p as routed for the next stage without rewriting
+		// p.OutPort, which still names this stage's output.
+		return !s.stages[st+1][nsw].CanAcceptAt(nport, s.top.RouteDigit(p.Dest, st+1), p)
 	}
 }
 

@@ -109,25 +109,35 @@ func (cfg Config) Validate() error {
 
 // Switch is one n×n switch instance.
 type Switch struct {
-	cfg  Config
-	bufs []buffer.Buffer
-	arb  *arbiter.Arbiter
+	// The fields the per-packet path reads come first, so an upstream
+	// admission probe or an Offer touches one cache line of the switch.
+	//
+	// bufs are the input buffers as their concrete type, for direct calls
+	// on the per-packet path; faces are the same buffers as the Buffer
+	// values the buffer package built (PoolBuffers for pooled kinds), for
+	// Buffer and Buffers.
+	bufs []*buffer.Composed
 	// count tracks buffered packets across all input buffers so Len and
 	// Empty are O(1); the active-set network simulator polls them every
 	// cycle. It stays correct as long as buffer contents change only
 	// through Offer, PopGrant, and Reset.
 	count int
-	// v is the reusable arbiter view: constructing it per Arbitrate call
-	// would heap-allocate one adapter per switch per network cycle.
-	v view
 	// m holds the observability probes; nil (the default) keeps every
 	// hot-path probe behind a never-taken branch.
-	m *Metrics
-	// tickers are the buffers whose admission policy reads packet ages;
-	// nil unless the kind uses a clock (BSHARE), so clockless switches
-	// pay one nil check in Tick. Shared-pool views coordinate internally
-	// so the group clock advances exactly once per Tick sweep.
-	tickers []buffer.Ticker
+	m   *Metrics
+	arb *arbiter.Arbiter
+	// snap is the arbiter's view of this cycle, refilled by Arbitrate.
+	// blocked is headBlocked bound once here, so installing it as the
+	// snapshot's Blocked callback allocates nothing per cycle; probe is
+	// the current Arbitrate call's block probe.
+	snap    arbiter.Snapshot
+	blocked func(in, out int) bool
+	probe   BlockProbe
+	// tick is set when the buffer kind's admission policy reads packet
+	// ages (BSHARE), so clockless switches skip the Tick sweep.
+	tick  bool
+	faces []buffer.Buffer
+	cfg   Config
 }
 
 // Metrics is the instrument set one observed switch maintains. Grant,
@@ -161,42 +171,48 @@ func New(cfg Config) (*Switch, error) {
 		return nil, err
 	}
 	s := &Switch{
-		cfg: cfg,
-		arb: arbiter.New(cfg.Policy, cfg.Ports, cfg.Ports),
+		cfg:  cfg,
+		arb:  arbiter.New(cfg.Policy, cfg.Ports, cfg.Ports),
+		snap: arbiter.NewSnapshot(cfg.Ports, cfg.Ports),
+		bufs: make([]*buffer.Composed, cfg.Ports),
+		tick: buffer.KindUsesClock(cfg.BufferKind),
 	}
+	s.blocked = s.headBlocked
 	if cfg.SharedPool {
-		bufs, err := buffer.NewSharedGroup(cfg.bufferConfig(), cfg.Ports)
+		faces, err := buffer.NewSharedGroup(cfg.bufferConfig(), cfg.Ports)
 		if err != nil {
 			return nil, fmt.Errorf("sw: shared pool: %w", err)
 		}
-		s.bufs = bufs
+		s.faces = faces
 	} else {
-		for i := 0; i < cfg.Ports; i++ {
+		s.faces = make([]buffer.Buffer, cfg.Ports)
+		for i := range s.faces {
 			b, err := buffer.New(cfg.bufferConfig())
 			if err != nil {
 				return nil, fmt.Errorf("sw: input %d: %w", i, err)
 			}
-			s.bufs = append(s.bufs, b)
+			s.faces[i] = b
 		}
 	}
-	if buffer.KindUsesClock(cfg.BufferKind) {
-		for _, b := range s.bufs {
-			if tk, ok := b.(buffer.Ticker); ok {
-				s.tickers = append(s.tickers, tk)
-			}
-		}
+	for i, b := range s.faces {
+		s.bufs[i] = buffer.ViewOf(b)
+		s.snap.MaxReads[i] = b.MaxReadsPerCycle()
 	}
 	return s, nil
 }
 
 // Tick advances the clock of every age-reading buffer by one long cycle.
-// Clockless kinds make it a nil-check no-op. The network simulator calls
-// it from the inject phase — after all of a cycle's admission probes are
-// done — so ages only ever change between cycles, never mid-arbitration.
+// Clockless kinds make it a no-op. The network simulator calls it from
+// the inject phase — after all of a cycle's admission probes are done —
+// so ages only ever change between cycles, never mid-arbitration.
+// Shared-pool views coordinate so the group clock advances once.
 // damqvet:hotpath
 func (s *Switch) Tick() {
-	for _, tk := range s.tickers {
-		tk.Tick()
+	if !s.tick {
+		return
+	}
+	for _, b := range s.bufs {
+		b.Tick()
 	}
 }
 
@@ -213,7 +229,7 @@ func MustNew(cfg Config) *Switch {
 func (s *Switch) Ports() int { return s.cfg.Ports }
 
 // Buffer exposes input i's buffer (for probes, tests, and statistics).
-func (s *Switch) Buffer(i int) buffer.Buffer { return s.bufs[i] }
+func (s *Switch) Buffer(i int) buffer.Buffer { return s.faces[i] }
 
 // Config returns the construction parameters.
 func (s *Switch) Config() Config { return s.cfg }
@@ -250,44 +266,40 @@ func (s *Switch) AdvanceIdle(cycles int64) {
 // nothing ever blocks (discarding protocol, or final stage feeding sinks).
 type BlockProbe func(out int, p *packet.Packet) bool
 
-// view adapts the switch state + probe to the arbiter's View.
-type view struct {
-	s     *Switch
-	probe BlockProbe
+// headBlocked is the snapshot's Blocked callback: the head packet of
+// (in → out) is blocked when the current probe refuses it.
+// damqvet:hotpath
+func (s *Switch) headBlocked(in, out int) bool {
+	p := s.bufs[in].Head(out)
+	return p != nil && s.probe(out, p)
 }
 
+// fillSnapshot loads this cycle's input and queue lengths into the
+// arbiter snapshot; rows of empty inputs are left stale, since the
+// arbiter skips them.
 // damqvet:hotpath
-func (v *view) Ports() (int, int) { return v.s.cfg.Ports, v.s.cfg.Ports }
-
-// damqvet:hotpath
-func (v *view) InputLen(i int) int { return v.s.bufs[i].Len() }
-
-// damqvet:hotpath
-func (v *view) QueueLen(i, o int) int { return v.s.bufs[i].QueueLen(o) }
-
-// damqvet:hotpath
-func (v *view) MaxReads(i int) int { return v.s.bufs[i].MaxReadsPerCycle() }
-
-// damqvet:hotpath
-func (v *view) Blocked(i, o int) bool {
-	if v.probe == nil {
-		return false
+func (s *Switch) fillSnapshot() {
+	n := len(s.bufs)
+	for i, b := range s.bufs {
+		s.snap.InputLen[i] = b.Len()
+		if b.Len() > 0 {
+			b.QueueLens(s.snap.QueueLen[i*n : (i+1)*n])
+		}
 	}
-	p := v.s.bufs[i].Head(o)
-	if p == nil {
-		return false
-	}
-	return v.probe(o, p)
 }
 
 // Arbitrate computes this cycle's matching. grants is reused storage
 // (pass nil to allocate).
 // damqvet:hotpath
 func (s *Switch) Arbitrate(probe BlockProbe, grants []arbiter.Grant) []arbiter.Grant {
-	s.v.s = s
-	s.v.probe = probe
-	grants = s.arb.Arbitrate(&s.v, grants)
-	s.v.probe = nil // do not retain the probe between cycles
+	s.fillSnapshot()
+	s.probe = probe
+	s.snap.Blocked = nil
+	if probe != nil {
+		s.snap.Blocked = s.blocked
+	}
+	grants = s.arb.Arbitrate(&s.snap, grants)
+	s.probe = nil // do not retain the probe between cycles
 	return grants
 }
 
@@ -310,8 +322,7 @@ func (s *Switch) PopGrant(g arbiter.Grant) *packet.Packet {
 // caller is expected to retain the packet upstream.
 // damqvet:hotpath
 func (s *Switch) Offer(in int, p *packet.Packet) (accepted bool) {
-	b := s.bufs[in]
-	if !b.CanAccept(p) {
+	if !s.bufs[in].Offer(p) {
 		if s.m != nil {
 			if s.m.OfferRefused != nil {
 				s.m.OfferRefused.Inc()
@@ -319,19 +330,17 @@ func (s *Switch) Offer(in int, p *packet.Packet) (accepted bool) {
 		}
 		return false
 	}
-	if err := b.Accept(p); err != nil {
-		// CanAccept said yes; Accept can only fail on a routing bug.
-		panic(fmt.Sprintf("sw: accept after CanAccept: %v", err))
-	}
 	s.count++
 	return true
 }
 
-// CanAcceptAt reports whether input in could take p right now. Upstream
-// switches use this as their block probe under the blocking protocol.
+// CanAcceptAt reports whether input in could take p right now if p were
+// routed to output out here, whatever p.OutPort says. Upstream switches
+// use it as their block probe under the blocking protocol, asking about
+// a head packet still routed for the hop it is leaving.
 // damqvet:hotpath
-func (s *Switch) CanAcceptAt(in int, p *packet.Packet) bool {
-	return s.bufs[in].CanAccept(p)
+func (s *Switch) CanAcceptAt(in, out int, p *packet.Packet) bool {
+	return s.bufs[in].CanAcceptOut(p, out)
 }
 
 // Arbiter exposes the switch's crossbar arbiter for the checkpoint
@@ -341,7 +350,7 @@ func (s *Switch) Arbiter() *arbiter.Arbiter { return s.arb }
 
 // Buffers returns the switch's per-input buffer views, for the
 // checkpoint codec (under a shared pool all views alias one group).
-func (s *Switch) Buffers() []buffer.Buffer { return s.bufs }
+func (s *Switch) Buffers() []buffer.Buffer { return s.faces }
 
 // ResyncLen recomputes the cached switch-wide packet count after the
 // buffers have been checkpoint-restored.

@@ -86,15 +86,21 @@ func TestBlockProbeStopsTransmission(t *testing.T) {
 
 func TestCanAcceptAt(t *testing.T) {
 	s := MustNew(Config{Ports: 2, BufferKind: buffer.SAMQ, Capacity: 2, Policy: arbiter.Dumb})
-	if !s.CanAcceptAt(0, routed(1, 0)) {
+	if !s.CanAcceptAt(0, 0, routed(1, 0)) {
 		t.Fatal("empty switch refuses packet")
 	}
 	s.Offer(0, routed(1, 0))
-	if s.CanAcceptAt(0, routed(2, 0)) {
+	if s.CanAcceptAt(0, 0, routed(2, 0)) {
 		t.Fatal("SAMQ 1-slot queue accepted second packet")
 	}
-	if !s.CanAcceptAt(0, routed(3, 1)) {
+	if !s.CanAcceptAt(0, 1, routed(3, 1)) {
 		t.Fatal("SAMQ refused packet for the empty queue")
+	}
+	// The query answers for the given output, not the packet's OutPort,
+	// and leaves the packet untouched.
+	p := routed(4, 1)
+	if s.CanAcceptAt(0, 0, p) || !s.CanAcceptAt(0, 1, routed(4, 0)) || p.OutPort != 1 {
+		t.Fatal("CanAcceptAt did not answer for the queried output")
 	}
 }
 

@@ -207,3 +207,11 @@ func BenchmarkNetworkCycle1024(b *testing.B) { benchNetworkCycle(b, 1024, 0.5) }
 func BenchmarkNetworkCycle1024Sharded(b *testing.B) {
 	benchNetworkCycle(b, 1024, 0.5, damq.WithWorkers(8))
 }
+
+// BenchmarkNetworkCycle1024Sharded2 steps it with 2 workers, the gang
+// size that fits a two-core machine: against BenchmarkNetworkCycle1024 it
+// is the measured intra-run speedup (EXPERIMENTS.md), and like the
+// 8-worker benchmark its gate is allocation-only.
+func BenchmarkNetworkCycle1024Sharded2(b *testing.B) {
+	benchNetworkCycle(b, 1024, 0.5, damq.WithWorkers(2))
+}

@@ -5,8 +5,8 @@
 // baseline; regenerate it after intentional performance work with:
 //
 //	go run ./cmd/benchreport -pkg ./... \
-//	    -bench 'BenchmarkNetworkCycle|BenchmarkChipNetworkPacket|BenchmarkAsyncEvent|BenchmarkAsyncExtension|BenchmarkDamqvetAnalysis|BenchmarkPolicyAdmit' \
-//	    -count 5 -notime 'Sharded|Damqvet' -out BENCH_netsim.json
+//	    -bench 'BenchmarkNetworkCycle|BenchmarkChipNetworkPacket|BenchmarkAsyncEvent|BenchmarkAsyncExtension|BenchmarkDamqvetAnalysis|BenchmarkPolicyAdmit|BenchmarkGang' \
+//	    -count 5 -notime 'Sharded|Damqvet|Gang' -out BENCH_netsim.json
 //
 // The regex spans packages (the async event-engine benchmarks live in
 // internal/eventsim, the analyzer benchmark in cmd/damqvet), so -pkg is
@@ -14,8 +14,9 @@
 // unique across the repository.
 //
 // -notime names benchmarks whose wall-clock is not comparable across
-// machines — the multi-worker sharded benchmarks, whose ns/op depends on
-// the core count of whatever ran them, and the damqvet analysis pass,
+// machines — the multi-worker sharded benchmarks and the worker gang's
+// barrier round trip, whose ns/op depends on the core count of whatever
+// ran them, and the damqvet analysis pass,
 // whose ns/op scales with fixture size. Matching entries record -1 ns/op
 // (so -check skips the time gate for them) while their B/op and
 // allocs/op stay recorded and gated exactly like everything else.

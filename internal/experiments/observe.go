@@ -19,6 +19,7 @@ func InstrumentedRun(cfg netsim.Config, interval int64) (*netsim.Result, *obs.Sn
 	if err != nil {
 		return nil, nil, err
 	}
+	defer sim.Close()
 	o := obs.NewObserver()
 	o.SetInterval(interval)
 	sim.SetObserver(o)

@@ -283,7 +283,7 @@ func (c *Checker) checkHotCall(p *Package, call *ast.CallExpr, allowed map[types
 
 // isCheckpointCall reports whether call invokes anything from a package
 // named "checkpoint": a package-level function (checkpoint.WriteFile) or
-// a method on one of its types (Encoder.I64, Decoder.Section). The
+// a method on one of its types (Codec.I64, Codec.Section). The
 // snapshot codec walks every switch and buffers whole sections — cold by
 // contract, whatever it allocates — so a hot body reaching it is flagged
 // unconditionally rather than judged allocation by allocation.

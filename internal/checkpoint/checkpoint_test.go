@@ -7,123 +7,141 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"damq/internal/cfgerr"
 )
 
 // frame encodes a payload built by build into a complete framed stream.
-func frame(t *testing.T, build func(e *Encoder)) []byte {
+func frame(t *testing.T, build func(c *Codec)) []byte {
 	t.Helper()
-	e := NewEncoder()
-	build(e)
+	c := NewEncoder()
+	build(c)
 	var buf bytes.Buffer
-	if err := e.Emit(&buf); err != nil {
+	if err := c.Emit(&buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
 }
 
-func TestPrimitiveRoundTrip(t *testing.T) {
-	raw := frame(t, func(e *Encoder) {
-		e.U8(7)
-		e.U32(1 << 30)
-		e.U64(1 << 60)
-		e.I64(-5)
-		e.Int(-42)
-		e.I32(-9)
-		e.F64(math.Pi)
-		e.Bool(true)
-		e.Bool(false)
-		e.Bytes([]byte("abc"))
-		e.String("déjà")
-		e.I64s([]int64{1, -2, 3})
-		e.I32s([]int32{-4, 5})
-		e.Ints([]int{6, -7})
-	})
-	d, err := NewDecoderBytes(raw)
+// decoder opens a framed stream, failing the test on an envelope error.
+func decoder(t *testing.T, raw []byte) *Codec {
+	t.Helper()
+	c, err := NewDecoderBytes(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := d.U8(); v != 7 {
-		t.Errorf("U8 = %d", v)
+	return c
+}
+
+// sample holds one value of every primitive, walked by one function in
+// both directions.
+type sample struct {
+	U64   uint64
+	I64   int64
+	Int   int
+	I32   int32
+	F64   float64
+	T, F  bool
+	Bytes []byte
+	Str   string
+	I64s  []int64
+	I32s  []int32
+	Ints  []int
+	Empty []int64
+	Count int
+}
+
+func (v *sample) walk(c *Codec) {
+	c.U64(&v.U64)
+	c.I64(&v.I64)
+	c.Int(&v.Int)
+	c.I32(&v.I32)
+	c.F64(&v.F64)
+	c.Bool(&v.T)
+	c.Bool(&v.F)
+	c.Bytes(&v.Bytes)
+	c.String(&v.Str)
+	c.I64s(&v.I64s)
+	c.I32s(&v.I32s)
+	c.Ints(&v.Ints)
+	c.I64s(&v.Empty)
+	c.Count(&v.Count, 1)
+}
+
+func TestPrimitiveRoundTrip(t *testing.T) {
+	want := sample{
+		U64: 1 << 60, I64: -5, Int: -42, I32: -9, F64: math.Pi, T: true,
+		Bytes: []byte("abc"), Str: "déjà",
+		I64s: []int64{1, -2, 3}, I32s: []int32{-4, 5}, Ints: []int{6, -7},
+		Count: 0,
 	}
-	if v := d.U32(); v != 1<<30 {
-		t.Errorf("U32 = %d", v)
+	in := want
+	c := decoder(t, frame(t, func(c *Codec) { in.walk(c) }))
+	if !reflect.DeepEqual(in, want) {
+		t.Errorf("encoding modified its input: %+v", in)
 	}
-	if v := d.U64(); v != 1<<60 {
-		t.Errorf("U64 = %d", v)
+	var got sample
+	got.walk(c)
+	if err := c.Done(); err != nil {
+		t.Fatalf("Done: %v", err)
 	}
-	if v := d.I64(); v != -5 {
-		t.Errorf("I64 = %d", v)
-	}
-	if v := d.Int(); v != -42 {
-		t.Errorf("Int = %d", v)
-	}
-	if v := d.I32(); v != -9 {
-		t.Errorf("I32 = %d", v)
-	}
-	if v := d.F64(); v != math.Pi {
-		t.Errorf("F64 = %v", v)
-	}
-	if !d.Bool() || d.Bool() {
-		t.Error("Bool round-trip failed")
-	}
-	if v := d.Bytes(); !bytes.Equal(v, []byte("abc")) {
-		t.Errorf("Bytes = %q", v)
-	}
-	if v := d.String(); v != "déjà" {
-		t.Errorf("String = %q", v)
-	}
-	if v := d.I64s(); len(v) != 3 || v[0] != 1 || v[1] != -2 || v[2] != 3 {
-		t.Errorf("I64s = %v", v)
-	}
-	if v := d.I32s(); len(v) != 2 || v[0] != -4 || v[1] != 5 {
-		t.Errorf("I32s = %v", v)
-	}
-	if v := d.Ints(); len(v) != 2 || v[0] != 6 || v[1] != -7 {
-		t.Errorf("Ints = %v", v)
-	}
-	if err := d.Done(); err != nil {
-		t.Errorf("Done: %v", err)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("round trip\nwant %+v\ngot  %+v", want, got)
 	}
 }
 
 func TestSectionRoundTrip(t *testing.T) {
-	raw := frame(t, func(e *Encoder) {
-		e.Section(1, func(e *Encoder) { e.I64(11) })
-		e.Section(2, func(e *Encoder) { e.String("body") })
+	one, body := int64(11), "body"
+	raw := frame(t, func(c *Codec) {
+		c.Section(1, func(c *Codec) error { c.I64(&one); return nil })
+		c.Section(2, func(c *Codec) error { c.String(&body); return nil })
 	})
-	d, err := NewDecoderBytes(raw)
-	if err != nil {
-		t.Fatal(err)
+	c := decoder(t, raw)
+	var gotOne int64
+	var gotBody string
+	if !c.Section(1, func(c *Codec) error { c.I64(&gotOne); return nil }) || gotOne != 11 {
+		t.Fatalf("section 1: %d (%v)", gotOne, c.Err())
 	}
-	tag, body, ok := d.Section()
-	if !ok || tag != 1 {
-		t.Fatalf("first section tag %d ok=%v", tag, ok)
+	// A section with another tag is left for the next walk.
+	if c.Section(3, func(c *Codec) error { t.Error("walked section 3"); return nil }) {
+		t.Error("section 3 reported present")
 	}
-	if v := body.I64(); v != 11 || body.Done() != nil {
-		t.Errorf("section 1 body = %d (%v)", v, body.Done())
+	if !c.Section(2, func(c *Codec) error { c.String(&gotBody); return nil }) || gotBody != "body" {
+		t.Fatalf("section 2: %q (%v)", gotBody, c.Err())
 	}
-	tag, body, ok = d.Section()
-	if !ok || tag != 2 {
-		t.Fatalf("second section tag %d ok=%v", tag, ok)
-	}
-	if v := body.String(); v != "body" || body.Done() != nil {
-		t.Errorf("section 2 body = %q", v)
-	}
-	if _, _, ok := d.Section(); ok {
+	if c.Section(2, func(c *Codec) error { return nil }) {
 		t.Error("phantom third section")
 	}
-	if err := d.Done(); err != nil {
+	if err := c.Done(); err != nil {
 		t.Errorf("Done: %v", err)
+	}
+
+	// A body that leaves bytes unread poisons the decoder.
+	c = decoder(t, raw)
+	c.Section(1, func(c *Codec) error { return nil })
+	if !errors.Is(c.Err(), cfgerr.ErrBadCheckpoint) {
+		t.Errorf("unread section body: %v", c.Err())
+	}
+
+	// A body error poisons an encoder, and Emit reports it.
+	sentinel := errors.New("boom")
+	e := NewEncoder()
+	e.Section(1, func(c *Codec) error {
+		c.Section(2, func(*Codec) error { return sentinel })
+		return nil
+	})
+	if err := e.Emit(io.Discard); !errors.Is(err, sentinel) {
+		t.Errorf("Emit after a failed section: %v", err)
 	}
 }
 
 // TestDecoderDefensiveness drives the sticky-error paths: every
 // corruption must yield the typed sentinel, never a panic.
 func TestDecoderDefensiveness(t *testing.T) {
-	valid := frame(t, func(e *Encoder) { e.I64(1) })
+	one := int64(1)
+	valid := frame(t, func(c *Codec) { c.I64(&one) })
 
 	check := func(name string, raw []byte, want error) {
 		t.Helper()
@@ -152,42 +170,33 @@ func TestDecoderDefensiveness(t *testing.T) {
 
 	// A count far beyond the remaining payload fails instead of
 	// allocating.
-	huge := frame(t, func(e *Encoder) { e.Int(1 << 40) })
-	d, err := NewDecoderBytes(huge)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := d.Count(8); n != 0 || d.Err() == nil {
-		t.Errorf("Count accepted an impossible length %d (err %v)", n, d.Err())
+	huge := 1 << 40
+	c := decoder(t, frame(t, func(c *Codec) { c.Int(&huge) }))
+	n := 5
+	if c.Count(&n, 8); n != 0 || c.Err() == nil {
+		t.Errorf("Count accepted an impossible length %d (err %v)", n, c.Err())
 	}
 
 	// Bool bytes other than 0/1 are corruption.
-	boolRaw := frame(t, func(e *Encoder) { e.U8(2) })
-	d, err = NewDecoderBytes(boolRaw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Bool(); d.Err() == nil {
+	c = decoder(t, frame(t, func(c *Codec) { c.buf = append(c.buf, 2) }))
+	var b bool
+	if c.Bool(&b); c.Err() == nil {
 		t.Error("Bool accepted byte 2")
 	}
 
 	// Trailing bytes after a complete decode are corruption.
-	d, err = NewDecoderBytes(valid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Done(); !errors.Is(err, cfgerr.ErrBadCheckpoint) {
+	c = decoder(t, valid)
+	if err := c.Done(); !errors.Is(err, cfgerr.ErrBadCheckpoint) {
 		t.Errorf("Done with unread payload: %v", err)
 	}
 
-	// Reading past the end sticks the error and returns zeros.
-	d, err = NewDecoderBytes(valid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.I64()
-	if v := d.I64(); v != 0 || d.Err() == nil {
-		t.Errorf("overread returned %d with err %v", v, d.Err())
+	// Reading past the end sticks the error and leaves the target alone.
+	c = decoder(t, valid)
+	var v int64
+	c.I64(&v)
+	v = 7
+	if c.I64(&v); v != 7 || c.Err() == nil {
+		t.Errorf("overread returned %d with err %v", v, c.Err())
 	}
 }
 

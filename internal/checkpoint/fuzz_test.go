@@ -21,9 +21,11 @@ import (
 )
 
 // fuzzSeedCheckpoint builds a real mid-run checkpoint for the seed
-// corpus: blocking protocol (source backlog), faults armed, observer
-// attached, so every section of the format is present.
-func fuzzSeedCheckpoint(f *testing.F, seed uint64, withExtras bool) []byte {
+// corpus. withExtras adds the blocking protocol (source backlog), faults
+// and an observer, so every section of the format is present; tweak, if
+// non-nil, adjusts the config to reach the branches a section walks only
+// for some configs.
+func fuzzSeedCheckpoint(f *testing.F, seed uint64, withExtras bool, tweak func(*netsim.Config)) []byte {
 	cfg := netsim.Config{
 		Radix: 4, Inputs: 16, Capacity: 4, ClocksPerCycle: 12,
 		WarmupCycles: 20, MeasureCycles: 30, Seed: seed,
@@ -32,6 +34,9 @@ func fuzzSeedCheckpoint(f *testing.F, seed uint64, withExtras bool) []byte {
 	}
 	if withExtras {
 		cfg.Protocol = sw.Blocking
+	}
+	if tweak != nil {
+		tweak(&cfg)
 	}
 	s, err := netsim.New(cfg)
 	if err != nil {
@@ -63,10 +68,23 @@ func fuzzSeedCheckpoint(f *testing.F, seed uint64, withExtras bool) []byte {
 // mutations reach the structural validators instead of dying at the
 // frame checksum.
 func FuzzDecodeCheckpoint(f *testing.F) {
-	f.Add(fuzzSeedCheckpoint(f, 1, false))
-	f.Add(fuzzSeedCheckpoint(f, 2, true))
+	f.Add(fuzzSeedCheckpoint(f, 1, false, nil))
+	f.Add(fuzzSeedCheckpoint(f, 2, true, nil))
 	f.Add([]byte("DAMQCKPT"))
 	f.Add([]byte{})
+	// BSHARE clock stamps under bursty traffic's burst registers.
+	f.Add(fuzzSeedCheckpoint(f, 3, false, func(c *netsim.Config) {
+		c.BufferKind = buffer.BSHARE
+		c.Traffic = netsim.TrafficSpec{Kind: netsim.Bursty, Load: 0.8, MeanBurst: 3}
+	}))
+	// A DT shared pool holding 1-4-slot packets from the length stream,
+	// with faults and an observer; shared admission needs discarding.
+	f.Add(fuzzSeedCheckpoint(f, 4, true, func(c *netsim.Config) {
+		c.Protocol = sw.Discarding
+		c.BufferKind = buffer.DT
+		c.SharedPool = true
+		c.Traffic.MinSlots, c.Traffic.MaxSlots = 1, 4
+	}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<20 {
 			return

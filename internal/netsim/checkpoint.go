@@ -9,6 +9,10 @@
 // packet allocators' free lists. The scratch (pending grants, outboxes)
 // is dead at cycle boundaries, which is where checkpoints are taken.
 //
+// The format is a table of sections, each one walk function over the
+// Sim's state that Checkpoint runs encoding and RestoreSim runs decoding
+// (checkpoint.Codec), so every field order is written down once.
+//
 // Corrupted streams are rejected with errors wrapping
 // cfgerr.ErrBadCheckpoint (or cfgerr.ErrCheckpointVersion for version
 // skew), never a panic: every count, index, and register decoded here is
@@ -20,7 +24,6 @@ import (
 	"fmt"
 	"io"
 
-	"damq/internal/arbiter"
 	"damq/internal/buffer"
 	"damq/internal/cfgerr"
 	"damq/internal/checkpoint"
@@ -94,6 +97,24 @@ func ckptErr(format string, args ...any) error {
 	return fmt.Errorf("netsim: "+format+": %w", append(args, cfgerr.ErrBadCheckpoint)...)
 }
 
+// sections is the checkpoint layout, in stream order: one walk per
+// section, run encoding by Checkpoint and decoding by RestoreSimOpts. A
+// section with a present test is optional: Checkpoint writes it only
+// when the test holds, and restore walks it only when the stream has it.
+var sections = []struct {
+	tag     uint8
+	walk    func(*Sim, *checkpoint.Codec) error
+	present func(*Sim) bool
+}{
+	{secConfig, (*Sim).walkConfig, nil},
+	{secCore, (*Sim).walkCore, nil},
+	{secSwitches, (*Sim).walkSwitches, nil},
+	{secSources, (*Sim).walkSources, nil},
+	{secShards, (*Sim).walkShards, nil},
+	{secFaults, (*Sim).walkFaults, func(s *Sim) bool { return s.flt != nil }},
+	{secObserver, (*Sim).walkObserver, func(s *Sim) bool { return s.metrics != nil }},
+}
+
 // Checkpoint writes the simulation's complete state to w. Call it only
 // between cycles (never from another goroutine mid-Step); Run-level
 // checkpointing (RunCtxCheckpoint) does exactly that. The stream is
@@ -101,166 +122,167 @@ func ckptErr(format string, args ...any) error {
 // effect (there is none — results are byte-identical at every worker
 // count), the observer attachment itself, or the delivery log.
 func (s *Sim) Checkpoint(w io.Writer) error {
-	e := checkpoint.NewEncoder()
-	var encErr error
-	e.Section(secConfig, s.encodeConfig)
-	e.Section(secCore, func(e *checkpoint.Encoder) {
-		e.I64(s.cycle)
-		e.I64(s.warmupBoundary)
-		e.I64(s.measured)
-		encodeSummary(e, s.backlog.Save())
-	})
-	e.Section(secSwitches, func(e *checkpoint.Encoder) {
-		if err := s.encodeSwitches(e); err != nil && encErr == nil {
-			encErr = err
+	c := checkpoint.NewEncoder()
+	for _, sec := range sections {
+		if sec.present == nil || sec.present(s) {
+			c.Section(sec.tag, func(c *checkpoint.Codec) error { return sec.walk(s, c) })
 		}
-	})
-	e.Section(secSources, s.encodeSources)
-	e.Section(secShards, func(e *checkpoint.Encoder) {
-		if err := s.encodeShards(e); err != nil && encErr == nil {
-			encErr = err
+	}
+	return c.Emit(w)
+}
+
+// walkInt walks an int-kinded field as an int.
+func walkInt[T ~int](c *checkpoint.Codec, p *T) {
+	v := int(*p)
+	if c.Int(&v); c.Decoding() {
+		*p = T(v)
+	}
+}
+
+// walkList walks a count-prefixed list whose elements encode to at
+// least minSize bytes. Decoding replaces *p with a fresh list, nil when
+// empty, and walks into its zero elements.
+func walkList[T any](c *checkpoint.Codec, p *[]T, minSize int, elem func(*T)) {
+	n := len(*p)
+	if c.Count(&n, minSize); c.Decoding() {
+		*p = nil
+		if n > 0 {
+			*p = make([]T, n)
 		}
+	}
+	for i := range *p {
+		elem(&(*p)[i])
+	}
+}
+
+// walkConfig walks the resolved configuration. Restore walks it into a
+// bare Sim and builds the real one from it.
+func (s *Sim) walkConfig(c *checkpoint.Codec) error {
+	cfg := &s.cfg
+	c.Int(&cfg.Radix)
+	c.Int(&cfg.Inputs)
+	walkInt(c, &cfg.BufferKind)
+	c.Int(&cfg.Capacity)
+	walkInt(c, &cfg.Policy)
+	walkInt(c, &cfg.Protocol)
+	c.Int(&cfg.ClocksPerCycle)
+	walkInt(c, &cfg.Traffic.Kind)
+	c.F64(&cfg.Traffic.Load)
+	c.F64(&cfg.Traffic.HotFraction)
+	c.Int(&cfg.Traffic.HotDest)
+	c.Ints(&cfg.Traffic.Perm)
+	c.F64(&cfg.Traffic.MeanBurst)
+	c.Int(&cfg.Traffic.MinSlots)
+	c.Int(&cfg.Traffic.MaxSlots)
+	c.I64(&cfg.WarmupCycles)
+	c.I64(&cfg.MeasureCycles)
+	c.U64(&cfg.Seed)
+	c.Int(&cfg.Workers)
+	c.Bool(&cfg.SharedPool)
+	c.F64(&cfg.Sharing.Alpha)
+	c.Int(&cfg.Sharing.Classes)
+	c.I64(&cfg.Sharing.DelayTarget)
+	return c.Err()
+}
+
+// walkCore walks the clock position and the source-backlog summary.
+func (s *Sim) walkCore(c *checkpoint.Codec) error {
+	c.I64(&s.cycle)
+	c.I64(&s.warmupBoundary)
+	c.I64(&s.measured)
+	if err := walkSummary(c, &s.backlog); err != nil {
+		return ckptErr("backlog summary: %v", err)
+	}
+	if err := c.Err(); err != nil {
+		return err
+	}
+	if s.cycle < 0 || s.measured < 0 || s.measured > s.cycle ||
+		s.warmupBoundary < 0 || s.warmupBoundary > s.cycle {
+		return ckptErr("impossible clock state (cycle %d, measured %d, boundary %d)",
+			s.cycle, s.measured, s.warmupBoundary)
+	}
+	if s.backlog.N() != s.measured {
+		return ckptErr("backlog summary has %d samples over %d measured cycles", s.backlog.N(), s.measured)
+	}
+	return nil
+}
+
+// walkSummary walks a running summary's state. Decoding loads it once
+// read and returns Load's validation error; stream errors stay on c.
+func walkSummary(c *checkpoint.Codec, sum *stats.Summary) error {
+	st := sum.Save()
+	c.I64(&st.N)
+	c.F64(&st.Mean)
+	c.F64(&st.M2)
+	c.F64(&st.Min)
+	c.F64(&st.Max)
+	if !c.Decoding() || c.Err() != nil {
+		return nil
+	}
+	return sum.Load(st)
+}
+
+// walkPacket walks one packet body.
+func walkPacket(c *checkpoint.Codec, p *packet.Packet) {
+	c.U64(&p.ID)
+	c.Int(&p.Source)
+	c.Int(&p.Dest)
+	c.Int(&p.Slots)
+	c.I64(&p.Born)
+	c.I64(&p.Injected)
+	c.Bool(&p.Hot)
+	c.Int(&p.OutPort)
+	c.Int(&p.Bytes)
+	c.I64(&p.ReadyAt)
+}
+
+// walkPackets walks a count-prefixed packet list; decoding allocates the
+// packets it reads.
+func walkPackets(c *checkpoint.Codec, ps *[]*packet.Packet) {
+	walkList(c, ps, pktWireSize, func(p **packet.Packet) {
+		if *p == nil {
+			*p = new(packet.Packet)
+		}
+		walkPacket(c, *p)
 	})
-	if s.flt != nil {
-		e.Section(secFaults, s.encodeFaults)
-	}
-	if s.metrics != nil {
-		e.Section(secObserver, s.encodeObserver)
-	}
-	if encErr != nil {
-		return encErr
-	}
-	return e.Emit(w)
 }
 
-func (s *Sim) encodeConfig(e *checkpoint.Encoder) {
-	c := s.cfg
-	e.Int(c.Radix)
-	e.Int(c.Inputs)
-	e.Int(int(c.BufferKind))
-	e.Int(c.Capacity)
-	e.Int(int(c.Policy))
-	e.Int(int(c.Protocol))
-	e.Int(c.ClocksPerCycle)
-	e.Int(int(c.Traffic.Kind))
-	e.F64(c.Traffic.Load)
-	e.F64(c.Traffic.HotFraction)
-	e.Int(c.Traffic.HotDest)
-	e.Ints(c.Traffic.Perm)
-	e.F64(c.Traffic.MeanBurst)
-	e.Int(c.Traffic.MinSlots)
-	e.Int(c.Traffic.MaxSlots)
-	e.I64(c.WarmupCycles)
-	e.I64(c.MeasureCycles)
-	e.U64(c.Seed)
-	e.Int(c.Workers)
-	e.Bool(c.SharedPool)
-	e.F64(c.Sharing.Alpha)
-	e.Int(c.Sharing.Classes)
-	e.I64(c.Sharing.DelayTarget)
-}
-
-func decodeConfig(d *checkpoint.Decoder) Config {
-	var c Config
-	c.Radix = d.Int()
-	c.Inputs = d.Int()
-	c.BufferKind = buffer.Kind(d.Int())
-	c.Capacity = d.Int()
-	c.Policy = arbiter.Policy(d.Int())
-	c.Protocol = sw.Protocol(d.Int())
-	c.ClocksPerCycle = d.Int()
-	c.Traffic.Kind = TrafficKind(d.Int())
-	c.Traffic.Load = d.F64()
-	c.Traffic.HotFraction = d.F64()
-	c.Traffic.HotDest = d.Int()
-	c.Traffic.Perm = d.Ints()
-	c.Traffic.MeanBurst = d.F64()
-	c.Traffic.MinSlots = d.Int()
-	c.Traffic.MaxSlots = d.Int()
-	c.WarmupCycles = d.I64()
-	c.MeasureCycles = d.I64()
-	c.Seed = d.U64()
-	c.Workers = d.Int()
-	c.SharedPool = d.Bool()
-	c.Sharing.Alpha = d.F64()
-	c.Sharing.Classes = d.Int()
-	c.Sharing.DelayTarget = d.I64()
-	return c
-}
-
-func encodePacket(e *checkpoint.Encoder, p *packet.Packet) {
-	e.U64(p.ID)
-	e.Int(p.Source)
-	e.Int(p.Dest)
-	e.Int(p.Slots)
-	e.I64(p.Born)
-	e.I64(p.Injected)
-	e.Bool(p.Hot)
-	e.Int(p.OutPort)
-	e.Int(p.Bytes)
-	e.I64(p.ReadyAt)
-}
-
-// decodePacket reads one packet body and validates the fields the
-// simulator indexes with: Source feeds FirstStageSwitch, OutPort names a
-// crossbar output, and Slots is charged against a maxSlots-slot pool.
-func (s *Sim) decodePacket(d *checkpoint.Decoder, maxSlots int) (*packet.Packet, error) {
-	p := &packet.Packet{
-		ID:       d.U64(),
-		Source:   d.Int(),
-		Dest:     d.Int(),
-		Slots:    d.Int(),
-		Born:     d.I64(),
-		Injected: d.I64(),
-		Hot:      d.Bool(),
-		OutPort:  d.Int(),
-		Bytes:    d.Int(),
-		ReadyAt:  d.I64(),
-	}
-	if d.Err() != nil {
-		return nil, d.Err()
-	}
+// checkPacket validates a restored packet's fields the simulator indexes
+// with: Source feeds FirstStageSwitch, OutPort names a crossbar output,
+// and Slots is charged against a maxSlots-slot pool. A packet buffered at
+// stage (stage >= 0) must also wait for the output its Dest routes
+// through there; one queued for another output would leave the network
+// at the wrong memory module and still count as delivered.
+func (s *Sim) checkPacket(p *packet.Packet, maxSlots, stage int) error {
 	if p.Source < 0 || p.Source >= s.cfg.Inputs || p.Dest < 0 || p.Dest >= s.cfg.Inputs {
-		return nil, ckptErr("packet %d addressed %d->%d outside the %d-input network",
+		return ckptErr("packet %d addressed %d->%d outside the %d-input network",
 			p.ID, p.Source, p.Dest, s.cfg.Inputs)
 	}
 	if p.Slots < 1 || p.Slots > maxSlots {
-		return nil, ckptErr("packet %d occupies %d slots of a %d-slot pool", p.ID, p.Slots, maxSlots)
+		return ckptErr("packet %d occupies %d slots of a %d-slot pool", p.ID, p.Slots, maxSlots)
 	}
 	if p.OutPort < 0 || p.OutPort >= s.cfg.Radix {
-		return nil, ckptErr("packet %d routed to output %d of a radix-%d switch", p.ID, p.OutPort, s.cfg.Radix)
+		return ckptErr("packet %d routed to output %d of a radix-%d switch", p.ID, p.OutPort, s.cfg.Radix)
 	}
 	if p.Injected < -1 || p.Bytes < 0 {
-		return nil, ckptErr("packet %d has impossible bookkeeping (injected %d, %d bytes)",
+		return ckptErr("packet %d has impossible bookkeeping (injected %d, %d bytes)",
 			p.ID, p.Injected, p.Bytes)
 	}
-	return p, nil
+	if stage >= 0 && p.OutPort != s.top.RouteDigit(p.Dest, stage) {
+		return ckptErr("packet %d for destination %d waits for output %d at stage %d, which routes it to output %d",
+			p.ID, p.Dest, p.OutPort, stage, s.top.RouteDigit(p.Dest, stage))
+	}
+	return nil
 }
 
-func encodeSummary(e *checkpoint.Encoder, st stats.SummaryState) {
-	e.I64(st.N)
-	e.F64(st.Mean)
-	e.F64(st.M2)
-	e.F64(st.Min)
-	e.F64(st.Max)
-}
-
-func decodeSummary(d *checkpoint.Decoder) stats.SummaryState {
-	return stats.SummaryState{N: d.I64(), Mean: d.F64(), M2: d.F64(), Min: d.F64(), Max: d.F64()}
-}
-
-func encodeRng(e *checkpoint.Encoder, src *rng.Source) {
+// walkRng walks one RNG stream's state; decoding loads it.
+func walkRng(c *checkpoint.Codec, src *rng.Source, what string) error {
 	st := src.State()
-	e.U64(st[0])
-	e.U64(st[1])
-	e.U64(st[2])
-	e.U64(st[3])
-}
-
-func decodeRng(d *checkpoint.Decoder, src *rng.Source, what string) error {
-	st := [4]uint64{d.U64(), d.U64(), d.U64(), d.U64()}
-	if d.Err() != nil {
-		return d.Err()
+	for i := range st {
+		c.U64(&st[i])
+	}
+	if !c.Decoding() || c.Err() != nil {
+		return c.Err()
 	}
 	if err := src.SetState(st); err != nil {
 		return ckptErr("%s stream: %v", what, err)
@@ -271,309 +293,195 @@ func decodeRng(d *checkpoint.Decoder, src *rng.Source, what string) error {
 // rngSourced is the accessor every RNG-backed traffic pattern exposes.
 type rngSourced interface{ Src() *rng.Source }
 
-func (s *Sim) encodeSwitches(e *checkpoint.Encoder) error {
-	for st := range s.stages {
-		for _, swc := range s.stages[st] {
-			ast := swc.Arbiter().SaveState()
-			e.Int(ast.Prio)
-			e.I64s(ast.Stale)
-			if err := s.encodeSwitchPools(e, swc); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// encodeSwitchPools writes the slot-pool state behind one switch: one
-// pool when the switch shares storage across its inputs, one per input
-// port otherwise. Packet bodies ride inside the pool state, each exactly
-// once (multi-slot packets occupy several slots but serialize once).
-func (s *Sim) encodeSwitchPools(e *checkpoint.Encoder, swc *sw.Switch) error {
-	pools := swc.Ports()
-	if s.cfg.SharedPool {
-		pools = 1
-	}
-	for in := 0; in < pools; in++ {
-		sp, ok := buffer.PoolOf(swc.Buffer(in))
-		if !ok {
-			return fmt.Errorf("netsim: %T buffer cannot be checkpointed", swc.Buffer(in))
-		}
-		st := sp.SaveState()
-		e.I32s(st.Next)
-		e.I32s(st.Owner)
-		e.I32(st.FreeHead)
-		e.I32(st.FreeTail)
-		e.Int(st.FreeCount)
-		e.I32s(st.QHead)
-		e.I32s(st.QTail)
-		e.Ints(st.QPkts)
-		e.Ints(st.QSlots)
-		e.Bool(st.Quar != nil)
-		if st.Quar != nil {
-			e.Bytes(st.Quar)
-		}
-		e.Int(st.QuarCount)
-		e.Bool(st.HasClock)
-		if st.HasClock {
-			e.I64s(st.Stamp)
-			e.I64(st.Now)
-		}
-		e.Int(len(st.Packets))
-		for _, p := range st.Packets {
-			encodePacket(e, p)
-		}
-	}
-	return nil
-}
-
-func (s *Sim) decodeSwitches(d *checkpoint.Decoder) error {
+// walkSwitches walks every switch in stage order: its arbiter state, then
+// the slot pools behind it.
+func (s *Sim) walkSwitches(c *checkpoint.Codec) error {
 	for st := range s.stages {
 		for si, swc := range s.stages[st] {
-			ast := arbiter.State{Prio: d.Int(), Stale: d.I64s()}
-			if d.Err() != nil {
-				return d.Err()
+			ast := swc.Arbiter().SaveState()
+			c.Int(&ast.Prio)
+			c.I64s(&ast.Stale)
+			if c.Decoding() && c.Err() == nil {
+				if err := swc.Arbiter().LoadState(ast); err != nil {
+					return ckptErr("stage %d switch %d arbiter: %v", st, si, err)
+				}
 			}
-			if err := swc.Arbiter().LoadState(ast); err != nil {
-				return ckptErr("stage %d switch %d arbiter: %v", st, si, err)
-			}
-			if err := s.decodeSwitchPools(d, st, si, swc); err != nil {
+			if err := s.walkPools(c, st, si, swc); err != nil {
 				return err
 			}
-			swc.ResyncLen()
 		}
 	}
-	return nil
+	return c.Err()
 }
 
-func (s *Sim) decodeSwitchPools(d *checkpoint.Decoder, stIdx, si int, swc *sw.Switch) error {
-	pools := swc.Ports()
-	maxSlots := s.cfg.Capacity
+// walkPools walks the slot-pool state behind one switch: one pool when
+// the switch shares storage across its inputs, one per input port
+// otherwise. Packet bodies ride inside the pool state, each exactly once
+// (multi-slot packets occupy several slots but serialize once).
+func (s *Sim) walkPools(c *checkpoint.Codec, stage, si int, swc *sw.Switch) error {
+	pools, maxSlots := swc.Ports(), s.cfg.Capacity
 	if s.cfg.SharedPool {
-		pools = 1
-		maxSlots = s.cfg.Capacity * s.cfg.Radix
+		pools, maxSlots = 1, s.cfg.Capacity*s.cfg.Radix
 	}
 	for in := 0; in < pools; in++ {
-		st := &buffer.SlotPoolState{
-			Next:      d.I32s(),
-			Owner:     d.I32s(),
-			FreeHead:  d.I32(),
-			FreeTail:  d.I32(),
-			FreeCount: d.Int(),
-			QHead:     d.I32s(),
-			QTail:     d.I32s(),
-			QPkts:     d.Ints(),
-			QSlots:    d.Ints(),
-		}
-		if d.Bool() {
-			st.Quar = d.Bytes()
-		}
-		st.QuarCount = d.Int()
-		st.HasClock = d.Bool()
-		if st.HasClock {
-			st.Stamp = d.I64s()
-			st.Now = d.I64()
-		}
-		n := d.Count(pktWireSize)
-		for i := 0; i < n; i++ {
-			p, err := s.decodePacket(d, maxSlots)
-			if err != nil {
-				return err
-			}
-			st.Packets = append(st.Packets, p)
-		}
-		if d.Err() != nil {
-			return d.Err()
-		}
 		sp, ok := buffer.PoolOf(swc.Buffer(in))
 		if !ok {
-			return ckptErr("stage %d switch %d has no restorable pool", stIdx, si)
+			return ckptErr("stage %d switch %d: %T buffer has no slot pool to checkpoint", stage, si, swc.Buffer(in))
+		}
+		st := &buffer.SlotPoolState{}
+		if !c.Decoding() {
+			st = sp.SaveState()
+		}
+		c.I32s(&st.Next)
+		c.I32s(&st.Owner)
+		c.I32(&st.FreeHead)
+		c.I32(&st.FreeTail)
+		c.Int(&st.FreeCount)
+		c.I32s(&st.QHead)
+		c.I32s(&st.QTail)
+		c.Ints(&st.QPkts)
+		c.Ints(&st.QSlots)
+		hasQuar := st.Quar != nil
+		if c.Bool(&hasQuar); hasQuar {
+			c.Bytes(&st.Quar)
+		}
+		c.Int(&st.QuarCount)
+		if c.Bool(&st.HasClock); st.HasClock {
+			c.I64s(&st.Stamp)
+			c.I64(&st.Now)
+		}
+		walkPackets(c, &st.Packets)
+		if err := c.Err(); err != nil {
+			return err
+		}
+		if !c.Decoding() {
+			continue
+		}
+		for _, p := range st.Packets {
+			if err := s.checkPacket(p, maxSlots, stage); err != nil {
+				return err
+			}
 		}
 		if err := sp.LoadState(st); err != nil {
-			return ckptErr("stage %d switch %d input %d: %v", stIdx, si, in, err)
+			return ckptErr("stage %d switch %d input %d: %v", stage, si, in, err)
 		}
 		views := []buffer.Buffer{swc.Buffer(in)}
 		if s.cfg.SharedPool {
 			views = swc.Buffers()
 		}
 		if err := buffer.ResyncAfterRestore(views); err != nil {
-			return ckptErr("stage %d switch %d input %d: %v", stIdx, si, in, err)
+			return ckptErr("stage %d switch %d input %d: %v", stage, si, in, err)
 		}
 	}
 	return nil
 }
 
-// encodeSources writes the blocking protocol's unbounded source queues:
-// per network input, the waiting packets front to back. Under discarding
+// walkSources walks the blocking protocol's unbounded source queues: per
+// network input, the waiting packets front to back. Under discarding
 // every queue is empty and the section is a run of zero counts.
-func (s *Sim) encodeSources(e *checkpoint.Encoder) {
-	for i := range s.srcQ {
-		q := &s.srcQ[i]
-		e.Int(q.Len())
-		for j := 0; j < q.Len(); j++ {
-			encodePacket(e, q.At(j))
-		}
-	}
-}
-
-func (s *Sim) decodeSources(d *checkpoint.Decoder) error {
+func (s *Sim) walkSources(c *checkpoint.Codec) error {
 	// A source-queued packet's size is only charged at admission (where
 	// the buffer bounds it); the structural requirement here is the queue
 	// index, so the slot bound is the loosest the config can generate.
-	slotCap := s.cfg.Capacity
-	if s.cfg.Traffic.MaxSlots > slotCap {
-		slotCap = s.cfg.Traffic.MaxSlots
-	}
-	if s.cfg.Traffic.MinSlots > slotCap {
-		slotCap = s.cfg.Traffic.MinSlots
-	}
+	slotCap := max(s.cfg.Capacity, s.cfg.Traffic.MaxSlots, s.cfg.Traffic.MinSlots)
 	for i := range s.srcQ {
-		n := d.Count(pktWireSize)
-		for j := 0; j < n; j++ {
-			p, err := s.decodePacket(d, slotCap)
-			if err != nil {
+		q := &s.srcQ[i]
+		ps := make([]*packet.Packet, q.Len())
+		for j := range ps {
+			ps[j] = q.At(j)
+		}
+		walkPackets(c, &ps)
+		if !c.Decoding() || c.Err() != nil {
+			continue
+		}
+		for _, p := range ps {
+			if err := s.checkPacket(p, slotCap, -1); err != nil {
 				return err
 			}
 			if p.Source != i {
 				return ckptErr("packet %d queued at source %d claims source %d", p.ID, i, p.Source)
 			}
-			s.srcQ[i].PushBack(p)
+			q.PushBack(p)
 		}
 	}
-	return d.Err()
+	return c.Err()
 }
 
-func (s *Sim) encodeShards(e *checkpoint.Encoder) error {
-	e.Int(len(s.shards))
-	for _, sh := range s.shards {
-		pat, ok := sh.pattern.(rngSourced)
-		if !ok {
-			return fmt.Errorf("netsim: %T traffic pattern cannot be checkpointed", sh.pattern)
-		}
-		encodeRng(e, pat.Src())
-		if b, ok := sh.pattern.(*traffic.Bursty); ok {
-			rem, dst := b.BurstState()
-			e.Ints(rem)
-			e.Ints(dst)
-		}
-		if ul, ok := sh.lengths.(traffic.UniformLengths); ok {
-			encodeRng(e, ul.Src)
-		}
-		encodeRng(e, sh.phase)
-		e.U64(sh.alloc.Issued())
-		e.I64(sh.inFlight)
-		e.I64(sh.srcBacklog)
-		e.I64(sh.faulted)
-		encodePartial(e, &sh.partial)
-		for st := range sh.lastArb {
-			e.I64s(sh.lastArb[st])
-		}
-	}
-	return nil
-}
-
-func (s *Sim) decodeShards(d *checkpoint.Decoder, cycle int64) error {
-	if n := d.Int(); n != len(s.shards) || d.Err() != nil {
-		if d.Err() != nil {
-			return d.Err()
-		}
+// walkShards walks each shard's RNG streams (traffic, burst registers,
+// packet lengths, phase), its counters, its measurement partial, and its
+// per-stage arbitration stamps.
+func (s *Sim) walkShards(c *checkpoint.Codec) error {
+	n := len(s.shards)
+	if c.Int(&n); c.Err() == nil && n != len(s.shards) {
 		return ckptErr("%d shard records for a %d-shard topology", n, len(s.shards))
 	}
 	for _, sh := range s.shards {
 		pat, ok := sh.pattern.(rngSourced)
 		if !ok {
-			return ckptErr("%T traffic pattern cannot be restored", sh.pattern)
+			return ckptErr("%T traffic pattern cannot be checkpointed", sh.pattern)
 		}
-		if err := decodeRng(d, pat.Src(), "traffic"); err != nil {
+		if err := walkRng(c, pat.Src(), "traffic"); err != nil {
 			return err
 		}
 		if b, ok := sh.pattern.(*traffic.Bursty); ok {
-			rem, dst := d.Ints(), d.Ints()
-			if d.Err() != nil {
-				return d.Err()
-			}
-			if err := b.SetBurstState(rem, dst); err != nil {
-				return ckptErr("shard %d burst registers: %v", sh.id, err)
+			rem, dst := b.BurstState()
+			c.Ints(&rem)
+			c.Ints(&dst)
+			if c.Decoding() && c.Err() == nil {
+				if err := b.SetBurstState(rem, dst); err != nil {
+					return ckptErr("shard %d burst registers: %v", sh.id, err)
+				}
 			}
 		}
 		if ul, ok := sh.lengths.(traffic.UniformLengths); ok {
-			if err := decodeRng(d, ul.Src, "length"); err != nil {
+			if err := walkRng(c, ul.Src, "length"); err != nil {
 				return err
 			}
 		}
-		if err := decodeRng(d, sh.phase, "phase"); err != nil {
+		if err := walkRng(c, sh.phase, "phase"); err != nil {
 			return err
 		}
-		sh.alloc.SetIssued(d.U64())
-		sh.inFlight = d.I64()
-		sh.srcBacklog = d.I64()
-		sh.faulted = d.I64()
-		if d.Err() != nil {
-			return d.Err()
+		issued := sh.alloc.Issued()
+		if c.U64(&issued); c.Decoding() {
+			sh.alloc.SetIssued(issued)
 		}
+		c.I64(&sh.inFlight)
+		c.I64(&sh.srcBacklog)
+		c.I64(&sh.faulted)
 		if sh.srcBacklog < 0 || sh.faulted < 0 {
 			return ckptErr("shard %d has negative backlog or fault count", sh.id)
 		}
-		if err := decodePartial(d, &sh.partial, sh.id); err != nil {
+		if err := walkPartial(c, &sh.partial, sh.id); err != nil {
 			return err
 		}
-		for st := range sh.lastArb {
-			arb := d.I64s()
-			if d.Err() != nil {
-				return d.Err()
+		for st, stamps := range sh.lastArb {
+			arb := stamps
+			c.I64s(&arb)
+			if !c.Decoding() || c.Err() != nil {
+				continue
 			}
-			if len(arb) != len(sh.lastArb[st]) {
+			if len(arb) != len(stamps) {
 				return ckptErr("shard %d stage %d has %d arbitration stamps for %d switches",
-					sh.id, st, len(arb), len(sh.lastArb[st]))
+					sh.id, st, len(arb), len(stamps))
 			}
 			for i, v := range arb {
-				if v < -1 || v > cycle {
+				if v < -1 || v > s.cycle {
 					return ckptErr("shard %d stage %d switch %d arbitrated at impossible cycle %d",
 						sh.id, st, i, v)
 				}
 			}
-			copy(sh.lastArb[st], arb)
+			copy(stamps, arb)
 		}
 	}
-	return nil
+	return c.Err()
 }
 
-func encodePartial(e *checkpoint.Encoder, r *Result) {
-	e.I64(r.Generated)
-	e.I64(r.Injected)
-	e.I64(r.Delivered)
-	e.I64(r.DiscardedAtEntry)
-	e.I64(r.DiscardedInNet)
-	e.I64(r.FaultedInNet)
-	encodeSummary(e, r.LatencyFromBorn.Save())
-	encodeSummary(e, r.LatencyFromInjection.Save())
-	encodeSummary(e, r.HotLatency.Save())
-	encodeSummary(e, r.ColdLatency.Save())
-	encodeSummary(e, r.Occupancy.Save())
-	for st := range r.StageOccupancy {
-		encodeSummary(e, r.StageOccupancy[st].Save())
-	}
-	h := r.LatencyHist.Save()
-	e.F64(h.Width)
-	e.I64s(h.Counts)
-	e.I64(h.Overflow)
-	e.I64(h.Total)
-	e.F64(h.Sum)
-}
-
-func decodePartial(d *checkpoint.Decoder, r *Result, shardID int) error {
-	r.Generated = d.I64()
-	r.Injected = d.I64()
-	r.Delivered = d.I64()
-	r.DiscardedAtEntry = d.I64()
-	r.DiscardedInNet = d.I64()
-	r.FaultedInNet = d.I64()
-	if d.Err() != nil {
-		return d.Err()
-	}
-	for _, c := range []int64{r.Generated, r.Injected, r.Delivered,
-		r.DiscardedAtEntry, r.DiscardedInNet, r.FaultedInNet} {
-		if c < 0 {
+// walkPartial walks one shard's measurement partial: packet counters,
+// latency and occupancy summaries, and the latency histogram.
+func walkPartial(c *checkpoint.Codec, r *Result, shardID int) error {
+	for _, n := range []*int64{&r.Generated, &r.Injected, &r.Delivered,
+		&r.DiscardedAtEntry, &r.DiscardedInNet, &r.FaultedInNet} {
+		if c.I64(n); *n < 0 {
 			return ckptErr("shard %d has a negative packet counter", shardID)
 		}
 	}
@@ -585,23 +493,18 @@ func decodePartial(d *checkpoint.Decoder, r *Result, shardID int) error {
 		sums = append(sums, &r.StageOccupancy[st])
 	}
 	for _, sum := range sums {
-		st := decodeSummary(d)
-		if d.Err() != nil {
-			return d.Err()
-		}
-		if err := sum.Load(st); err != nil {
+		if err := walkSummary(c, sum); err != nil {
 			return ckptErr("shard %d summary: %v", shardID, err)
 		}
 	}
-	h := stats.HistogramState{
-		Width:    d.F64(),
-		Counts:   d.I64s(),
-		Overflow: d.I64(),
-		Total:    d.I64(),
-		Sum:      d.F64(),
-	}
-	if d.Err() != nil {
-		return d.Err()
+	h := r.LatencyHist.Save()
+	c.F64(&h.Width)
+	c.I64s(&h.Counts)
+	c.I64(&h.Overflow)
+	c.I64(&h.Total)
+	c.F64(&h.Sum)
+	if !c.Decoding() || c.Err() != nil {
+		return c.Err()
 	}
 	if err := r.LatencyHist.Load(h); err != nil {
 		return ckptErr("shard %d latency histogram: %v", shardID, err)
@@ -609,39 +512,32 @@ func decodePartial(d *checkpoint.Decoder, r *Result, shardID int) error {
 	return nil
 }
 
-func (s *Sim) encodeFaults(e *checkpoint.Encoder) {
-	fc := s.flt.cfg
-	e.U64(fc.Seed)
-	e.F64(fc.SlotStuckRate)
-	e.F64(fc.WireCorruptRate)
-	e.F64(fc.LinkTransientRate)
-	e.F64(fc.LinkDeadRate)
-	e.Int(fc.RetryLimit)
-	e.Int(fc.RetryBackoff)
-	e.Int(s.flt.next)
-	e.I64(s.flt.quarSlots)
-}
-
-// decodeFaults re-arms fault injection from the resolved config (the
-// schedule seed was resolved at the original SetFaults, so no derivation
-// re-runs) and fast-forwards the slot-failure schedule past the events
-// the checkpointed run already applied — the quarantined slots themselves
+// walkFaults walks the resolved fault config and the injection position.
+// Decoding re-arms fault injection from the config (the schedule seed was
+// resolved at the original SetFaults, so no derivation re-runs) and
+// fast-forwards the slot-failure schedule past the events the
+// checkpointed run already applied — the quarantined slots themselves
 // ride in the pool states.
-func (s *Sim) decodeFaults(d *checkpoint.Decoder) error {
-	fc := fault.Config{
-		Seed:              d.U64(),
-		SlotStuckRate:     d.F64(),
-		WireCorruptRate:   d.F64(),
-		LinkTransientRate: d.F64(),
-		LinkDeadRate:      d.F64(),
-		RetryLimit:        d.Int(),
-		RetryBackoff:      d.Int(),
+func (s *Sim) walkFaults(c *checkpoint.Codec) error {
+	var fc fault.Config
+	var next int
+	var quarSlots int64
+	if s.flt != nil {
+		fc, next, quarSlots = s.flt.cfg, s.flt.next, s.flt.quarSlots
 	}
-	next, quarSlots := d.Int(), d.I64()
-	if d.Err() != nil {
-		return d.Err()
+	c.U64(&fc.Seed)
+	c.F64(&fc.SlotStuckRate)
+	c.F64(&fc.WireCorruptRate)
+	c.F64(&fc.LinkTransientRate)
+	c.F64(&fc.LinkDeadRate)
+	c.Int(&fc.RetryLimit)
+	c.Int(&fc.RetryBackoff)
+	c.Int(&next)
+	c.I64(&quarSlots)
+	if !c.Decoding() || c.Err() != nil {
+		return c.Err()
 	}
-	if err := s.SetFaults(fc); err != nil {
+	if err := s.armFaults(fc); err != nil {
 		return ckptErr("fault config: %v", err)
 	}
 	if s.flt == nil {
@@ -703,92 +599,64 @@ func (st *obsState) apply(s *Sim) {
 	m.lastSample = st.lastSample
 }
 
-func (s *Sim) encodeObserver(e *checkpoint.Encoder) {
+// captureObs reads the attached observer's instrument values into an
+// obsState for walkObserver to encode.
+func (s *Sim) captureObs() *obsState {
 	o := s.metrics.observer
 	r := o.Registry()
-	e.I64(o.Interval())
-	e.I64(s.metrics.lastSample)
-	cnames := r.CounterNames()
-	e.Int(len(cnames))
-	for _, n := range cnames {
-		e.String(n)
-		e.I64(r.Counter(n).Value())
+	st := &obsState{interval: o.Interval(), lastSample: s.metrics.lastSample, series: o.Series()}
+	for _, n := range r.CounterNames() {
+		st.counters = append(st.counters, namedInt{name: n, val: r.Counter(n).Value()})
 	}
-	gnames := r.GaugeNames()
-	e.Int(len(gnames))
-	for _, n := range gnames {
-		e.String(n)
-		e.I64(r.Gauge(n).Value())
+	for _, n := range r.GaugeNames() {
+		st.gauges = append(st.gauges, namedInt{name: n, val: r.Gauge(n).Value()})
 	}
-	hnames := r.HistogramNames()
-	e.Int(len(hnames))
-	for _, n := range hnames {
+	for _, n := range r.HistogramNames() {
 		h, _ := r.LookupHistogram(n)
-		e.String(n)
-		e.I64(h.Width())
-		e.I64s(h.Buckets())
-		e.I64(h.Overflow())
-		e.I64(h.Total())
-		e.I64(h.Sum())
+		st.hists = append(st.hists, histState{name: n, width: h.Width(), buckets: h.Buckets(),
+			overflow: h.Overflow(), total: h.Total(), sum: h.Sum()})
 	}
-	series := o.Series()
-	e.Int(len(series))
-	for i := range series {
-		rec := &series[i]
-		e.I64(rec.Cycle)
-		e.I64(rec.Generated)
-		e.I64(rec.Injected)
-		e.I64(rec.Delivered)
-		e.I64(rec.Discarded)
-		e.I64(rec.InFlight)
-		e.I64(rec.Backlog)
-		e.I64(rec.LatencySum)
-		e.I64(rec.LatencyCount)
-	}
+	return st
 }
 
-func (s *Sim) decodeObserver(d *checkpoint.Decoder) (*obsState, error) {
-	st := &obsState{interval: d.I64(), lastSample: d.I64()}
-	nc := d.Count(9)
-	for i := 0; i < nc; i++ {
-		st.counters = append(st.counters, namedInt{name: d.String(), val: d.I64()})
+// walkObserver walks the observer's instrument values: interval, counters,
+// gauges, histograms, and the interval series. Decoding validates them
+// and parks them on the Sim until an observer attaches.
+func (s *Sim) walkObserver(c *checkpoint.Codec) error {
+	st := &obsState{}
+	if !c.Decoding() {
+		st = s.captureObs()
 	}
-	ng := d.Count(9)
-	for i := 0; i < ng; i++ {
-		st.gauges = append(st.gauges, namedInt{name: d.String(), val: d.I64()})
+	c.I64(&st.interval)
+	c.I64(&st.lastSample)
+	named := func(v *namedInt) {
+		c.String(&v.name)
+		c.I64(&v.val)
 	}
-	nh := d.Count(9)
-	for i := 0; i < nh; i++ {
-		st.hists = append(st.hists, histState{
-			name:     d.String(),
-			width:    d.I64(),
-			buckets:  d.I64s(),
-			overflow: d.I64(),
-			total:    d.I64(),
-			sum:      d.I64(),
-		})
-	}
-	ns := d.Count(9 * 8)
-	for i := 0; i < ns; i++ {
-		st.series = append(st.series, obs.IntervalRecord{
-			Cycle:        d.I64(),
-			Generated:    d.I64(),
-			Injected:     d.I64(),
-			Delivered:    d.I64(),
-			Discarded:    d.I64(),
-			InFlight:     d.I64(),
-			Backlog:      d.I64(),
-			LatencySum:   d.I64(),
-			LatencyCount: d.I64(),
-		})
-	}
-	if d.Err() != nil {
-		return nil, d.Err()
+	walkList(c, &st.counters, 9, named)
+	walkList(c, &st.gauges, 9, named)
+	walkList(c, &st.hists, 9, func(h *histState) {
+		c.String(&h.name)
+		c.I64(&h.width)
+		c.I64s(&h.buckets)
+		c.I64(&h.overflow)
+		c.I64(&h.total)
+		c.I64(&h.sum)
+	})
+	walkList(c, &st.series, 9*8, func(rec *obs.IntervalRecord) {
+		for _, v := range []*int64{&rec.Cycle, &rec.Generated, &rec.Injected, &rec.Delivered,
+			&rec.Discarded, &rec.InFlight, &rec.Backlog, &rec.LatencySum, &rec.LatencyCount} {
+			c.I64(v)
+		}
+	})
+	if !c.Decoding() || c.Err() != nil {
+		return c.Err()
 	}
 	if err := s.validateObsState(st); err != nil {
-		return nil, err
+		return err
 	}
-	return st, nil
+	s.pendingObs = st
+	return nil
 }
 
 // validateObsState checks a decoded observer section against the
@@ -929,41 +797,17 @@ func RestoreSim(r io.Reader) (*Sim, error) {
 
 // RestoreSimOpts is RestoreSim with execution-knob overrides.
 func RestoreSimOpts(r io.Reader, opts RestoreOpts) (*Sim, error) {
-	d, err := checkpoint.NewDecoder(r)
+	c, err := checkpoint.NewDecoder(r)
 	if err != nil {
 		return nil, err
 	}
-	secs := make(map[uint8]*checkpoint.Decoder)
-	order := []uint8{secConfig, secCore, secSwitches, secSources, secShards, secFaults, secObserver}
-	pos := 0
-	for {
-		tag, body, ok := d.Section()
-		if !ok {
-			break
-		}
-		for pos < len(order) && order[pos] != tag {
-			pos++
-		}
-		if pos == len(order) {
-			return nil, ckptErr("unknown or out-of-order section tag %d", tag)
-		}
-		secs[tag] = body
-		pos++
+	// The config section is walked into a bare Sim; New builds the real
+	// one, whose geometry every later section is validated against.
+	bare := &Sim{}
+	if !c.Section(secConfig, bare.walkConfig) {
+		return nil, missingSection(c, secConfig)
 	}
-	if err := d.Done(); err != nil {
-		return nil, err
-	}
-	for _, tag := range order[:5] {
-		if secs[tag] == nil {
-			return nil, ckptErr("checkpoint is missing section %d", tag)
-		}
-	}
-
-	cfgd := secs[secConfig]
-	cfg := decodeConfig(cfgd)
-	if err := cfgd.Done(); err != nil {
-		return nil, err
-	}
+	cfg := bare.cfg
 	if opts.WorkersSet {
 		cfg.Workers = opts.Workers
 	}
@@ -980,79 +824,36 @@ func RestoreSimOpts(r io.Reader, opts RestoreOpts) (*Sim, error) {
 			s.Close()
 		}
 	}()
-
-	cored := secs[secCore]
-	cycle := cored.I64()
-	warmupBoundary := cored.I64()
-	measured := cored.I64()
-	backlog := decodeSummary(cored)
-	if err := cored.Done(); err != nil {
-		return nil, err
-	}
-	if cycle < 0 || measured < 0 || measured > cycle ||
-		warmupBoundary < 0 || warmupBoundary > cycle {
-		return nil, ckptErr("impossible clock state (cycle %d, measured %d, boundary %d)",
-			cycle, measured, warmupBoundary)
-	}
-	if backlog.N != measured {
-		return nil, ckptErr("backlog summary has %d samples over %d measured cycles", backlog.N, measured)
-	}
-
-	// Faults re-arm before the cycle counter moves (SetFaults requires
-	// cycle 0) and before the observer section is validated (fault
-	// instruments are only expected when faults are armed).
-	if fd := secs[secFaults]; fd != nil {
-		if err := s.decodeFaults(fd); err != nil {
-			return nil, err
-		}
-		if err := fd.Done(); err != nil {
-			return nil, err
+	for _, sec := range sections[1:] {
+		present := c.Section(sec.tag, func(c *checkpoint.Codec) error { return sec.walk(s, c) })
+		if !present && sec.present == nil {
+			return nil, missingSection(c, sec.tag)
 		}
 	}
-	if err := s.decodeSwitches(secs[secSwitches]); err != nil {
+	// Done also rejects what no walk claimed: unknown, repeated, or
+	// out-of-order sections.
+	if err := c.Done(); err != nil {
 		return nil, err
 	}
-	if err := secs[secSwitches].Done(); err != nil {
-		return nil, err
-	}
-	if err := s.decodeSources(secs[secSources]); err != nil {
-		return nil, err
-	}
-	if err := secs[secSources].Done(); err != nil {
-		return nil, err
-	}
-	if err := s.decodeShards(secs[secShards], cycle); err != nil {
-		return nil, err
-	}
-	if err := secs[secShards].Done(); err != nil {
-		return nil, err
-	}
-	if od := secs[secObserver]; od != nil {
-		st, err := s.decodeObserver(od)
-		if err != nil {
-			return nil, err
-		}
-		if err := od.Done(); err != nil {
-			return nil, err
-		}
-		s.pendingObs = st
-	}
-
 	if err := s.resyncAfterRestore(); err != nil {
 		return nil, err
-	}
-	s.cycle = cycle
-	s.warmupBoundary = warmupBoundary
-	s.measured = measured
-	if err := s.backlog.Load(backlog); err != nil {
-		return nil, ckptErr("backlog summary: %v", err)
 	}
 	ok = true
 	return s, nil
 }
 
-// resyncAfterRestore rebuilds the derived per-shard structures (active
-// sets, sorted by construction) and cross-checks the global conservation
+// missingSection reports why a mandatory section was not walked: the
+// decoder's sticky error, or the section's absence.
+func missingSection(c *checkpoint.Codec, tag uint8) error {
+	if err := c.Err(); err != nil {
+		return err
+	}
+	return ckptErr("checkpoint is missing section %d", tag)
+}
+
+// resyncAfterRestore rebuilds the derived structures (switch occupancy
+// counts and per-shard active sets, sorted by construction) and
+// cross-checks the global conservation
 // invariants that tie the decoded sections together: the shards'
 // in-flight counters must sum to the packets actually buffered, and each
 // shard's backlog counter must equal its own source queues' lengths.
@@ -1060,6 +861,7 @@ func (s *Sim) resyncAfterRestore() error {
 	var buffered, inFlight int64
 	for st := range s.stages {
 		for _, swc := range s.stages[st] {
+			swc.ResyncLen()
 			buffered += int64(swc.Len())
 		}
 	}

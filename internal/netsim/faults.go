@@ -73,6 +73,13 @@ func (s *Sim) SetFaults(fc fault.Config) error {
 	if s.cycle != 0 {
 		return fmt.Errorf("netsim: SetFaults after cycle %d; faults must be armed before stepping", s.cycle)
 	}
+	return s.armFaults(fc)
+}
+
+// armFaults is SetFaults without the cycle check, for restore: the
+// checkpoint's clock section has already moved the cycle when its fault
+// section re-arms injection.
+func (s *Sim) armFaults(fc fault.Config) error {
 	if err := fc.Validate(); err != nil {
 		return err
 	}

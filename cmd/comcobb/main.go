@@ -12,13 +12,12 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
-	"os"
-	"os/signal"
-	"syscall"
 
 	"damq"
+	"damq/internal/cli"
 )
 
 func main() {
@@ -27,111 +26,84 @@ func main() {
 	faultsSpec := flag.String("faults", "", `fault spec, e.g. "wirecorrupt=0.05,retries=4,seed=7" (see damq.ParseFaultSpec)`)
 	flag.Parse()
 
-	if *nbytes < 1 || *nbytes > 32 {
-		fmt.Fprintln(os.Stderr, "comcobb: -bytes must be 1..32")
-		os.Exit(1)
-	}
-
-	var faults damq.FaultConfig
-	if *faultsSpec != "" {
-		var err error
-		faults, err = damq.ParseFaultSpec(*faultsSpec)
-		must(err)
-	}
-
-	trace := &damq.ChipTrace{}
-	chip := damq.NewChip(damq.ChipConfig{Trace: trace}, damq.WithFaults(faults))
-	// Circuits: input 0 header 0x01 -> output 1; input 2 header 0x05 ->
-	// output 1 (the competing stream for -busy).
-	must(chip.In(0).Router().Set(0x01, damq.Route{Out: 1, NewHeader: 0x02}))
-	must(chip.In(2).Router().Set(0x05, damq.Route{Out: 1, NewHeader: 0x06}))
-
-	payload := make([]byte, *nbytes)
-	for i := range payload {
-		payload[i] = byte(0xA0 + i)
-	}
-
 	// SIGINT/SIGTERM stop the tick loops at a clock boundary; the trace
-	// collected so far is still printed, in the exit-130 partial-results
-	// convention the other CLIs follow.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	ticks := 0
-	interrupted := false
-	run := func(n int, tick func()) {
-		for i := 0; i < n && !interrupted; i++ {
-			if ctx.Err() != nil {
-				interrupted = true
-				return
+	// collected so far is still printed.
+	cli.Main("comcobb", func(ctx context.Context) error {
+		if *nbytes < 1 || *nbytes > 32 {
+			return errors.New("-bytes must be 1..32")
+		}
+		faults, err := damq.ParseFaultSpec(*faultsSpec)
+		if err != nil {
+			return err
+		}
+
+		trace := &damq.ChipTrace{}
+		chip := damq.NewChip(damq.ChipConfig{Trace: trace}, damq.WithFaults(faults))
+		// Circuits: input 0 header 0x01 -> output 1; input 2 header 0x05 ->
+		// output 1 (the competing stream for -busy).
+		if err := errors.Join(chip.In(0).Router().Set(0x01, damq.Route{Out: 1, NewHeader: 0x02}),
+			chip.In(2).Router().Set(0x05, damq.Route{Out: 1, NewHeader: 0x06})); err != nil {
+			return err
+		}
+
+		payload := make([]byte, *nbytes)
+		for i := range payload {
+			payload[i] = byte(0xA0 + i)
+		}
+
+		ticks := 0
+		// run ticks n times, or until a signal stops the run.
+		run := func(n int, tick func()) {
+			for i := 0; i < n && ctx.Err() == nil; i++ {
+				tick()
+				ticks++
 			}
-			tick()
-			ticks++
 		}
-	}
 
-	drv := damq.NewChipDriver(chip.InLink(0), damq.WithFaults(faults))
-	if *busy {
-		competing := damq.NewChipDriver(chip.InLink(2))
-		competing.Queue(0x05, make([]byte, 32), 0)
-		both := func() { competing.Tick(); drv.Tick(); chip.Tick() }
-		// Let the competing packet win output 1 first.
-		run(6, both)
-		if !interrupted {
+		drv := damq.NewChipDriver(chip.InLink(0), damq.WithFaults(faults))
+		step := func() { drv.Tick(); chip.Tick() }
+		if *busy {
+			competing := damq.NewChipDriver(chip.InLink(2))
+			competing.Queue(0x05, make([]byte, 32), 0)
+			both := func() { competing.Tick(); step() }
+			// Let the competing packet win output 1 first.
+			run(6, both)
 			drv.Queue(0x01, payload, 0)
+			run(120, both)
+		} else {
+			drv.Queue(0x01, payload, 0)
+			run(*nbytes+40, step)
 		}
-		run(120, both)
-	} else {
-		drv.Queue(0x01, payload, 0)
-		run(*nbytes+40, func() { drv.Tick(); chip.Tick() })
-	}
-	// Under injected faults the driver may still be retransmitting; keep
-	// ticking until it drains (bounded), then flush the chip pipeline.
-	for i := 0; i < 10_000 && drv.Pending() > 0 && !interrupted; i++ {
-		if ctx.Err() != nil {
-			interrupted = true
-			break
+		// Under injected faults the driver may still be retransmitting; keep
+		// ticking until it drains (bounded), then flush the chip pipeline.
+		for i := 0; i < 10_000 && drv.Pending() > 0 && ctx.Err() == nil; i++ {
+			run(1, step)
 		}
-		drv.Tick()
-		chip.Tick()
-		ticks++
-	}
-	run(8, func() { drv.Tick(); chip.Tick() })
+		run(8, step)
 
-	fmt.Printf("ComCoBB chip trace (%d payload bytes%s):\n\n", *nbytes, busyNote(*busy))
-	for _, e := range trace.Events {
-		fmt.Println(" ", e)
-	}
+		busyNote := ""
+		if *busy {
+			busyNote = ", destination output pre-occupied"
+		}
+		fmt.Printf("ComCoBB chip trace (%d payload bytes%s):\n\n", *nbytes, busyNote)
+		for _, e := range trace.Events {
+			fmt.Println(" ", e)
+		}
 
-	in, ok1 := trace.Find("in[0]", "start bit detected; synchronizer armed")
-	out, ok2 := trace.Find("out[1]", "start bit transmitted")
-	if ok1 && ok2 {
-		fmt.Printf("\nturn-around: %d clock cycles (paper Table 1: 4 for cut-through)\n", out.Cycle-in.Cycle)
-	}
-	for _, p := range chip.Delivered(1) {
-		fmt.Printf("delivered at output 1: header %#02x, %d bytes\n", p.Header, len(p.Data))
-	}
-	if faults.Enabled() {
-		st := chip.FaultStats()
-		fmt.Printf("\nfault summary: %d bytes corrupted, %d NACKs, %d packets dropped at receiver, %d poisoned\n",
-			st.Corrupted, st.Nacks, st.Dropped, st.Poisoned)
-		fmt.Printf("driver recovery: %d retransmissions, %d given up\n", drv.Retries(), drv.GaveUp())
-	}
-	if interrupted {
-		fmt.Fprintf(os.Stderr, "comcobb: interrupted after %d ticks; the trace above covers the completed prefix\n", ticks)
-		os.Exit(130)
-	}
-}
-
-func busyNote(b bool) string {
-	if b {
-		return ", destination output pre-occupied"
-	}
-	return ""
-}
-
-func must(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "comcobb:", err)
-		os.Exit(1)
-	}
+		in, ok1 := trace.Find("in[0]", "start bit detected; synchronizer armed")
+		out, ok2 := trace.Find("out[1]", "start bit transmitted")
+		if ok1 && ok2 {
+			fmt.Printf("\nturn-around: %d clock cycles (paper Table 1: 4 for cut-through)\n", out.Cycle-in.Cycle)
+		}
+		for _, p := range chip.Delivered(1) {
+			fmt.Printf("delivered at output 1: header %#02x, %d bytes\n", p.Header, len(p.Data))
+		}
+		if faults.Enabled() {
+			st := chip.FaultStats()
+			fmt.Printf("\nfault summary: %d bytes corrupted, %d NACKs, %d packets dropped at receiver, %d poisoned\n",
+				st.Corrupted, st.Nacks, st.Dropped, st.Poisoned)
+			fmt.Printf("driver recovery: %d retransmissions, %d given up\n", drv.Retries(), drv.GaveUp())
+		}
+		return cli.Interrupted(ctx.Err(), "interrupted after %d ticks; the trace above covers the completed prefix", ticks)
+	})
 }

@@ -10,22 +10,17 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
-	"os"
-	"os/signal"
+	"slices"
 	"strings"
-	"syscall"
 	"time"
 
 	"damq"
+	"damq/internal/cli"
 	"damq/internal/experiments"
 	"damq/internal/netsim"
 )
-
-// sections tracks report progress so an interrupt can say how far it got.
-var sections, sectionsTotal int
 
 func main() {
 	scaleName := flag.String("scale", "quick", "simulation scale: quick|full")
@@ -36,193 +31,92 @@ func main() {
 	metricsPath := flag.String("metrics", "", "run one instrumented over-subscribed DAMQ simulation, write its metrics snapshot (with time series) to this path, and report the Figure-3-style curve recovered from it")
 	flag.Parse()
 
-	sc := experiments.Quick
-	if *scaleName == "full" {
-		sc = experiments.Full
-	} else if *scaleName != "quick" {
-		fmt.Fprintf(os.Stderr, "experiments: unknown scale %q\n", *scaleName)
-		os.Exit(1)
-	}
-	sc.Workers = *workers
-
 	// SIGINT/SIGTERM cancel the remaining experiments cooperatively: the
-	// sections already printed stand, and the exit banner reports how far
-	// the report got.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	sc.Ctx = ctx
-
-	sectionsTotal = 17
-	section := func(title string) {
-		sections++
-		fmt.Println()
-		fmt.Println(strings.Repeat("=", 78))
-		fmt.Println(title)
-		fmt.Println(strings.Repeat("=", 78))
-	}
-
-	fmt.Printf("DAMQ reproduction report (scale=%s, seed=%d)\n", *scaleName, sc.Seed)
-
-	section("Experiment E1 — Table 1: virtual cut-through in 4 clock cycles")
-	t1, err := experiments.Table1()
-	orDie(err)
-	fmt.Print(t1.Render())
-
-	var t2 *experiments.Table2Result
-	if !*skipMarkov {
-		section("Experiment E2 — Table 2: Markov analysis, 2x2 discarding switches")
-		t2, err = experiments.Table2(nil, sc.Workers)
-		orDie(err)
-		fmt.Print(t2.Render())
-	}
-
-	section("Companion — 4x4 discarding switch, Monte-Carlo (Table 2 at real radix)")
-	s4, err := experiments.Switch4x4(sc.Measure*20, sc.Seed, sc.Workers)
-	orDie(err)
-	fmt.Print(experiments.RenderSwitch4(s4))
-
-	section("Experiment E3 — Table 3: discarding network, uniform traffic")
-	t3, err := experiments.Table3(sc)
-	orDie(err)
-	fmt.Print(t3.Render())
-
-	section("Experiment E4 — Figure 3: latency vs throughput (FIFO vs DAMQ, 4 slots)")
-	fig, err := experiments.Figure3([]damq.BufferKind{damq.FIFO, damq.DAMQ}, 4, nil, sc)
-	orDie(err)
-	fmt.Print(experiments.RenderFigure3(fig))
-
-	section("Experiment E5 — Table 4: blocking network latencies, 4 slots")
-	t4, err := experiments.Table4(sc)
-	orDie(err)
-	fmt.Print(experiments.RenderLatencyRows(
-		"Table 4: average latency (clocks) for given load, 4 slots/buffer, blocking, uniform", t4))
-	fmt.Println()
-	tail, err := experiments.TailLatency(0.45, sc)
-	orDie(err)
-	fmt.Print(experiments.RenderTail(tail))
-
-	section("Experiment E6 — Table 5: varying slots per buffer (FIFO vs DAMQ)")
-	t5, err := experiments.Table5(sc)
-	orDie(err)
-	fmt.Print(experiments.RenderLatencyRows(
-		"Table 5: average latency varying slots/buffer, blocking, uniform", t5))
-
-	section("Experiment E7 — Table 6: 5% hot-spot traffic")
-	t6, err := experiments.Table6(sc)
-	orDie(err)
-	fmt.Print(experiments.RenderTable6(t6))
-	fmt.Println()
-	ts, err := experiments.TreeSaturation(sc)
-	orDie(err)
-	fmt.Print(experiments.RenderTreeSat(ts))
-
-	section("Experiment E8 — extension: variable-length packets")
-	vl, err := experiments.VarLen(sc)
-	orDie(err)
-	fmt.Print(experiments.RenderVarLen(vl))
-
-	section("Experiment E9 — extension: asynchronous arrivals (event-driven)")
-	as, err := experiments.Async(sc)
-	orDie(err)
-	fmt.Print(experiments.RenderAsync(as))
-
-	section("Companion — central-pool hogging (§2's rejected design)")
-	hog, err := experiments.Hogging(sc)
-	orDie(err)
-	fmt.Print(experiments.RenderHogging(hog))
-
-	section("Companion — graceful degradation under injected link faults")
-	fcv, err := experiments.FaultCurve(nil, nil, sc)
-	orDie(err)
-	fmt.Print(experiments.RenderFaultCurve(fcv))
-
-	section("Companion — radix sweep: DAMQ/FIFO gap vs switch size")
-	rx, err := experiments.RadixSweep(sc)
-	orDie(err)
-	fmt.Print(experiments.RenderRadix(rx))
-
-	section("Ablation A1 — read connectivity x allocation (DAFC)")
-	conn, err := experiments.AblationConnectivity(sc)
-	orDie(err)
-	fmt.Print(experiments.RenderConnectivity(conn))
-
-	section("Ablation A2 — smart vs dumb arbitration")
-	arb, err := experiments.AblationArbitration(sc)
-	orDie(err)
-	fmt.Print(experiments.RenderArbitration(arb))
-
-	section("Ablation A3 — burstiness (multi-packet messages)")
-	burst, err := experiments.AblationBurstiness(sc)
-	orDie(err)
-	fmt.Print(experiments.RenderBurstiness(burst))
-
-	section("Ablation A4 — Markov solvers and mixing times")
-	solver, err := experiments.AblationSolver(time.Now)
-	orDie(err)
-	fmt.Print(experiments.RenderSolver(solver))
-
-	if *metricsPath != "" {
-		section("Companion — Figure 3 from one instrumented run (observer time series)")
-		interval := sc.Measure / 100
-		if interval < 1 {
-			interval = 1
+	// sections already printed stand, and the exit message reports how
+	// far the report got.
+	cli.Main("experiments", func(ctx context.Context) error {
+		sc, err := experiments.ParseScale(*scaleName)
+		if err != nil {
+			return err
 		}
-		// Over-subscribed blocking DAMQ run with no warmup: the ramp from
-		// empty network to saturation sweeps through every operating point
-		// Figure 3 samples one load at a time.
-		_, snap, err := experiments.InstrumentedRun(netsim.Config{
-			BufferKind:    damq.DAMQ,
-			Capacity:      4,
-			Policy:        damq.SmartArbitration,
-			Protocol:      damq.Blocking,
-			Traffic:       netsim.TrafficSpec{Kind: netsim.Uniform, Load: 1.0},
-			WarmupCycles:  1,
-			MeasureCycles: sc.Warmup + sc.Measure,
-			Seed:          sc.Seed,
-		}, interval)
-		orDie(err)
-		curve := experiments.CurveFromIntervals("DAMQ/4 (one run)", 64, snap.Series)
-		fmt.Print(experiments.RenderFigure3([]damq.Figure3Series{curve}))
-		raw, err := snap.Encode()
-		orDie(err)
-		orDie(os.WriteFile(*metricsPath, raw, 0o644))
-		fmt.Printf("\nmetrics snapshot written to %s\n", *metricsPath)
-	}
+		sc.Workers, sc.Ctx = *workers, ctx
 
-	if *reps > 0 {
-		section(fmt.Sprintf("Replication — saturation throughput across %d seeds", *reps))
-		ci, err := experiments.SaturationCI(*reps, sc)
-		orDie(err)
-		fmt.Print(experiments.RenderCI(ci))
-	}
+		entries := experiments.Sections(time.Now)
+		if *skipMarkov {
+			entries = slices.DeleteFunc(entries, func(s experiments.Section) bool { return s.Name == "table2" })
+		}
+		if *metricsPath != "" {
+			entries = append(entries, metricsSection(*metricsPath))
+		}
+		if *reps > 0 {
+			entries = append(entries, experiments.Section{
+				Title: fmt.Sprintf("Replication — saturation throughput across %d seeds", *reps),
+				Run: experiments.Entry(func(sc experiments.Scale) ([]experiments.CIRow, error) {
+					return experiments.SaturationCI(*reps, sc)
+				}, experiments.RenderCI, nil)})
+		}
+		total, done := 0, 0
+		for _, s := range entries {
+			if s.Title != "" {
+				total++
+			}
+		}
 
-	if *jsonPath != "" {
-		rep := &experiments.Report{
-			Scale: sc, Table3: t3, Table4: t4, Table5: t5, Table6: t6,
-			Table1: t1, VarLen: vl, Async: as, TreeSat: ts,
-			Ablate: &experiments.AblationSection{
-				Connectivity: conn, Arbitration: arb, Burstiness: burst,
-			},
+		fmt.Printf("DAMQ reproduction report (scale=%s, seed=%d)\n", *scaleName, sc.Seed)
+		rule := strings.Repeat("=", 78)
+		rep := &experiments.Report{Scale: sc}
+		for _, s := range entries {
+			if s.Title == "" {
+				fmt.Println()
+			} else {
+				done++
+				fmt.Printf("\n%s\n%s\n%s\n", rule, s.Title, rule)
+			}
+			text, err := s.Run(sc, rep)
+			fmt.Print(text)
+			if err != nil {
+				return cli.Interrupted(err, "interrupted at %d/%d sections; the report above covers the completed ones", done, total)
+			}
 		}
-		if !*skipMarkov {
-			rep.Table2 = t2
+		if *jsonPath == "" {
+			return nil
 		}
-		raw, err := rep.JSON()
-		orDie(err)
-		orDie(os.WriteFile(*jsonPath, raw, 0o644))
+		if err := cli.WriteFile(*jsonPath, rep.JSON); err != nil {
+			return err
+		}
 		fmt.Printf("\nJSON report written to %s\n", *jsonPath)
-	}
+		return nil
+	})
 }
 
-func orDie(err error) {
-	if err == nil {
-		return
+// metricsSection runs one over-subscribed blocking DAMQ network with no
+// warmup and writes its observer snapshot to path. The ramp from empty
+// network to saturation sweeps through every operating point Figure 3
+// samples one load at a time, so the section recovers the curve from
+// the snapshot's time series.
+func metricsSection(path string) experiments.Section {
+	return experiments.Section{
+		Title: "Companion — Figure 3 from one instrumented run (observer time series)",
+		Run: func(sc experiments.Scale, _ *experiments.Report) (string, error) {
+			_, snap, err := experiments.InstrumentedRun(netsim.Config{
+				BufferKind:    damq.DAMQ,
+				Capacity:      4,
+				Policy:        damq.SmartArbitration,
+				Protocol:      damq.Blocking,
+				Traffic:       netsim.TrafficSpec{Kind: netsim.Uniform, Load: 1.0},
+				WarmupCycles:  1,
+				MeasureCycles: sc.Warmup + sc.Measure,
+				Seed:          sc.Seed,
+			}, max(sc.Measure/100, 1))
+			if err == nil {
+				err = cli.WriteFile(path, snap.Encode)
+			}
+			if err != nil {
+				return "", err
+			}
+			curve := experiments.CurveFromIntervals("DAMQ/4 (one run)", 64, snap.Series)
+			return experiments.RenderFigure3([]damq.Figure3Series{curve}) +
+				fmt.Sprintf("\nmetrics snapshot written to %s\n", path), nil
+		},
 	}
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		fmt.Fprintf(os.Stderr, "experiments: interrupted at %d/%d sections; the report above covers the completed ones\n",
-			sections, sectionsTotal)
-		os.Exit(130)
-	}
-	fmt.Fprintln(os.Stderr, "experiments:", err)
-	os.Exit(1)
 }

@@ -9,14 +9,11 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
-	"os"
-	"os/signal"
-	"syscall"
 
 	"damq"
+	"damq/internal/cli"
 	"damq/internal/experiments"
 	"damq/internal/markov2x2"
 	"damq/internal/rng"
@@ -31,51 +28,41 @@ func main() {
 	workers := flag.Int("workers", 0, "full table: max concurrent chain solves (0 = GOMAXPROCS)")
 	flag.Parse()
 
-	if *kind == "" {
-		// SIGINT/SIGTERM cancel the solve; finished rows are still
-		// rendered, in the exit-130 partial-results convention the other
-		// CLIs follow.
-		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-		defer stop()
-		res, total, err := experiments.Table2Ctx(ctx, nil, *workers)
-		if err != nil && !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
-			fatal(err)
+	cli.Main("markov", func(ctx context.Context) error {
+		if *kind == "" {
+			// SIGINT/SIGTERM cancel the solve; finished rows are still
+			// rendered.
+			res, total, err := experiments.Table2Ctx(ctx, nil, *workers)
+			if err != nil && !cli.Canceled(err) {
+				return err
+			}
+			fmt.Print(res.Render())
+			return cli.Interrupted(err, "interrupted at %d/%d rows; the table above covers the completed ones", len(res.Rows), total)
 		}
-		fmt.Print(res.Render())
+
+		k, err := damq.ParseBufferKind(*kind)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "markov: interrupted at %d/%d rows; the table above covers the completed ones\n",
-				len(res.Rows), total)
-			os.Exit(130)
+			return err
 		}
-		return
-	}
-
-	k, err := damq.ParseBufferKind(*kind)
-	if err != nil {
-		fatal(err)
-	}
-	r, err := markov2x2.Solve(k, *slots, *load)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("buffer        %v\n", r.Kind)
-	fmt.Printf("slots/port    %d\n", r.Slots)
-	fmt.Printf("traffic       %.0f%%\n", r.Load*100)
-	fmt.Printf("chain states  %d\n", r.States)
-	fmt.Printf("P(discard)    %.6f\n", r.PDiscard)
-	fmt.Printf("throughput    %.6f packets/port/cycle\n", r.Throughput)
-
-	if *simCycles > 0 {
-		sim, err := markov2x2.Simulate(k, *slots, *load, *simCycles, rng.New(*seed))
+		r, err := markov2x2.Solve(k, *slots, *load)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Printf("monte-carlo   %.6f over %d cycles (seed %d)\n",
-			sim.PDiscard(), *simCycles, *seed)
-	}
-}
+		fmt.Printf("buffer        %v\n", r.Kind)
+		fmt.Printf("slots/port    %d\n", r.Slots)
+		fmt.Printf("traffic       %.0f%%\n", r.Load*100)
+		fmt.Printf("chain states  %d\n", r.States)
+		fmt.Printf("P(discard)    %.6f\n", r.PDiscard)
+		fmt.Printf("throughput    %.6f packets/port/cycle\n", r.Throughput)
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "markov:", err)
-	os.Exit(1)
+		if *simCycles > 0 {
+			sim, err := markov2x2.Simulate(k, *slots, *load, *simCycles, rng.New(*seed))
+			if err != nil {
+				return err
+			}
+			fmt.Printf("monte-carlo   %.6f over %d cycles (seed %d)\n",
+				sim.PDiscard(), *simCycles, *seed)
+		}
+		return nil
+	})
 }

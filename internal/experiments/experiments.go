@@ -4,8 +4,9 @@
 // simulator, Table 1 from the cycle-accurate chip model, plus the
 // variable-length extension the paper's conclusion motivates. Each
 // experiment returns a structured result with a Render method producing
-// the text table; cmd/experiments assembles them into an
-// EXPERIMENTS-style report.
+// the text table. Sections lists them in report order with their
+// renderers: cmd/experiments prints that list as an EXPERIMENTS-style
+// report, and omegasim runs its entries by name.
 package experiments
 
 import (
@@ -59,6 +60,17 @@ var Full = Scale{Warmup: 3000, Measure: 20000, Seed: 1988}
 
 // Quick is a cheap scale for benchmarks and CI smoke runs.
 var Quick = Scale{Warmup: 500, Measure: 3000, Seed: 1988}
+
+// ParseScale maps a -scale flag value, quick or full, to its Scale.
+func ParseScale(name string) (Scale, error) {
+	switch name {
+	case "quick":
+		return Quick, nil
+	case "full":
+		return Full, nil
+	}
+	return Scale{}, fmt.Errorf("unknown scale %q (want quick|full)", name)
+}
 
 // KindOrder is the presentation order used in the paper's tables.
 var KindOrder = []buffer.Kind{buffer.FIFO, buffer.DAMQ, buffer.SAMQ, buffer.SAFC}

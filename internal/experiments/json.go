@@ -2,24 +2,31 @@ package experiments
 
 import (
 	"encoding/json"
-	"fmt"
+
+	"damq/internal/stats"
 )
 
 // Report is the machine-readable form of the full evaluation, for
-// downstream tooling (plotting, regression dashboards). Fields are
-// omitted when their experiment was not run.
+// downstream tooling (plotting, regression dashboards). The registry's
+// sections fill it as they run; a field is omitted when its experiment
+// did not run, except the ablations, which every full report runs.
 type Report struct {
-	Scale   Scale            `json:"scale"`
-	Table1  *Table1Result    `json:"table1,omitempty"`
-	Table2  *Table2Result    `json:"table2,omitempty"`
-	Table3  *Table3Result    `json:"table3,omitempty"`
-	Table4  []LatencyRow     `json:"table4,omitempty"`
-	Table5  []LatencyRow     `json:"table5,omitempty"`
-	Table6  []Table6Row      `json:"table6,omitempty"`
-	VarLen  []VarLenRow      `json:"varlen,omitempty"`
-	Async   []AsyncRow       `json:"async,omitempty"`
-	TreeSat []TreeSatRow     `json:"treesat,omitempty"`
-	Ablate  *AblationSection `json:"ablations,omitempty"`
+	Scale   Scale           `json:"scale"`
+	Table1  *Table1Result   `json:"table1,omitempty"`
+	Table2  *Table2Result   `json:"table2,omitempty"`
+	Table3  *Table3Result   `json:"table3,omitempty"`
+	Table4  []LatencyRow    `json:"table4,omitempty"`
+	Table5  []LatencyRow    `json:"table5,omitempty"`
+	Table6  []Table6Row     `json:"table6,omitempty"`
+	VarLen  []VarLenRow     `json:"varlen,omitempty"`
+	Async   []AsyncRow      `json:"async,omitempty"`
+	TreeSat []TreeSatRow    `json:"treesat,omitempty"`
+	Ablate  AblationSection `json:"ablations"`
+
+	// Curves keeps the latency-vs-throughput curves of the last figure
+	// entry run, figure3 or modern, for omegasim's SVG plot. The JSON
+	// schema does not carry them.
+	Curves []stats.Series `json:"-"`
 }
 
 // AblationSection groups the ablation results.
@@ -27,53 +34,6 @@ type AblationSection struct {
 	Connectivity []ConnectivityRow `json:"connectivity,omitempty"`
 	Arbitration  []ArbitrationRow  `json:"arbitration,omitempty"`
 	Burstiness   []BurstRow        `json:"burstiness,omitempty"`
-}
-
-// RunAll executes the complete evaluation at the given scale and returns
-// a Report. includeMarkov toggles Table 2 (the slowest exact piece).
-func RunAll(sc Scale, includeMarkov bool) (*Report, error) {
-	rep := &Report{Scale: sc}
-	var err error
-	if rep.Table1, err = Table1(); err != nil {
-		return nil, fmt.Errorf("table1: %w", err)
-	}
-	if includeMarkov {
-		if rep.Table2, err = Table2(nil, sc.Workers); err != nil {
-			return nil, fmt.Errorf("table2: %w", err)
-		}
-	}
-	if rep.Table3, err = Table3(sc); err != nil {
-		return nil, fmt.Errorf("table3: %w", err)
-	}
-	if rep.Table4, err = Table4(sc); err != nil {
-		return nil, fmt.Errorf("table4: %w", err)
-	}
-	if rep.Table5, err = Table5(sc); err != nil {
-		return nil, fmt.Errorf("table5: %w", err)
-	}
-	if rep.Table6, err = Table6(sc); err != nil {
-		return nil, fmt.Errorf("table6: %w", err)
-	}
-	if rep.VarLen, err = VarLen(sc); err != nil {
-		return nil, fmt.Errorf("varlen: %w", err)
-	}
-	if rep.Async, err = Async(sc); err != nil {
-		return nil, fmt.Errorf("async: %w", err)
-	}
-	if rep.TreeSat, err = TreeSaturation(sc); err != nil {
-		return nil, fmt.Errorf("treesat: %w", err)
-	}
-	rep.Ablate = &AblationSection{}
-	if rep.Ablate.Connectivity, err = AblationConnectivity(sc); err != nil {
-		return nil, fmt.Errorf("ablation connectivity: %w", err)
-	}
-	if rep.Ablate.Arbitration, err = AblationArbitration(sc); err != nil {
-		return nil, fmt.Errorf("ablation arbitration: %w", err)
-	}
-	if rep.Ablate.Burstiness, err = AblationBurstiness(sc); err != nil {
-		return nil, fmt.Errorf("ablation burstiness: %w", err)
-	}
-	return rep, nil
 }
 
 // JSON marshals the report with indentation.

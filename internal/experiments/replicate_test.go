@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"errors"
 	"strings"
 	"testing"
@@ -71,37 +70,5 @@ func TestSaturationCI(t *testing.T) {
 	}
 	if !strings.Contains(RenderCI(rows), "95% CI") {
 		t.Error("render missing header")
-	}
-}
-
-func TestRunAllJSON(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full quick evaluation")
-	}
-	rep, err := RunAll(tiny, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Table2 != nil {
-		t.Error("markov should have been skipped")
-	}
-	if rep.Table1 == nil || rep.Table3 == nil || len(rep.Table4) == 0 ||
-		len(rep.Async) == 0 || rep.Ablate == nil {
-		t.Fatal("report incomplete")
-	}
-	raw, err := rep.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Round trip: the JSON must decode back into an equivalent skeleton.
-	var back Report
-	if err := json.Unmarshal(raw, &back); err != nil {
-		t.Fatal(err)
-	}
-	if len(back.Table4) != len(rep.Table4) || back.Table4[0].Kind != rep.Table4[0].Kind {
-		t.Fatal("round trip lost data")
-	}
-	if !strings.Contains(string(raw), "\"table6\"") {
-		t.Error("JSON missing sections")
 	}
 }

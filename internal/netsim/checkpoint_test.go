@@ -122,7 +122,7 @@ func tortureFaults() fault.Config {
 	return fault.Config{SlotStuckRate: 2e-5, LinkTransientRate: 5e-4, LinkDeadRate: 1e-5}
 }
 
-var updateDigests = flag.Bool("update", false, "rewrite "+digestsPath)
+var updateDigests = flag.Bool("update", false, "rewrite the digest files of the tests that run")
 
 // digestsPath pins the on-disk checkpoint format: the sha256 of every
 // torture cell's checkpoint bytes. Regenerate with

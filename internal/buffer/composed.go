@@ -2,6 +2,7 @@ package buffer
 
 import (
 	"fmt"
+	"math"
 
 	"damq/internal/cfgerr"
 	"damq/internal/packet"
@@ -43,16 +44,18 @@ func (g *group) init(numQueues, capacity int, r rule, expectOut func(q int) int)
 // the per-packet path makes direct calls.
 type Composed struct {
 	// The fields the per-packet path reads come first.
-	g          *group
+	g *group
+	// room is the admission-room window (AttachRoom) this view rewrites
+	// on every state change; nil when nobody reads it, which costs the
+	// state changes one nil check.
+	room       []int32
 	pkts       int // packets in this view's queues, for O(1) Len
 	numOutputs int
-	qBase      int  // first pool queue belonging to this view
-	single     bool // one queue for every output (FIFO)
-	portCheck  bool // CanAccept rejects out-of-range ports (static and modern kinds do)
+	qBase      int   // first pool queue belonging to this view
+	single     bool  // one queue for every output (FIFO)
+	portCheck  bool  // CanAccept rejects out-of-range ports (static and modern kinds do)
+	nominalCap int32 // Capacity() this view reports: its own port's share
 	kind       Kind
-	nominalCap int // Capacity() this view reports: its own port's share
-	slotBase   int // first pool slot of this view's quarantine window
-	maxReads   int
 }
 
 // newView returns the view of input port port onto g: its queues are
@@ -63,10 +66,8 @@ func newView(g *group, kind Kind, numOutputs, capacity, port int) Composed {
 		g:          g,
 		kind:       kind,
 		numOutputs: numOutputs,
-		nominalCap: capacity,
+		nominalCap: int32(capacity),
 		qBase:      port * numOutputs,
-		slotBase:   port * capacity,
-		maxReads:   kindReads(kind, numOutputs),
 		single:     kind == FIFO,
 		portCheck:  kind == SAMQ || kind == SAFC || KindModern(kind),
 	}
@@ -74,8 +75,12 @@ func newView(g *group, kind Kind, numOutputs, capacity, port int) Composed {
 
 func (c *Composed) Kind() Kind            { return c.kind }
 func (c *Composed) NumOutputs() int       { return c.numOutputs }
-func (c *Composed) Capacity() int         { return c.nominalCap }
-func (c *Composed) MaxReadsPerCycle() int { return c.maxReads }
+func (c *Composed) Capacity() int         { return int(c.nominalCap) }
+func (c *Composed) MaxReadsPerCycle() int { return kindReads(c.kind, c.numOutputs) }
+
+// slotBase is the first pool slot of this view's quarantine window: the
+// view of input port p owns slots [p*Capacity(), (p+1)*Capacity()).
+func (c *Composed) slotBase() int { return c.qBase / c.numOutputs * c.Capacity() }
 
 // Free reports the slots available in the backing pool. For a shared
 // group this is the switch-wide free count, which may exceed this view's
@@ -167,6 +172,9 @@ func (c *Composed) push(p *packet.Packet) {
 		c.g.classSlots[classOf(p, c.g.rule.classes)] += p.Slots
 	}
 	c.pkts++
+	if c.room != nil {
+		c.publishRoom()
+	}
 }
 
 // damqvet:hotpath
@@ -232,6 +240,9 @@ func (c *Composed) Pop(out int) *packet.Packet {
 		c.g.classSlots[classOf(p, c.g.rule.classes)] -= p.Slots
 	}
 	c.pkts--
+	if c.room != nil {
+		c.publishRoom()
+	}
 	return p
 }
 
@@ -246,6 +257,9 @@ func (c *Composed) Reset() {
 		c.g.classSlots[i] = 0
 	}
 	c.pkts = 0
+	if c.room != nil {
+		c.publishRoom()
+	}
 }
 
 // QueueFree reports the free slots in the static budget of the queue
@@ -253,7 +267,7 @@ func (c *Composed) Reset() {
 // must communicate upstream (four times the flow-control information of
 // a FIFO, as Section 2 notes). Meaningful only for partitioned kinds.
 func (c *Composed) QueueFree(out int) int {
-	return c.g.rule.perQueue - c.g.pool.QueueSlots(c.qBase+out)
+	return int(c.g.rule.perQueue) - c.g.pool.QueueSlots(c.qBase+out)
 }
 
 // Tick advances the group's clock by one cycle. Exactly one view per
@@ -264,6 +278,103 @@ func (c *Composed) Tick() {
 	if c.qBase == 0 {
 		c.g.pool.Tick()
 	}
+	if c.room != nil {
+		c.publishRoom()
+	}
+}
+
+// RoomClasses is how many admission classes split each output's room:
+// FB's priority class count, and 1 for every other kind.
+func (c *Composed) RoomClasses() int { return max(c.g.rule.classes, 1) }
+
+// AttachRoom makes this view publish its admission room into row, which
+// holds NumOutputs()*RoomClasses() registers, and writes the current
+// room there at once. Room register out*RoomClasses()+k
+// is the largest slot count CanAcceptOut would admit right now for a
+// packet of class k (Class) routed to out, 0 when none fits, so an
+// upstream sender decides admission with p.Slots <= room and never
+// reads this buffer. It is the per-queue flow-control line of the
+// paper's hardware, which Section 2 notes carries four times a FIFO's
+// information.
+//
+// Only a buffer that owns its pool publishes room: admission at one port
+// of a shared pool changes every port's room, and one pool can approve
+// arrivals at several ports that overflow it together.
+func (c *Composed) AttachRoom(row []int32) {
+	if c.g.pool.NumQueues() > c.numOutputs {
+		panic(fmt.Sprintf("%s: AttachRoom on a shared-pool view", kindPrefix(c.kind)))
+	}
+	if len(row) != c.numOutputs*c.RoomClasses() {
+		panic(fmt.Sprintf("%s: AttachRoom row of %d registers, want %d",
+			kindPrefix(c.kind), len(row), c.numOutputs*c.RoomClasses()))
+	}
+	c.room = row
+	c.publishRoom()
+}
+
+// publishRoom rewrites the room window from the current state: for each
+// output (and FB class) the admission rule solved for the packet's slot
+// count. The threshold rules compare float64(used+slots) <= limit with
+// an integer left side, which holds exactly when used+slots <=
+// floor(limit), so the room is exact for the same float expression
+// admit evaluates.
+// damqvet:hotpath
+func (c *Composed) publishRoom() {
+	row := c.room
+	g := c.g
+	sp := &g.pool
+	r := &g.rule
+	free := sp.freeCount
+	switch r.kind {
+	case completeSharing:
+		for k := range row {
+			row[k] = free
+		}
+	case completePartition:
+		for o := range row {
+			row[o] = max(0, min(free, r.perQueue-int32(sp.QueueSlots(c.qBase+o))))
+		}
+	case dynThreshold:
+		limit := r.alpha * float64(sp.FreeSlots())
+		for o := range row {
+			row[o] = roomUnder(limit, free, sp.QueueSlots(c.qBase+o))
+		}
+	case fbSharing:
+		classes := c.RoomClasses()
+		for k := 0; k < classes; k++ {
+			used := 0
+			if g.classSlots != nil {
+				used = g.classSlots[k]
+			}
+			alphaC := r.alpha / float64(int64(1)<<uint(k))
+			room := roomUnder(float64(r.reserve)+alphaC*float64(sp.FreeSlots()), free, used)
+			for o := k; o < len(row); o += classes {
+				row[o] = room
+			}
+		}
+	case bshare:
+		for o := range row {
+			q := c.qBase + o
+			limit := r.alpha * float64(sp.FreeSlots())
+			if age := sp.HeadAge(q); age > r.target {
+				limit *= float64(r.target) / float64(age)
+				if limit < float64(r.reserve) {
+					limit = float64(r.reserve)
+				}
+			}
+			row[o] = roomUnder(limit, free, sp.QueueSlots(q))
+		}
+	}
+}
+
+// roomUnder is the largest slot count s <= free with float64(used+s) <=
+// limit, or 0 when there is none.
+// damqvet:hotpath
+func roomUnder(limit float64, free int32, used int) int32 {
+	if limit >= float64(int(free)+used) {
+		return free
+	}
+	return max(0, int32(math.Floor(limit))-int32(used))
 }
 
 var _ Buffer = (*Composed)(nil)
@@ -329,17 +440,21 @@ func NewDAMQ(numOutputs, capacity int) *DAMQBuffer {
 // of the pool, so fault schedules computed per buffer keep working when
 // storage spans ports.
 func (b *PoolBuffer) QuarantineSlot(s int) bool {
-	if s < 0 || s >= b.nominalCap {
-		panic(fmt.Sprintf("%s: QuarantineSlot(%d) out of range [0,%d)", kindPrefix(b.kind), s, b.nominalCap))
+	if s < 0 || s >= b.Capacity() {
+		panic(fmt.Sprintf("%s: QuarantineSlot(%d) out of range [0,%d)", kindPrefix(b.kind), s, b.Capacity()))
 	}
-	return b.g.pool.QuarantineSlot(b.slotBase + s)
+	ok := b.g.pool.QuarantineSlot(b.slotBase() + s)
+	if b.room != nil {
+		b.publishRoom()
+	}
+	return ok
 }
 
 // Quarantined reports how many slots of this view's window are fully out
 // of service (pending slots still serving a packet are not counted until
 // released).
 func (b *PoolBuffer) Quarantined() int {
-	return b.g.pool.QuarantinedIn(b.slotBase, b.slotBase+b.nominalCap)
+	return b.g.pool.QuarantinedIn(b.slotBase(), b.slotBase()+b.Capacity())
 }
 
 // CheckInvariants verifies the structural health of the backing pool,
@@ -384,7 +499,7 @@ func buildRule(cfg Config, poolCap int) rule {
 	r := rule{kind: ruleOf(cfg.Kind), alpha: cfg.Sharing.alpha()}
 	switch r.kind {
 	case completePartition:
-		r.perQueue = cfg.Capacity / cfg.NumOutputs
+		r.perQueue = int32(cfg.Capacity / cfg.NumOutputs)
 	case fbSharing:
 		r.classes = cfg.Sharing.classes()
 		// Half the pool is hard-reserved in equal per-class quotas, the

@@ -51,7 +51,7 @@ var ruleNames = [...]string{"complete-sharing", "complete-partitioning", "dynami
 // only its own fields.
 type rule struct {
 	kind     ruleKind
-	perQueue int     // completePartition: slots statically owned by each queue
+	perQueue int32   // completePartition: slots statically owned by each queue
 	classes  int     // fbSharing: priority class count
 	alpha    float64 // dynThreshold, fbSharing, bshare: threshold multiplier
 	reserve  int     // fbSharing: slots guaranteed per class; bshare: slots a queue may always hold
@@ -68,7 +68,7 @@ func (g *group) admit(p *packet.Packet, q int) bool {
 	sp := &g.pool
 	switch r.kind {
 	case completePartition:
-		return sp.QueueSlots(q)+p.Slots <= r.perQueue
+		return sp.QueueSlots(q)+p.Slots <= int(r.perQueue)
 	case dynThreshold:
 		return float64(sp.QueueSlots(q)+p.Slots) <= r.alpha*float64(sp.FreeSlots())
 	case fbSharing:

@@ -12,9 +12,9 @@ import (
 // bytes, and the BShare clock — is what Restore must reproduce, because
 // slot assignment order is observable (quarantine schedules target slot
 // indices and delay-driven admission reads enqueue stamps). The derived
-// per-view and per-group counters of the composed buffers are not
-// serialized; ResyncAfterRestore recomputes them and then audits the
-// loaded pool with CheckInvariants.
+// per-view and per-group counters and the published admission room of
+// the composed buffers are not serialized; ResyncAfterRestore audits the
+// loaded pool with CheckInvariants and then recomputes them.
 
 // SlotPoolState is the serializable state of one SlotPool. Owner maps
 // each slot to an index into Packets (-1 for none), so the caller
@@ -198,13 +198,14 @@ func PoolOf(b Buffer) (*SlotPool, bool) {
 	return &c.g.pool, true
 }
 
-// ResyncAfterRestore recomputes the derived counters of the views over
-// one freshly loaded storage group — per-view packet counts and, for
-// class-aware policies, the pool-wide per-class slot tally — and then
-// audits the pool with CheckInvariants. All of bufs must share one
-// group: pass one per-port buffer alone, or every view of a shared pool
-// together. The audit runs before any chain walk that rebuilds class
-// tallies, so a corrupted stream fails with an error instead of looping.
+// ResyncAfterRestore recomputes the derived state of the views over one
+// freshly loaded storage group — per-view packet counts, for class-aware
+// policies the pool-wide per-class slot tally, and any attached room
+// window — after auditing the pool with CheckInvariants. All of bufs
+// must share one group: pass one per-port buffer alone, or every view of
+// a shared pool together. The audit runs before any chain walk that
+// rebuilds class tallies, so a corrupted stream fails with an error
+// instead of looping.
 func ResyncAfterRestore(bufs []Buffer) error {
 	var g *group
 	views := make([]*Composed, 0, len(bufs))
@@ -247,6 +248,11 @@ func ResyncAfterRestore(bufs []Buffer) error {
 					g.classSlots[classOf(p, g.rule.classes)] += p.Slots
 				}
 			}
+		}
+	}
+	for _, c := range views {
+		if c.room != nil {
+			c.publishRoom()
 		}
 	}
 	return nil

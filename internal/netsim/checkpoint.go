@@ -5,9 +5,11 @@
 // (when observed) instrument values — and RestoreSim rebuilds a Sim that
 // continues byte-identically to the uninterrupted run, at any worker
 // count. Everything derivable from the config is rebuilt by New, not
-// stored: topology, shard partition, probes, scratch buffers, and the
-// packet allocators' free lists. The scratch (pending grants, outboxes)
-// is dead at cycle boundaries, which is where checkpoints are taken.
+// stored: topology, shard partition, downstream views, scratch buffers,
+// and the packet allocators' free lists. The published room is derived
+// from the restored pools (buffer.ResyncAfterRestore republishes it).
+// The scratch (pending grants, outboxes) is dead at cycle boundaries,
+// which is where checkpoints are taken.
 //
 // The format is a table of sections, each one walk function over the
 // Sim's state that Checkpoint runs encoding and RestoreSim runs decoding

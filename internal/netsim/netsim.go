@@ -9,10 +9,11 @@
 //
 //  1. Arbitrate: every switch arbitrates its crossbar against the
 //     pre-movement state. Under the blocking protocol a queue whose head
-//     cannot be stored downstream is masked from arbitration (the paper's
-//     "longest queue ... which was not blocked"). Grants are recorded but
-//     nothing is popped, so every arbitration decision — including the
-//     downstream-admission probes — reads one consistent snapshot.
+//     needs more slots than the room its downstream buffer publishes is
+//     masked from arbitration (the paper's "longest queue ... which was
+//     not blocked"). Grants are recorded but nothing is popped, so every
+//     arbitration decision — including the reads of the published room —
+//     sees one consistent snapshot.
 //  2. Move: all granted packets are popped, then delivered: last-stage
 //     packets exit to their memory module; others are routed toward the
 //     next stage's input buffer. Pops happen before accepts, so a slot
@@ -142,12 +143,13 @@ func (c Config) Validate() error {
 			c.BufferKind, c.BufferKind.PolicyName(), cfgerr.ErrBadSharing)
 	}
 	if c.SharedPool && c.Protocol == sw.Blocking {
-		// Blocking relies on arbitrate-phase probes guaranteeing the
-		// inject-phase Offer. Per-port admission is monotone between the
-		// two (pops only loosen every policy's threshold), but one pool
-		// spanning ports can approve n probes individually and overflow
-		// on their sum, so the guarantee does not survive pooling.
-		return fmt.Errorf("netsim: shared pool admission is not port-independent, which the blocking protocol's probe contract requires: %w",
+		// Blocking relies on the room a buffer publishes before the
+		// arbitrate phase guaranteeing the inject-phase Offer. A per-port
+		// buffer takes at most one packet per cycle, and pops only widen
+		// every policy's room, so the guarantee holds; one pool spanning
+		// ports can show room to n upstream links at once and overflow
+		// on their sum, so it does not survive pooling.
+		return fmt.Errorf("netsim: shared pool admission is not port-independent, which the blocking protocol's room contract requires: %w",
 			cfgerr.ErrBadSharing)
 	}
 	if c.Policy != arbiter.Dumb && c.Policy != arbiter.Smart {
@@ -354,6 +356,10 @@ type Sim struct {
 	// active-set equivalence property test runs it as the reference model.
 	fullScan bool
 
+	// down[st][si] is switch si of stage st's view of the room stage st+1
+	// publishes; nil unless the protocol is blocking (see wireDownstream).
+	down [][]sw.Downstream
+
 	// needTick is set when the buffer kind's admission policy reads
 	// packet ages (buffer.KindUsesClock); each shard then ticks its own
 	// switches at the end of the inject phase. Clockless runs skip the
@@ -388,8 +394,9 @@ type Sim struct {
 // sources wired into its stage-0 range, and the deliveries leaving its
 // last-stage range. All its mutable state — buffers (via the switches),
 // active sets, RNG streams, measurement partials — is written only by its
-// owner; everything a shard reads of its peers (downstream buffers during
-// arbitration, outboxes during injection) is frozen by the phase barriers.
+// owner; everything a shard reads of its peers (the room downstream
+// buffers publish, during arbitration; outboxes, during injection) is
+// frozen by the phase barriers.
 // damqvet's sharded rule enforces the ownership discipline at the source
 // level.
 type shard struct {
@@ -435,10 +442,6 @@ type shard struct {
 	// forwarded through) arbitration; -1 before its first packet.
 	lastArb [][]int64
 
-	// probes holds one blocking probe per (stage, owned switch), built at
-	// construction: creating the closures inside the step would allocate.
-	probes [][]sw.BlockProbe
-
 	grantScratch []arbiter.Grant
 	// pending records the arbitrate phase's grants; pops are deferred to
 	// the move phase so arbitration network-wide sees one pre-movement
@@ -475,6 +478,13 @@ func New(cfg Config) (*Sim, error) {
 	}
 	s := &Sim{cfg: cfg, top: top, needTick: buffer.KindUsesClock(cfg.BufferKind)}
 
+	// Under blocking, every stage but the first publishes admission room
+	// into one array per stage (see wireDownstream).
+	blocking := cfg.Protocol == sw.Blocking
+	var rooms [][]int32
+	if blocking {
+		rooms = make([][]int32, top.Stages())
+	}
 	for st := 0; st < top.Stages(); st++ {
 		var row []*sw.Switch
 		for i := 0; i < top.SwitchesPerStage(); i++ {
@@ -488,6 +498,14 @@ func New(cfg Config) (*Sim, error) {
 			})
 			if err != nil {
 				return nil, err
+			}
+			if blocking && st > 0 {
+				// Attached now, while the new buffers are still in cache.
+				n := cfg.Radix * cfg.Radix * swc.RoomClasses()
+				if rooms[st] == nil {
+					rooms[st] = make([]int32, top.SwitchesPerStage()*n)
+				}
+				swc.AttachRoom(rooms[st][i*n : (i+1)*n])
 			}
 			row = append(row, swc)
 		}
@@ -533,16 +551,11 @@ func New(cfg Config) (*Sim, error) {
 		sh.partial.StageOccupancy = make([]stats.Summary, top.Stages())
 		sh.active = make([][]int32, top.Stages())
 		sh.lastArb = make([][]int64, top.Stages())
-		sh.probes = make([][]sw.BlockProbe, top.Stages())
 		for st := 0; st < top.Stages(); st++ {
 			sh.active[st] = make([]int32, 0, own)
 			sh.lastArb[st] = make([]int64, own)
 			for i := range sh.lastArb[st] {
 				sh.lastArb[st][i] = -1
-			}
-			sh.probes[st] = make([]sw.BlockProbe, own)
-			for si := sh.lo; si < sh.hi; si++ {
-				sh.probes[st][si-sh.lo] = sh.blockProbe(st, si)
 			}
 		}
 		sh.grantScratch = make([]arbiter.Grant, 0, cfg.Radix)
@@ -552,6 +565,9 @@ func New(cfg Config) (*Sim, error) {
 			sh.outbox[d] = make([]xfer, 0, own*cfg.Radix/nShards+cfg.Radix)
 		}
 		s.shards = append(s.shards, sh)
+	}
+	if blocking {
+		s.wireDownstream(rooms)
 	}
 	for src := 0; src < cfg.Inputs; src++ {
 		swIdx, _ := top.FirstStageSwitch(src)
@@ -648,22 +664,36 @@ func (sh *shard) activate(st, si int) {
 	sh.active[st] = lst
 }
 
-// blockProbe builds the blocking-protocol probe for stage st switch si:
-// the head packet for output out is blocked iff the downstream buffer it
-// would enter cannot store it right now. The downstream switch may belong
-// to any shard; the probe only reads it, and only in the arbitrate phase,
-// when no buffer changes anywhere.
-func (sh *shard) blockProbe(st, si int) sw.BlockProbe {
-	s := sh.sim
-	if s.cfg.Protocol != sw.Blocking || st == s.top.Stages()-1 {
-		// Last stage feeds memories, which always accept.
-		return nil
+// wireDownstream wires the blocking protocol's flow control. Every
+// buffer of stages 1..S-1 publishes its admission room into rooms[st],
+// one dense array per stage, and every switch of stages 0..S-2 reads the
+// array of the stage after it through a Downstream view; the last stage
+// feeds memories, which always accept. A buffer rewrites its row
+// whenever its state changes: in the move and inject phases and the tick
+// of the shard that owns it, and in the coordinator's stuck-slot faults
+// and restore. The arbitrate phase only reads rows, after the barrier.
+// Room is derived state, never checkpointed.
+func (s *Sim) wireDownstream(rooms [][]int32) {
+	k, spp := s.cfg.Radix, s.top.SwitchesPerStage()
+	classes := s.stages[0][0].RoomClasses()
+	row := k * classes // room registers per input buffer
+	// Every stage is wired by the same shuffle, so one row of offsets
+	// serves them all.
+	base := make([]int32, spp*k)
+	for i := range base {
+		nsw, nport := s.top.NextStage(i/k, i%k)
+		base[i] = int32(omega.Line(k, nsw, nport) * row)
 	}
-	return func(out int, p *packet.Packet) bool {
-		nsw, nport := s.top.NextStage(si, out)
-		// Ask about p as routed for the next stage without rewriting
-		// p.OutPort, which still names this stage's output.
-		return !s.stages[st+1][nsw].CanAcceptAt(nport, s.top.RouteDigit(p.Dest, st+1), p)
+	s.down = make([][]sw.Downstream, len(s.stages)-1)
+	for st := 1; st < len(s.stages); st++ {
+		downs := make([]sw.Downstream, spp)
+		for si := range downs {
+			downs[si] = sw.Downstream{
+				Room: rooms[st], Base: base[si*k : (si+1)*k : (si+1)*k],
+				Div: s.top.RouteDivisor(st), Classes: classes,
+			}
+		}
+		s.down[st-1] = downs
 	}
 }
 
@@ -793,10 +823,10 @@ func (s *Sim) runPhase(w, phase int) {
 
 // phaseArbitrateRun is phase 1 for one shard: arbitrate every (active)
 // owned switch against the pre-movement state, recording grants without
-// popping. Mutates only this shard's arbiters and scratch; reads peer
-// shards' buffers through the blocking probes, which is safe because no
-// buffer changes until the phase barrier.
-// damqvet:sharded audited: arbitration touches only owned switches (si in [lo,hi) or the owned active list); peer state is read-only through probes
+// popping. Mutates only this shard's arbiters and scratch; of its peers
+// it reads only the room their buffers published, which no one writes
+// until the phase barrier.
+// damqvet:sharded audited: arbitration touches only owned switches (si in [lo,hi) or the owned active list); of peer shards it only reads the published room arrays
 // damqvet:hotpath
 func (sh *shard) phaseArbitrateRun() {
 	s := sh.sim
@@ -826,7 +856,11 @@ func (sh *shard) phaseArbitrateRun() {
 // arbitrateOne runs one switch's arbitration and records its grants.
 // damqvet:hotpath
 func (sh *shard) arbitrateOne(st, si int, swc *sw.Switch) {
-	sh.grantScratch = swc.Arbitrate(sh.probes[st][si-sh.lo], sh.grantScratch[:0])
+	var down *sw.Downstream
+	if st < len(sh.sim.down) {
+		down = &sh.sim.down[st][si]
+	}
+	sh.grantScratch = swc.Arbitrate(down, sh.grantScratch[:0])
 	for _, g := range sh.grantScratch {
 		sh.pending = append(sh.pending, pendingGrant{st: int32(st), si: int32(si), g: g})
 	}
@@ -917,7 +951,7 @@ func (sh *shard) phaseInjectRun() {
 				}
 				sh.alloc.Recycle(x.p)
 			default:
-				// The blocking probe guaranteed admission; reaching here
+				// The published room guaranteed admission; reaching here
 				// is a simulator bug, not a model outcome.
 				panic(fmt.Sprintf("netsim: blocked packet %v escaped upstream", x.p))
 			}
@@ -964,10 +998,10 @@ func (sh *shard) phaseInjectRun() {
 	}
 
 	// Age clocks advance last, after every admission decision of the
-	// cycle, so an age-reading policy (BSHARE) sees the same packet ages
-	// whether probed by an owned source or a peer shard's blocking probe
-	// (those only run during the arbitrate phase). Ticking only owned
-	// switches keeps the sweep inside the shard partition.
+	// cycle, so an age-reading policy (BSHARE) admits at one age all
+	// cycle, and the room each buffer republishes on its tick is the
+	// room the next arbitrate phase reads. Ticking only owned switches
+	// keeps the sweep inside the shard partition.
 	if s.needTick {
 		for st := range s.stages {
 			row := s.stages[st]

@@ -16,6 +16,9 @@ type Topology struct {
 	stages   int // number of switch stages
 	inputs   int // network inputs = k^stages
 	switches int // switches per stage = inputs / k
+	// div[s] is k^(stages-1-s): dividing a destination by it brings the
+	// digit stage s routes on into the least significant place.
+	div []int
 }
 
 // New returns the topology for an inputs-wide Omega network of k×k
@@ -36,7 +39,11 @@ func New(k, inputs int) (*Topology, error) {
 	if n != inputs {
 		return nil, fmt.Errorf("omega: inputs %d is not a power of radix %d", inputs, k)
 	}
-	return &Topology{k: k, stages: stages, inputs: inputs, switches: inputs / k}, nil
+	div := make([]int, stages)
+	for s, d := stages-1, 1; s >= 0; s, d = s-1, d*k {
+		div[s] = d
+	}
+	return &Topology{k: k, stages: stages, inputs: inputs, switches: inputs / k, div: div}, nil
 }
 
 // MustNew is New for known-good parameters.
@@ -101,13 +108,12 @@ func (t *Topology) NextStage(sw, out int) (nsw, nport int) {
 // take at stage (0-based). Omega routing is destination-digit routing:
 // stage s consumes the s-th most significant base-k digit of dest.
 func (t *Topology) RouteDigit(dest, stage int) int {
-	shift := t.stages - 1 - stage
-	d := dest
-	for i := 0; i < shift; i++ {
-		d /= t.k
-	}
-	return d % t.k
+	return dest / t.div[stage] % t.k
 }
+
+// RouteDivisor is k^(stages-1-stage), the divisor RouteDigit applies at
+// stage, for callers that route many packets through one stage.
+func (t *Topology) RouteDivisor(stage int) int { return t.div[stage] }
 
 // LastStageOutput returns the network output line reached from output
 // port out of switch sw in the last stage.

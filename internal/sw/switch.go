@@ -7,9 +7,9 @@
 //
 // Cycle structure (one long clock, matching DESIGN.md §4):
 //
-//  1. Arbitrate: the switch inspects its buffers and the downstream
-//     admission state (via a caller-supplied probe) and computes a
-//     crossbar matching.
+//  1. Arbitrate: the switch inspects its buffers and the room its
+//     downstream buffers publish (via a caller-supplied Downstream view)
+//     and computes a crossbar matching.
 //  2. Transmit: granted packets are popped.
 //  3. Deliver/accept: the caller moves popped packets downstream; freed
 //     slots become visible to arrivals.
@@ -109,8 +109,8 @@ func (cfg Config) Validate() error {
 
 // Switch is one n×n switch instance.
 type Switch struct {
-	// The fields the per-packet path reads come first, so an upstream
-	// admission probe or an Offer touches one cache line of the switch.
+	// The fields the per-packet path reads come first, so an Offer or a
+	// PopGrant touches one cache line of the switch.
 	//
 	// bufs are the input buffers as their concrete type, for direct calls
 	// on the per-packet path; faces are the same buffers as the Buffer
@@ -128,11 +128,11 @@ type Switch struct {
 	arb *arbiter.Arbiter
 	// snap is the arbiter's view of this cycle, refilled by Arbitrate.
 	// blocked is headBlocked bound once here, so installing it as the
-	// snapshot's Blocked callback allocates nothing per cycle; probe is
-	// the current Arbitrate call's block probe.
+	// snapshot's Blocked callback allocates nothing per cycle; down is
+	// the current Arbitrate call's downstream view.
 	snap    arbiter.Snapshot
 	blocked func(in, out int) bool
-	probe   BlockProbe
+	down    *Downstream
 	// tick is set when the buffer kind's admission policy reads packet
 	// ages (BSHARE), so clockless switches skip the Tick sweep.
 	tick  bool
@@ -203,8 +203,9 @@ func New(cfg Config) (*Switch, error) {
 
 // Tick advances the clock of every age-reading buffer by one long cycle.
 // Clockless kinds make it a no-op. The network simulator calls it from
-// the inject phase — after all of a cycle's admission probes are done —
-// so ages only ever change between cycles, never mid-arbitration.
+// the inject phase — after the cycle's last admission — so ages, and
+// the room buffers publish from them, change only between cycles, never
+// mid-arbitration.
 // Shared-pool views coordinate so the group clock advances once.
 // damqvet:hotpath
 func (s *Switch) Tick() {
@@ -261,17 +262,39 @@ func (s *Switch) AdvanceIdle(cycles int64) {
 	s.arb.AdvanceIdle(cycles)
 }
 
-// BlockProbe reports whether the head packet of queue (in → out) must not
-// be transmitted because the downstream cannot take it. A nil probe means
-// nothing ever blocks (discarding protocol, or final stage feeding sinks).
-type BlockProbe func(out int, p *packet.Packet) bool
+// Downstream is a switch's view of the next stage under the blocking
+// protocol: the admission room the next stage's input buffers publish
+// (buffer.Composed.AttachRoom), the way the paper's hardware drives a
+// flow-control line upstream instead of letting the sender read the
+// buffer. A head packet is blocked when its slot count exceeds the room
+// register it would be admitted under.
+type Downstream struct {
+	// Room is the next stage's room registers: for each input line, its
+	// buffer's row of outputs × Classes registers.
+	Room []int32
+	// Base[out] is the offset in Room of the row of the buffer that this
+	// switch's output out feeds.
+	Base []int32
+	// Div is the next stage's route divisor: a packet for Dest leaves the
+	// next switch on output Dest/Div%Ports.
+	Div int
+	// Classes is the room registers per output of the next stage's
+	// buffers (buffer.Composed.RoomClasses).
+	Classes int
+}
 
 // headBlocked is the snapshot's Blocked callback: the head packet of
-// (in → out) is blocked when the current probe refuses it.
+// (in → out) is blocked when it needs more slots than the room the
+// downstream buffer publishes for its next hop and class.
 // damqvet:hotpath
 func (s *Switch) headBlocked(in, out int) bool {
 	p := s.bufs[in].Head(out)
-	return p != nil && s.probe(out, p)
+	if p == nil {
+		return false
+	}
+	d := s.down
+	k := int(d.Base[out]) + p.Dest/d.Div%s.cfg.Ports*d.Classes + buffer.Class(p, d.Classes)
+	return p.Slots > int(d.Room[k])
 }
 
 // fillSnapshot loads this cycle's input and queue lengths into the
@@ -288,18 +311,20 @@ func (s *Switch) fillSnapshot() {
 	}
 }
 
-// Arbitrate computes this cycle's matching. grants is reused storage
+// Arbitrate computes this cycle's matching, withholding heads that down
+// reports blocked; a nil down means nothing ever blocks (discarding
+// protocol, or final stage feeding sinks). grants is reused storage
 // (pass nil to allocate).
 // damqvet:hotpath
-func (s *Switch) Arbitrate(probe BlockProbe, grants []arbiter.Grant) []arbiter.Grant {
+func (s *Switch) Arbitrate(down *Downstream, grants []arbiter.Grant) []arbiter.Grant {
 	s.fillSnapshot()
-	s.probe = probe
+	s.down = down
 	s.snap.Blocked = nil
-	if probe != nil {
+	if down != nil {
 		s.snap.Blocked = s.blocked
 	}
 	grants = s.arb.Arbitrate(&s.snap, grants)
-	s.probe = nil // do not retain the probe between cycles
+	s.down = nil // do not retain the view between cycles
 	return grants
 }
 
@@ -334,14 +359,18 @@ func (s *Switch) Offer(in int, p *packet.Packet) (accepted bool) {
 	return true
 }
 
-// CanAcceptAt reports whether input in could take p right now if p were
-// routed to output out here, whatever p.OutPort says. Upstream switches
-// use it as their block probe under the blocking protocol, asking about
-// a head packet still routed for the hop it is leaving.
-// damqvet:hotpath
-func (s *Switch) CanAcceptAt(in, out int, p *packet.Packet) bool {
-	return s.bufs[in].CanAcceptOut(p, out)
+// AttachRoom makes every input buffer publish its admission room into
+// room, which holds Ports rows of Ports*RoomClasses registers, input 0's
+// first. See buffer.Composed.AttachRoom.
+func (s *Switch) AttachRoom(room []int32) {
+	n := len(room) / len(s.bufs)
+	for i, b := range s.bufs {
+		b.AttachRoom(room[i*n : (i+1)*n : (i+1)*n])
+	}
 }
+
+// RoomClasses is the room registers per output of this switch's buffers.
+func (s *Switch) RoomClasses() int { return s.bufs[0].RoomClasses() }
 
 // Arbiter exposes the switch's crossbar arbiter for the checkpoint
 // codec: its priority pointer and stale counters are the switch's only

@@ -68,39 +68,53 @@ func TestOfferFullDiscards(t *testing.T) {
 	}
 }
 
-func TestBlockProbeStopsTransmission(t *testing.T) {
+// TestDownstreamRoomStopsTransmission: a head whose downstream room is
+// too small is withheld from arbitration.
+func TestDownstreamRoomStopsTransmission(t *testing.T) {
 	s := MustNew(cfg(buffer.DAMQ))
+	// One downstream row of 4 registers per output, next hop = Dest.
+	down := &Downstream{Room: make([]int32, 16), Base: []int32{0, 4, 8, 12}, Div: 1, Classes: 1}
 	s.Offer(0, routed(1, 2))
-	blockAll := func(out int, p *packet.Packet) bool { return true }
-	if grants := s.Arbitrate(blockAll, nil); len(grants) != 0 {
-		t.Fatalf("grants through a blocking probe: %v", grants)
+	if grants := s.Arbitrate(down, nil); len(grants) != 0 {
+		t.Fatalf("grants into zero room: %v", grants)
 	}
-	// And with a selective probe only the free output transmits.
+	// With room behind output 1 only, only output 1 transmits.
 	s.Offer(0, routed(2, 1))
-	probe := func(out int, p *packet.Packet) bool { return out == 2 }
-	grants := s.Arbitrate(probe, nil)
+	down.Room[4+1] = 1
+	grants := s.Arbitrate(down, nil)
 	if len(grants) != 1 || grants[0].Out != 1 {
 		t.Fatalf("grants = %v, want only output 1", grants)
 	}
 }
 
-func TestCanAcceptAt(t *testing.T) {
+// TestDownstreamAsksNextHop: the view answers for the queue a head packet
+// will join at the next switch, which its Dest names, not for the output
+// its OutPort names here, and it leaves the packet untouched.
+func TestDownstreamAsksNextHop(t *testing.T) {
+	next := MustNew(Config{Ports: 2, BufferKind: buffer.SAMQ, Capacity: 2, Policy: arbiter.Dumb})
+	room := make([]int32, 4)
+	next.AttachRoom(room)
+	// Output o of s feeds input o of next; next routes on Dest%2.
+	down := &Downstream{Room: room, Base: []int32{0, 2}, Div: 1, Classes: next.RoomClasses()}
 	s := MustNew(Config{Ports: 2, BufferKind: buffer.SAMQ, Capacity: 2, Policy: arbiter.Dumb})
-	if !s.CanAcceptAt(0, 0, routed(1, 0)) {
-		t.Fatal("empty switch refuses packet")
+
+	next.Offer(0, routed(1, 0)) // next's input 0 queue 0 is now full
+	blocked := &packet.Packet{ID: 2, Dest: 0, OutPort: 0, Slots: 1}
+	s.Offer(0, blocked)
+	if grants := s.Arbitrate(down, nil); len(grants) != 0 {
+		t.Fatalf("granted into a full SAMQ queue: %v", grants)
 	}
-	s.Offer(0, routed(1, 0))
-	if s.CanAcceptAt(0, 0, routed(2, 0)) {
-		t.Fatal("SAMQ 1-slot queue accepted second packet")
+	// A head for the same output here but the other queue next passes.
+	s.Offer(1, &packet.Packet{ID: 3, Dest: 1, OutPort: 0, Slots: 1})
+	grants := s.Arbitrate(down, nil)
+	if len(grants) != 1 || grants[0].In != 1 || blocked.OutPort != 0 {
+		t.Fatalf("grants = %v, want only input 1", grants)
 	}
-	if !s.CanAcceptAt(0, 1, routed(3, 1)) {
-		t.Fatal("SAMQ refused packet for the empty queue")
-	}
-	// The query answers for the given output, not the packet's OutPort,
-	// and leaves the packet untouched.
-	p := routed(4, 1)
-	if s.CanAcceptAt(0, 0, p) || !s.CanAcceptAt(0, 1, routed(4, 0)) || p.OutPort != 1 {
-		t.Fatal("CanAcceptAt did not answer for the queried output")
+	// Emptying next republishes its room, which unblocks the head.
+	s.PopGrant(grants[0])
+	next.Reset()
+	if grants := s.Arbitrate(down, nil); len(grants) != 1 || grants[0].In != 0 {
+		t.Fatalf("grants after downstream reset = %v, want input 0", grants)
 	}
 }
 

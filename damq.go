@@ -144,7 +144,9 @@ type Buffer = buffer.Buffer
 
 // DAMQBuffer is the paper's contribution: per-output FIFO queues threaded
 // through a shared slot pool with explicit linked lists and a free list.
-// It exposes CheckInvariants for structural verification.
+// It exposes CheckInvariants for structural verification. Every kind is
+// an admission rule over that one slot pool, so the Buffer NewBuffer
+// returns without an observer is a *DAMQBuffer whatever its kind.
 type DAMQBuffer = buffer.DAMQBuffer
 
 // Packet is the unit of traffic in the long-clock simulators.
@@ -182,14 +184,14 @@ func NewBuffer(kind BufferKind, outputs, capacity int, opts ...Option) (Buffer, 
 
 // quarantineStuckAtBirth applies a fault config to a standalone buffer:
 // slots whose deterministic failure cycle is 0 are taken out of service
-// immediately. Organizations without a slot pool have nothing to
-// quarantine and are returned unchanged.
-func quarantineStuckAtBirth(b Buffer, fc FaultConfig) error {
+// immediately. Slot faults apply to the dynamically pooled organizations
+// only (as in the network simulator); FIFO, SAMQ and SAFC are returned
+// unchanged.
+func quarantineStuckAtBirth(b *buffer.Composed, fc FaultConfig) error {
 	if err := fc.Validate(); err != nil {
 		return err
 	}
-	q, ok := b.(interface{ QuarantineSlot(int) bool })
-	if !ok || fc.SlotStuckRate <= 0 {
+	if !buffer.KindSharesPool(b.Kind()) || fc.SlotStuckRate <= 0 {
 		return nil
 	}
 	inj, err := fault.NewInjector(fc)
@@ -199,7 +201,7 @@ func quarantineStuckAtBirth(b Buffer, fc FaultConfig) error {
 	site := fault.BufferSite(0, 0, 0)
 	for sl := 0; sl < b.Capacity(); sl++ {
 		if inj.SlotFailCycle(site, sl) == 0 {
-			q.QuarantineSlot(sl)
+			b.QuarantineSlot(sl)
 		}
 	}
 	return nil

@@ -110,10 +110,15 @@ func TestWithFaultsBufferStuckAtBirth(t *testing.T) {
 	if err := q.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	// Organizations without a slot pool ignore slot faults.
-	if _, err := damq.NewBuffer(damq.FIFO, 4, 64,
-		damq.WithFaults(damq.FaultConfig{SlotStuckRate: 0.5})); err != nil {
+	// The static organizations are slot pools too, but slot faults skip
+	// them.
+	fifo, err := damq.NewBuffer(damq.FIFO, 4, 64,
+		damq.WithFaults(damq.FaultConfig{SlotStuckRate: 0.5}))
+	if err != nil {
 		t.Fatal(err)
+	}
+	if n := fifo.(*damq.DAMQBuffer).Quarantined(); n != 0 {
+		t.Fatalf("FIFO quarantined %d slots at birth; slot faults skip static kinds", n)
 	}
 	if _, err := damq.NewBuffer(damq.DAMQ, 4, 64,
 		damq.WithFaults(damq.FaultConfig{SlotStuckRate: 2})); !errors.Is(err, damq.ErrBadFaultRate) {

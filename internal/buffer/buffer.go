@@ -110,6 +110,11 @@ func KindModern(k Kind) bool { return k == DT || k == FB || k == BSHARE }
 // a switch as one shared group (NewSharedGroup). True for every
 // dynamically pooled kind; the statically partitioned SAMQ/SAFC and the
 // single-queue FIFO pre-commit their layout per port by definition.
+//
+// It is also the fault-eligibility test: slot-stuck faults and
+// quarantine at birth apply to exactly these kinds. Every kind's buffer
+// can quarantine a slot; FIFO, SAMQ and SAFC are skipped so their
+// fault-injected results match the seed implementations.
 func KindSharesPool(k Kind) bool {
 	return k == DAMQ || k == DAFC || KindModern(k)
 }
@@ -378,19 +383,15 @@ func (cfg Config) Validate() error {
 // its reserved quotas across classes. FIFO, DAMQ, DT, and BSHARE accept
 // any positive capacity. For one group spanning a whole switch, use
 // NewSharedGroup.
-func New(cfg Config) (Buffer, error) {
+func New(cfg Config) (*Composed, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	pt := newPort(cfg)
-	if KindSharesPool(cfg.Kind) {
-		return &pt.PoolBuffer, nil
-	}
-	return &pt.Composed, nil
+	return &newPort(cfg).Composed, nil
 }
 
 // MustNew is New for tests and examples with known-good configs.
-func MustNew(cfg Config) Buffer {
+func MustNew(cfg Config) *Composed {
 	b, err := New(cfg)
 	if err != nil {
 		panic(err)

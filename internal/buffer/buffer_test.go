@@ -314,7 +314,7 @@ func TestSAMQVariableLength(t *testing.T) {
 }
 
 func TestStaticQueueFree(t *testing.T) {
-	b := ViewOf(MustNew(Config{Kind: SAMQ, NumOutputs: 4, Capacity: 8}))
+	b := MustNew(Config{Kind: SAMQ, NumOutputs: 4, Capacity: 8})
 	if b.QueueFree(0) != 2 {
 		t.Fatalf("QueueFree = %d", b.QueueFree(0))
 	}

@@ -2,7 +2,6 @@ package buffer
 
 import (
 	"fmt"
-	"math"
 
 	"damq/internal/cfgerr"
 	"damq/internal/packet"
@@ -110,21 +109,18 @@ func (c *Composed) CanAccept(p *packet.Packet) bool { return c.CanAcceptOut(p, p
 // CanAcceptOut is CanAccept for p routed to output out, whatever
 // p.OutPort says: upstream flow control asks it about a packet still
 // routed for the hop it is leaving, without copying or rewriting it.
-// The pool fit check runs first, and is the whole decision under
-// complete sharing.
+// Past the port check it is the rule's room for p's queue and class.
 // damqvet:hotpath
 func (c *Composed) CanAcceptOut(p *packet.Packet, out int) bool {
 	if c.portCheck && uint(out) >= uint(c.numOutputs) {
 		return false
 	}
 	g := c.g
-	if p.Slots > int(g.pool.freeCount) {
-		return false
+	k := 0
+	if g.rule.classes > 1 { // read beside the rule kind, not the far class tally
+		k = classOf(p, g.rule.classes)
 	}
-	if g.rule.kind == completeSharing {
-		return true
-	}
-	return g.admit(p, c.queueOf(out))
+	return p.Slots <= int(g.room(c.queueOf(out), k))
 }
 
 func (c *Composed) Accept(p *packet.Packet) error {
@@ -312,108 +308,42 @@ func (c *Composed) AttachRoom(row []int32) {
 	c.publishRoom()
 }
 
-// publishRoom rewrites the room window from the current state: for each
-// output (and FB class) the admission rule solved for the packet's slot
-// count. The threshold rules compare float64(used+slots) <= limit with
-// an integer left side, which holds exactly when used+slots <=
-// floor(limit), so the room is exact for the same float expression
-// admit evaluates.
+// publishRoom rewrites the room window from the current state: the
+// group's room for each output's queue and each admission class. Under
+// complete sharing the room is the same for every queue and class, so
+// one value fills the row.
 // damqvet:hotpath
 func (c *Composed) publishRoom() {
-	row := c.room
-	g := c.g
-	sp := &g.pool
-	r := &g.rule
-	free := sp.freeCount
-	switch r.kind {
-	case completeSharing:
-		for k := range row {
-			row[k] = free
+	g, row := c.g, c.room
+	if g.rule.kind == completeSharing {
+		room := g.room(c.qBase, 0)
+		for i := range row {
+			row[i] = room
 		}
-	case completePartition:
-		for o := range row {
-			row[o] = max(0, min(free, r.perQueue-int32(sp.QueueSlots(c.qBase+o))))
-		}
-	case dynThreshold:
-		limit := r.alpha * float64(sp.FreeSlots())
-		for o := range row {
-			row[o] = roomUnder(limit, free, sp.QueueSlots(c.qBase+o))
-		}
-	case fbSharing:
-		classes := c.RoomClasses()
+		return
+	}
+	classes := c.RoomClasses()
+	for o := 0; o < c.numOutputs; o++ {
+		q := c.queueOf(o)
 		for k := 0; k < classes; k++ {
-			used := 0
-			if g.classSlots != nil {
-				used = g.classSlots[k]
-			}
-			alphaC := r.alpha / float64(int64(1)<<uint(k))
-			room := roomUnder(float64(r.reserve)+alphaC*float64(sp.FreeSlots()), free, used)
-			for o := k; o < len(row); o += classes {
-				row[o] = room
-			}
-		}
-	case bshare:
-		for o := range row {
-			q := c.qBase + o
-			limit := r.alpha * float64(sp.FreeSlots())
-			if age := sp.HeadAge(q); age > r.target {
-				limit *= float64(r.target) / float64(age)
-				if limit < float64(r.reserve) {
-					limit = float64(r.reserve)
-				}
-			}
-			row[o] = roomUnder(limit, free, sp.QueueSlots(q))
+			row[o*classes+k] = g.room(q, k)
 		}
 	}
-}
-
-// roomUnder is the largest slot count s <= free with float64(used+s) <=
-// limit, or 0 when there is none.
-// damqvet:hotpath
-func roomUnder(limit float64, free int32, used int) int32 {
-	if limit >= float64(int(free)+used) {
-		return free
-	}
-	return max(0, int32(math.Floor(limit))-int32(used))
 }
 
 var _ Buffer = (*Composed)(nil)
-
-// ViewOf returns the concrete view behind a Buffer this package
-// constructed — the buffer itself, or the view a PoolBuffer wraps — and
-// nil for any other implementation.
-func ViewOf(b Buffer) *Composed {
-	switch v := b.(type) {
-	case *Composed:
-		return v
-	case *PoolBuffer:
-		return &v.Composed
-	}
-	return nil
-}
-
-// PoolBuffer is a composed buffer whose storage faults can be injected:
-// it exposes the slot-pool quarantine machinery and structural
-// self-checks. All dynamically pooled kinds (DAMQ, DAFC, DT, FB, BShare)
-// construct as PoolBuffers; the 1988 non-pooled kinds (FIFO, SAMQ, SAFC)
-// stay plain composed buffers so the fault injector's slot schedules —
-// which target only quarantine-capable buffers — are unchanged from the
-// seed implementations.
-type PoolBuffer struct {
-	Composed
-}
 
 // DAMQBuffer is the paper's dynamically allocated multi-queue buffer —
 // complete sharing composed over the slot pool. The name survives the
 // admission/storage split as an alias so the facade, tests, and the
 // comcobb chip model keep their vocabulary.
-type DAMQBuffer = PoolBuffer
+type DAMQBuffer = Composed
 
 // port is one per-port buffer in a single allocation: the view and its
 // private group, which embeds the slot pool in turn. Only the pool's
 // register file and owner table live elsewhere.
 type port struct {
-	PoolBuffer
+	Composed
 	g group
 }
 
@@ -431,21 +361,22 @@ func newPort(cfg Config) *port {
 // NewDAMQ constructs a DAMQ buffer with the given queue count and total
 // slot capacity.
 func NewDAMQ(numOutputs, capacity int) *DAMQBuffer {
-	return &newPort(Config{Kind: DAMQ, NumOutputs: numOutputs, Capacity: capacity}).PoolBuffer
+	return &newPort(Config{Kind: DAMQ, NumOutputs: numOutputs, Capacity: capacity}).Composed
 }
 
 // QuarantineSlot takes this view's slot s out of service; see
 // SlotPool.QuarantineSlot. Slot numbering is view-local: under a shared
 // pool, each input port's view addresses its own nominal-capacity window
 // of the pool, so fault schedules computed per buffer keep working when
-// storage spans ports.
-func (b *PoolBuffer) QuarantineSlot(s int) bool {
-	if s < 0 || s >= b.Capacity() {
-		panic(fmt.Sprintf("%s: QuarantineSlot(%d) out of range [0,%d)", kindPrefix(b.kind), s, b.Capacity()))
+// storage spans ports. Every kind can quarantine; the fault injector
+// only schedules it for pooled kinds (KindSharesPool).
+func (c *Composed) QuarantineSlot(s int) bool {
+	if s < 0 || s >= c.Capacity() {
+		panic(fmt.Sprintf("%s: QuarantineSlot(%d) out of range [0,%d)", kindPrefix(c.kind), s, c.Capacity()))
 	}
-	ok := b.g.pool.QuarantineSlot(b.slotBase() + s)
-	if b.room != nil {
-		b.publishRoom()
+	ok := c.g.pool.QuarantineSlot(c.slotBase() + s)
+	if c.room != nil {
+		c.publishRoom()
 	}
 	return ok
 }
@@ -453,27 +384,27 @@ func (b *PoolBuffer) QuarantineSlot(s int) bool {
 // Quarantined reports how many slots of this view's window are fully out
 // of service (pending slots still serving a packet are not counted until
 // released).
-func (b *PoolBuffer) Quarantined() int {
-	return b.g.pool.QuarantinedIn(b.slotBase(), b.slotBase()+b.Capacity())
+func (c *Composed) Quarantined() int {
+	return c.g.pool.QuarantinedIn(c.slotBase(), c.slotBase()+c.Capacity())
 }
 
 // CheckInvariants verifies the structural health of the backing pool,
 // including that every packet sits on the queue its OutPort routes to.
-func (b *PoolBuffer) CheckInvariants() error {
-	return b.g.pool.CheckInvariants(b.g.expectOut)
+func (c *Composed) CheckInvariants() error {
+	return c.g.pool.CheckInvariants(c.g.expectOut)
 }
 
 // Dump renders the backing pool's linked-list structure for debugging.
-func (b *PoolBuffer) Dump() string { return b.g.pool.Dump() }
+func (c *Composed) Dump() string { return c.g.pool.Dump() }
 
-// QueueSlots reports the slots currently held by the queue for out, used
-// by tests and the occupancy ablation.
-func (b *PoolBuffer) QueueSlots(out int) int { return b.g.pool.QueueSlots(b.qBase + out) }
+// QueueSlots reports the slots currently held by the queue serving out
+// (for a FIFO, the single queue), used by tests and the occupancy
+// sampler.
+func (c *Composed) QueueSlots(out int) int { return c.g.pool.QueueSlots(c.queueOf(out)) }
 
-// Pool exposes the backing slot pool for tests and structural tooling.
-func (b *PoolBuffer) Pool() *SlotPool { return &b.g.pool }
-
-var _ Buffer = (*PoolBuffer)(nil)
+// Pool exposes the backing slot pool for tests, structural tooling and
+// the checkpoint codec.
+func (c *Composed) Pool() *SlotPool { return &c.g.pool }
 
 // ruleOf is the admission rule kind k composes over the slot pool.
 func ruleOf(k Kind) ruleKind {
@@ -543,10 +474,10 @@ func kindPrefix(k Kind) string {
 // 1988 designs pre-partition storage per port by definition, so asking
 // for them shared is a config error wrapping cfgerr.ErrBadSharing.
 //
-// Every returned view is a *PoolBuffer whose quarantine window is its
-// own port's cfg.Capacity slots, so per-buffer fault schedules hold when
-// storage spans ports.
-func NewSharedGroup(cfg Config, inputs int) ([]Buffer, error) {
+// Every returned view's quarantine window is its own port's
+// cfg.Capacity slots, so per-buffer fault schedules hold when storage
+// spans ports.
+func NewSharedGroup(cfg Config, inputs int) ([]*Composed, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -562,11 +493,11 @@ func NewSharedGroup(cfg Config, inputs int) ([]Buffer, error) {
 	poolCap := inputs * cfg.Capacity
 	g := &group{}
 	g.init(inputs*n, poolCap, buildRule(cfg, poolCap), func(q int) int { return q % n })
-	pbs := make([]PoolBuffer, inputs)
-	views := make([]Buffer, inputs)
-	for i := range pbs {
-		pbs[i].Composed = newView(g, cfg.Kind, n, cfg.Capacity, i)
-		views[i] = &pbs[i]
+	cs := make([]Composed, inputs)
+	views := make([]*Composed, inputs)
+	for i := range cs {
+		cs[i] = newView(g, cfg.Kind, n, cfg.Capacity, i)
+		views[i] = &cs[i]
 	}
 	return views, nil
 }

@@ -253,7 +253,7 @@ func BenchmarkDAMQAcceptPop(b *testing.B) {
 }
 
 func BenchmarkFIFOAcceptPop(b *testing.B) {
-	buf := ViewOf(MustNew(Config{Kind: FIFO, NumOutputs: 4, Capacity: 16}))
+	buf := MustNew(Config{Kind: FIFO, NumOutputs: 4, Capacity: 16})
 	p := mk(1, 2, 1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

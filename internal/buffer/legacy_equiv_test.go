@@ -392,7 +392,9 @@ type legacyDAFC struct {
 func (b *legacyDAFC) Kind() Kind            { return DAFC }
 func (b *legacyDAFC) MaxReadsPerCycle() int { return b.NumOutputs() }
 
-// quarantiner is the fault-injection surface DAMQ-pooled kinds expose.
+// quarantiner is the fault-injection surface the legacy DAMQ-pooled
+// kinds exposed; the composed buffer of every kind has it, and the
+// comparison exercises it on the pooled kinds (KindSharesPool).
 type quarantiner interface {
 	QuarantineSlot(int) bool
 	Quarantined() int
@@ -417,7 +419,7 @@ func newLegacyBuffer(t *testing.T, k Kind, outputs, capacity int) Buffer {
 
 // compareState fails the test when the composed buffer's observable
 // state differs in any way from the legacy implementation's.
-func compareState(t *testing.T, k Kind, seed uint64, step int, op string, got, want Buffer) {
+func compareState(t *testing.T, k Kind, seed uint64, step int, op string, got *Composed, want Buffer) {
 	t.Helper()
 	if got.Len() != want.Len() || got.Free() != want.Free() || got.Empty() != want.Empty() {
 		t.Fatalf("%v seed %d step %d after %s: len/free/empty = %d/%d/%v, legacy %d/%d/%v",
@@ -437,14 +439,13 @@ func compareState(t *testing.T, k Kind, seed uint64, step int, op string, got, w
 				k, seed, step, op, out, got.Head(out), want.Head(out))
 		}
 	}
-	gq, gok := got.(quarantiner)
 	lq, lok := want.(quarantiner)
-	if gok != lok {
-		t.Fatalf("%v: quarantine surface differs: composed %v, legacy %v", k, gok, lok)
+	if lok != KindSharesPool(k) {
+		t.Fatalf("%v: legacy quarantine surface %v, pooled %v", k, lok, KindSharesPool(k))
 	}
-	if gok && gq.Quarantined() != lq.Quarantined() {
+	if lok && got.Quarantined() != lq.Quarantined() {
 		t.Fatalf("%v seed %d step %d after %s: Quarantined = %d, legacy %d",
-			k, seed, step, op, gq.Quarantined(), lq.Quarantined())
+			k, seed, step, op, got.Quarantined(), lq.Quarantined())
 	}
 }
 
@@ -498,15 +499,14 @@ func TestLegacyKindsBitIdentical(t *testing.T) {
 					compareState(t, k, seed, step, "pop", composed, legacy)
 				case r < 0.96: // quarantine a random slot, where supported
 					s := src.Intn(capacity)
-					gq, gok := composed.(quarantiner)
 					lq, lok := legacy.(quarantiner)
-					if gok != lok {
-						t.Fatalf("%v: quarantine surface differs: composed %v, legacy %v", k, gok, lok)
+					if lok != KindSharesPool(k) {
+						t.Fatalf("%v: legacy quarantine surface %v, pooled %v", k, lok, KindSharesPool(k))
 					}
-					if !gok {
+					if !lok {
 						continue
 					}
-					if gr, lr := gq.QuarantineSlot(s), lq.QuarantineSlot(s); gr != lr {
+					if gr, lr := composed.QuarantineSlot(s), lq.QuarantineSlot(s); gr != lr {
 						t.Fatalf("%v seed %d step %d: QuarantineSlot(%d) = %v, legacy %v",
 							k, seed, step, s, gr, lr)
 					}

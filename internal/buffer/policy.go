@@ -1,6 +1,10 @@
 package buffer
 
-import "damq/internal/packet"
+import (
+	"math"
+
+	"damq/internal/packet"
+)
 
 // ruleKind names the admission rule of the admission/storage split: the
 // decision whether a routed packet may join its queue, made over the
@@ -58,42 +62,67 @@ type rule struct {
 	target   int64   // bshare: head-of-line delay target, in pool ticks
 }
 
-// admit reports whether p may join queue q of g under g's rule. The
-// caller has already rejected out-of-range ports (where the kind demands
-// it) and packets larger than the pool's free space, and answered
-// complete sharing, whose decision is that fit check alone.
+// room is the largest slot count a packet of class k (Class; 0 for
+// every classless rule) may bring to queue q of g right now: the
+// admission rule solved for the packet's size, 0 when nothing fits.
+// Admission is p.Slots <= room, and a published room register holds the
+// same value, so this is the only encoding of each rule. Every room is at
+// most the pool's free count, which makes it the whole decision under
+// complete sharing. The threshold rules admit while float64(used+slots)
+// <= limit; with an integer left side that holds exactly when used+slots
+// <= floor(limit), which roomUnder solves.
+//
+// Complete sharing is answered here so the call inlines for FIFO, DAMQ
+// and DAFC; ruleRoom solves every other rule.
 // damqvet:hotpath
-func (g *group) admit(p *packet.Packet, q int) bool {
+func (g *group) room(q, k int) int32 {
+	if g.rule.kind == completeSharing {
+		return g.pool.freeCount
+	}
+	return g.ruleRoom(q, k)
+}
+
+// ruleRoom is room for the rules other than complete sharing.
+// damqvet:hotpath
+func (g *group) ruleRoom(q, k int) int32 {
 	r := &g.rule
 	sp := &g.pool
+	free := sp.freeCount
 	switch r.kind {
 	case completePartition:
-		return sp.QueueSlots(q)+p.Slots <= int(r.perQueue)
+		return max(0, min(free, r.perQueue-int32(sp.QueueSlots(q))))
 	case dynThreshold:
-		return float64(sp.QueueSlots(q)+p.Slots) <= r.alpha*float64(sp.FreeSlots())
+		return roomUnder(r.alpha*float64(free), free, sp.QueueSlots(q))
 	case fbSharing:
-		c := classOf(p, r.classes)
-		after := p.Slots
+		// Class k holds its reserved quota outright and a share of free
+		// space that halves per class step; the quota term makes the
+		// threshold at least the reserve, so one inequality covers both.
+		used := 0
 		if g.classSlots != nil { // a one-class pool keeps no class tally
-			after += g.classSlots[c]
+			used = g.classSlots[k]
 		}
-		if after <= r.reserve {
-			return true
-		}
-		alphaC := r.alpha / float64(int64(1)<<uint(c))
-		return float64(after) <= float64(r.reserve)+alphaC*float64(sp.FreeSlots())
-	case bshare:
-		limit := r.alpha * float64(sp.FreeSlots())
+		alphaC := r.alpha / float64(int64(1)<<uint(k))
+		return roomUnder(float64(r.reserve)+alphaC*float64(free), free, used)
+	default: // bshare
+		limit := r.alpha * float64(free)
 		if age := sp.HeadAge(q); age > r.target {
 			limit *= float64(r.target) / float64(age)
 			if limit < float64(r.reserve) {
 				limit = float64(r.reserve)
 			}
 		}
-		return float64(sp.QueueSlots(q)+p.Slots) <= limit
-	default: // completeSharing
-		return true
+		return roomUnder(limit, free, sp.QueueSlots(q))
 	}
+}
+
+// roomUnder is the largest slot count s <= free with float64(used+s) <=
+// limit, or 0 when there is none.
+// damqvet:hotpath
+func roomUnder(limit float64, free int32, used int) int32 {
+	if limit >= float64(int(free)+used) {
+		return free
+	}
+	return max(0, int32(math.Floor(limit))-int32(used))
 }
 
 // classOf derives a packet's priority class from its ID with a

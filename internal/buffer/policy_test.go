@@ -1,6 +1,11 @@
 package buffer
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+
+	"damq/internal/packet"
+)
 
 // TestDynThresholdAdmission pins the DT rule: a queue may grow to at
 // most alpha times the current free space, so the threshold tightens as
@@ -89,7 +94,7 @@ func TestBShareShrinksStalledQueue(t *testing.T) {
 	// Stall the head far past the 4-tick target: allowance collapses
 	// toward the one-packet reserve, so the same offer is now refused.
 	for i := 0; i < 40; i++ {
-		ViewOf(b).Tick()
+		b.Tick()
 	}
 	if b.CanAccept(mk(2, 0, 2)) {
 		t.Fatal("BSHARE kept admitting behind a stalled head")
@@ -104,6 +109,95 @@ func TestBShareShrinksStalledQueue(t *testing.T) {
 	}
 	if !b.CanAccept(mk(2, 0, 2)) {
 		t.Fatal("BSHARE still refusing after the stalled head drained")
+	}
+}
+
+// admitSpec is each admission rule written as its inequality, from the
+// buffer's config and its pool's registers alone: the oracle that
+// CanAcceptOut, which decides through the rule's solved room, must
+// match. Class tallies are recounted from the pool's slot owners rather
+// than read from the group's running tally.
+func admitSpec(cfg Config, c *Composed, p *packet.Packet, out int) bool {
+	k := cfg.Kind
+	if (k == SAMQ || k == SAFC || KindModern(k)) && (out < 0 || out >= cfg.NumOutputs) {
+		return false
+	}
+	sp := c.Pool()
+	free := sp.FreeSlots()
+	if p.Slots > free {
+		return false
+	}
+	q := out
+	if k == FIFO {
+		q = 0
+	}
+	alpha := cfg.Sharing.alpha()
+	switch k {
+	case SAMQ, SAFC:
+		return sp.QueueSlots(q)+p.Slots <= cfg.Capacity/cfg.NumOutputs
+	case DT:
+		return float64(sp.QueueSlots(q)+p.Slots) <= alpha*float64(free)
+	case FB:
+		classes := cfg.Sharing.classes()
+		class := Class(p, classes)
+		after := p.Slots
+		for _, o := range sp.owner {
+			if o != nil && Class(o, classes) == class {
+				after += o.Slots
+			}
+		}
+		reserve := cfg.Capacity / classes / 2
+		if after <= reserve {
+			return true
+		}
+		return float64(after) <= float64(reserve)+alpha/float64(int(1)<<class)*float64(free)
+	case BSHARE:
+		limit := alpha * float64(free)
+		target := cfg.Sharing.delayTarget()
+		if age := sp.HeadAge(q); age > target {
+			limit = max(limit*float64(target)/float64(age), 1)
+		}
+		return float64(sp.QueueSlots(q)+p.Slots) <= limit
+	default: // FIFO, DAMQ, DAFC: complete sharing
+		return true
+	}
+}
+
+// TestAdmissionMatchesSpec checks CanAcceptOut against admitSpec on the
+// random states of TestRoomMatchesCanAcceptOut — every kind, multi-slot
+// packets, stuck slots, FB classes, aged BSHARE heads, and thresholds
+// that fall between integers — for every output (and one past each end),
+// every FB class, and every slot count up to one past the capacity.
+func TestAdmissionMatchesSpec(t *testing.T) {
+	for _, cfg := range roomConfigs() {
+		name := cfg.Kind.String()
+		if sh := cfg.Sharing; sh != (Sharing{}) {
+			name += fmt.Sprintf("/alpha=%g/classes=%d/target=%d", sh.Alpha, sh.Classes, sh.DelayTarget)
+		}
+		t.Run(name, func(t *testing.T) {
+			classes := 1
+			if cfg.Kind == FB {
+				classes = cfg.Sharing.classes()
+			}
+			for seed := uint64(1); seed <= 8; seed++ {
+				walkRoom(t, cfg, seed, func(c *Composed, _ []int32) {
+					for class := 0; class < classes; class++ {
+						p := &packet.Packet{ID: 1}
+						for Class(p, classes) != class {
+							p.ID++
+						}
+						for out := -1; out <= cfg.NumOutputs; out++ {
+							for p.Slots = 1; p.Slots <= cfg.Capacity+1; p.Slots++ {
+								if got, want := c.CanAcceptOut(p, out), admitSpec(cfg, c, p, out); got != want {
+									t.Fatalf("seed %d out %d class %d slots %d: CanAcceptOut %v, spec %v (free %d)",
+										seed, out, class, p.Slots, got, want, c.Free())
+								}
+							}
+						}
+					}
+				})
+			}
+		})
 	}
 }
 

@@ -152,18 +152,11 @@ func TestQuarantineOutOfRangePanics(t *testing.T) {
 
 func TestDAFCQuarantineInherited(t *testing.T) {
 	b := MustNew(Config{Kind: DAFC, NumOutputs: 2, Capacity: 8})
-	d, ok := b.(interface {
-		QuarantineSlot(int) bool
-		Quarantined() int
-	})
-	if !ok {
-		t.Fatal("DAFC buffer does not expose quarantine")
-	}
-	if !d.QuarantineSlot(5) {
+	if !b.QuarantineSlot(5) {
 		t.Fatal("QuarantineSlot(5) = false")
 	}
-	if d.Quarantined() != 1 || b.Free() != 7 {
-		t.Fatalf("quarantined=%d free=%d, want 1/7", d.Quarantined(), b.Free())
+	if b.Quarantined() != 1 || b.Free() != 7 {
+		t.Fatalf("quarantined=%d free=%d, want 1/7", b.Quarantined(), b.Free())
 	}
 }
 

@@ -45,11 +45,10 @@ type roomCoverage struct {
 // slots, and calls check after every step.
 func walkRoom(t *testing.T, cfg Config, seed uint64, check func(c *Composed, row []int32)) roomCoverage {
 	t.Helper()
-	b := MustNew(cfg)
-	c := ViewOf(b)
+	c := MustNew(cfg)
 	row := make([]int32, c.NumOutputs()*c.RoomClasses())
 	c.AttachRoom(row)
-	pb, pooled := b.(*PoolBuffer)
+	pooled := KindSharesPool(cfg.Kind)
 	r := rng.New(seed)
 	var cov roomCoverage
 	id := uint64(0)
@@ -63,7 +62,7 @@ func walkRoom(t *testing.T, cfg Config, seed uint64, check func(c *Composed, row
 		case op < 19:
 			c.Tick()
 		case pooled:
-			pb.QuarantineSlot(r.Intn(cfg.Capacity))
+			c.QuarantineSlot(r.Intn(cfg.Capacity))
 		}
 		check(c, row)
 
@@ -134,7 +133,7 @@ func TestRoomMatchesCanAcceptOut(t *testing.T) {
 				cov.agedHead = cov.agedHead || got.agedHead
 				cov.zeroRoom = cov.zeroRoom || got.zeroRoom
 			}
-			_, pooled := MustNew(cfg).(*PoolBuffer)
+			pooled := KindSharesPool(cfg.Kind)
 			switch {
 			case !cov.multiSlot:
 				t.Error("no state held a multi-slot packet")
@@ -183,5 +182,5 @@ func TestAttachRoomRejectsSharedPool(t *testing.T) {
 			t.Fatal("AttachRoom accepted a shared-pool view")
 		}
 	}()
-	ViewOf(views[0]).AttachRoom(make([]int32, 2))
+	views[0].AttachRoom(make([]int32, 2))
 }

@@ -189,40 +189,23 @@ func (sp *SlotPool) LoadState(st *SlotPoolState) error {
 	return nil
 }
 
-// PoolOf returns the slot pool backing b, for the checkpoint codec.
-func PoolOf(b Buffer) (*SlotPool, bool) {
-	c := ViewOf(b)
-	if c == nil {
-		return nil, false
-	}
-	return &c.g.pool, true
-}
-
 // ResyncAfterRestore recomputes the derived state of the views over one
 // freshly loaded storage group — per-view packet counts, for class-aware
 // policies the pool-wide per-class slot tally, and any attached room
-// window — after auditing the pool with CheckInvariants. All of bufs
+// window — after auditing the pool with CheckInvariants. All of views
 // must share one group: pass one per-port buffer alone, or every view of
 // a shared pool together. The audit runs before any chain walk that
 // rebuilds class tallies, so a corrupted stream fails with an error
 // instead of looping.
-func ResyncAfterRestore(bufs []Buffer) error {
-	var g *group
-	views := make([]*Composed, 0, len(bufs))
-	for _, b := range bufs {
-		c := ViewOf(b)
-		if c == nil {
-			return fmt.Errorf("buffer: %T cannot be checkpoint-restored", b)
-		}
-		if g == nil {
-			g = c.g
-		} else if c.g != g {
+func ResyncAfterRestore(views []*Composed) error {
+	if len(views) == 0 {
+		return nil
+	}
+	g := views[0].g
+	for _, c := range views[1:] {
+		if c.g != g {
 			return fmt.Errorf("buffer: restored views do not share one storage group")
 		}
-		views = append(views, c)
-	}
-	if g == nil {
-		return nil
 	}
 	if err := g.pool.CheckInvariants(g.expectOut); err != nil {
 		return err

@@ -161,7 +161,7 @@ func New(cfg Config) (*Sim, error) {
 				if err != nil {
 					return nil, err
 				}
-				bs[in] = buffer.ViewOf(b)
+				bs[in] = b
 			}
 			bufRow = append(bufRow, bs)
 			busyRow = append(busyRow, make([]int64, cfg.Radix))

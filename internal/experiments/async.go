@@ -58,7 +58,8 @@ func AsyncPackets(sc Scale, packets int64) ([]AsyncRow, error) {
 }
 
 // asyncRows runs the E9 spec grid, asking spans for each point's warmup
-// and measurement windows.
+// and measurement windows. Cancelling sc.Ctx stops the grid between
+// points; an event-driven run, once started, runs to its end.
 func asyncRows(sc Scale, spans func(load float64, minB, maxB int) (int64, int64)) ([]AsyncRow, error) {
 	kinds := []buffer.Kind{buffer.FIFO, buffer.DAMQ}
 	type asyncSpec struct {
@@ -75,7 +76,7 @@ func asyncRows(sc Scale, spans func(load float64, minB, maxB int) (int64, int64)
 			asyncSpec{kind, 1.0, 1, 32},
 		)
 	}
-	results, err := parallel.Map(len(specs), sc.Workers, func(i int) (*eventsim.Result, error) {
+	results, _, err := parallel.MapCtx(sc.ctx(), len(specs), sc.Workers, func(i int) (*eventsim.Result, error) {
 		s := specs[i]
 		warm, meas := spans(s.load, s.minB, s.maxB)
 		sim, err := eventsim.New(eventsim.Config{

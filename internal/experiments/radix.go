@@ -32,12 +32,12 @@ func RadixSweep(sc Scale) ([]RadixRow, error) {
 	radixes := []int{2, 4, 8}
 	kinds := []buffer.Kind{buffer.FIFO, buffer.DAMQ}
 	// Radix is a netsim.Config field runSpec cannot express, so this sweep
-	// fans out through parallel.Map directly.
+	// fans out through parallel.MapCtx directly.
 	type satResult struct {
 		stages float64
 		thr    float64
 	}
-	results, err := parallel.Map(len(radixes)*len(kinds), sc.Workers, func(i int) (satResult, error) {
+	results, _, err := parallel.MapCtx(sc.ctx(), len(radixes)*len(kinds), sc.Workers, func(i int) (satResult, error) {
 		sim, err := netsim.New(netsim.Config{
 			Radix:         radixes[i/len(kinds)],
 			Inputs:        64,
@@ -53,7 +53,10 @@ func RadixSweep(sc Scale) ([]RadixRow, error) {
 		if err != nil {
 			return satResult{}, err
 		}
-		res := sim.Run()
+		res, err := sim.RunCtx(sc.ctx())
+		if err != nil {
+			return satResult{}, err
+		}
 		return satResult{stages: float64(sim.Topology().Stages()), thr: res.Throughput()}, nil
 	})
 	if err != nil {

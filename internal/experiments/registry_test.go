@@ -100,3 +100,28 @@ func TestTable2SectionCancels(t *testing.T) {
 	}
 	t.Fatal("no table2 section")
 }
+
+// TestRadixAndAsyncSectionsCancel checks that the radix sweep and the
+// event-driven grid take their cancellation from the scale like every
+// other section: a cancelled context yields no text and
+// context.Canceled instead of a full run.
+func TestRadixAndAsyncSectionsCancel(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	sc := Quick
+	sc.Ctx = ctx
+	want := map[string]bool{"radix": true, "async": true}
+	for _, s := range Sections(nil) {
+		if !want[s.Name] {
+			continue
+		}
+		delete(want, s.Name)
+		text, err := s.Run(sc, &Report{})
+		if !errors.Is(err, context.Canceled) || text != "" {
+			t.Errorf("%s: Run = %q, %v; want no text and context.Canceled", s.Name, text, err)
+		}
+	}
+	for name := range want {
+		t.Errorf("no %s section", name)
+	}
+}

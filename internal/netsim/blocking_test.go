@@ -168,10 +168,7 @@ func digestBlockingRun(t *testing.T, s *Sim, res *Result) string {
 	for st, row := range s.stages {
 		for si, swc := range row {
 			for in := 0; in < swc.Ports(); in++ {
-				sp, ok := buffer.PoolOf(swc.Buffer(in))
-				if !ok {
-					t.Fatalf("stage %d switch %d input %d has no slot pool", st, si, in)
-				}
+				sp := swc.Buffer(in).Pool()
 				fmt.Fprintf(h, "%d/%d/%d now %d\n%s", st, si, in, sp.Now(), sp.Dump())
 			}
 		}

@@ -326,10 +326,7 @@ func (s *Sim) walkPools(c *checkpoint.Codec, stage, si int, swc *sw.Switch) erro
 		pools, maxSlots = 1, s.cfg.Capacity*s.cfg.Radix
 	}
 	for in := 0; in < pools; in++ {
-		sp, ok := buffer.PoolOf(swc.Buffer(in))
-		if !ok {
-			return ckptErr("stage %d switch %d: %T buffer has no slot pool to checkpoint", stage, si, swc.Buffer(in))
-		}
+		sp := swc.Buffer(in).Pool()
 		st := &buffer.SlotPoolState{}
 		if !c.Decoding() {
 			st = sp.SaveState()
@@ -367,7 +364,7 @@ func (s *Sim) walkPools(c *checkpoint.Codec, stage, si int, swc *sw.Switch) erro
 		if err := sp.LoadState(st); err != nil {
 			return ckptErr("stage %d switch %d input %d: %v", stage, si, in, err)
 		}
-		views := []buffer.Buffer{swc.Buffer(in)}
+		views := swc.Buffers()[in : in+1]
 		if s.cfg.SharedPool {
 			views = swc.Buffers()
 		}

@@ -511,7 +511,7 @@ func misroutedCheckpoint(t *testing.T) []byte {
 	}
 	for st := range s.stages {
 		for _, swc := range s.stages[st] {
-			sp, _ := buffer.PoolOf(swc.Buffer(0))
+			sp := swc.Buffer(0).Pool()
 			for _, p := range sp.SaveState().Packets {
 				for d := 0; d < s.cfg.Inputs; d++ {
 					if s.top.RouteDigit(d, st) != p.OutPort {

@@ -4,19 +4,10 @@ import (
 	"fmt"
 	"sort"
 
+	"damq/internal/buffer"
 	"damq/internal/fault"
 	"damq/internal/obs"
 )
-
-// quarantiner is the capability a buffer organization must expose for
-// slot-stuck faults to apply. The dynamically allocated organizations
-// (DAMQ, DAFC) implement it on their slot pool; statically partitioned
-// and FIFO buffers have no slot pool to degrade, so slot faults skip
-// them.
-type quarantiner interface {
-	QuarantineSlot(int) bool
-	Quarantined() int
-}
 
 // slotEvent is one precomputed slot failure: at cycle, slot slot of the
 // buffer at (stage st, switch si, input in) goes out of service.
@@ -110,17 +101,18 @@ func (s *Sim) armFaults(fc fault.Config) error {
 }
 
 // buildSlotSchedule draws every slot's failure cycle up front and sorts
-// the finite ones into one chronological event list. The site/slot
-// numbering is positional, so the schedule is independent of evaluation
-// order.
+// the finite ones into one chronological event list. Slot faults apply
+// to the pooled kinds only (buffer.KindSharesPool), so FIFO, SAMQ and
+// SAFC runs get an empty schedule. The site/slot numbering is
+// positional, so the schedule is independent of evaluation order.
 func (s *Sim) buildSlotSchedule(inj *fault.Injector) []slotEvent {
+	if !buffer.KindSharesPool(s.cfg.BufferKind) {
+		return nil
+	}
 	var events []slotEvent
 	for st := range s.stages {
 		for si, swc := range s.stages[st] {
 			for in := 0; in < swc.Ports(); in++ {
-				if _, ok := swc.Buffer(in).(quarantiner); !ok {
-					continue
-				}
 				site := fault.BufferSite(st, si, in)
 				for sl := 0; sl < swc.Buffer(in).Capacity(); sl++ {
 					c := inj.SlotFailCycle(site, sl)
@@ -161,8 +153,7 @@ func (s *Sim) applyDueSlotFaults() {
 	for f.next < len(f.events) && f.events[f.next].cycle <= s.cycle {
 		ev := f.events[f.next]
 		f.next++
-		q := s.stages[ev.st][ev.si].Buffer(int(ev.in)).(quarantiner)
-		if q.QuarantineSlot(int(ev.sl)) {
+		if s.stages[ev.st][ev.si].Buffer(int(ev.in)).QuarantineSlot(int(ev.sl)) {
 			f.quarSlots++
 			if f.m != nil {
 				f.m.quarantined.Inc()
@@ -218,19 +209,15 @@ func (s *Sim) QuarantinedSlots() int64 {
 	return s.flt.quarSlots
 }
 
-// CheckBuffers runs every switch buffer's structural self-check (where
-// the organization provides one) and returns the first inconsistency.
-// The chaos-soak test calls it periodically: under fault injection the
-// linked lists must shrink gracefully, never corrupt.
+// CheckBuffers runs every switch buffer's structural self-check — the
+// linked-list audit of its slot pool, for every kind — and returns the
+// first inconsistency. The chaos-soak test calls it periodically: under
+// fault injection the linked lists must shrink gracefully, never corrupt.
 func (s *Sim) CheckBuffers() error {
 	for st := range s.stages {
 		for si, swc := range s.stages[st] {
 			for in := 0; in < swc.Ports(); in++ {
-				c, ok := swc.Buffer(in).(interface{ CheckInvariants() error })
-				if !ok {
-					continue
-				}
-				if err := c.CheckInvariants(); err != nil {
+				if err := swc.Buffer(in).CheckInvariants(); err != nil {
 					return fmt.Errorf("netsim: stage %d switch %d input %d: %w", st, si, in, err)
 				}
 			}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"strings"
 	"testing"
 
 	"damq/internal/buffer"
@@ -32,19 +33,24 @@ var chaosFaults = fault.Config{
 	LinkDeadRate:      5e-6,
 }
 
-// TestChaosSoakConservation is the tentpole's acceptance test: thousands
-// of cycles under mixed slot/link faults, across seeds, buffer kinds and
-// both protocols, asserting the conservation invariant
+// TestChaosSoakConservation runs thousands of cycles under mixed
+// slot/link faults, across seeds, buffer kinds and both protocols,
+// asserting the conservation invariant
 //
 //	injected == delivered + discarded-in-net + faulted + in-flight
 //
 // and running every buffer's linked-list self-check periodically — under
-// fault injection the pools must shrink gracefully, never corrupt.
+// fault injection the pools must shrink gracefully, never corrupt. The
+// static kinds FIFO and SAMQ get link faults only (slot faults apply to
+// pooled kinds), over fewer seeds.
 func TestChaosSoakConservation(t *testing.T) {
 	const cycles = 10_000
-	seeds := []uint64{1, 2, 3, 4, 5}
 	var totalFaulted, totalQuarantined int64
-	for _, kind := range []buffer.Kind{buffer.DAMQ, buffer.DAFC} {
+	for _, kind := range []buffer.Kind{buffer.DAMQ, buffer.DAFC, buffer.FIFO, buffer.SAMQ} {
+		seeds := []uint64{1, 2, 3, 4, 5}
+		if !buffer.KindSharesPool(kind) {
+			seeds = seeds[:2]
+		}
 		for _, proto := range []sw.Protocol{sw.Discarding, sw.Blocking} {
 			for _, seed := range seeds {
 				name := fmt.Sprintf("%v/%v/seed%d", kind, proto, seed)
@@ -91,12 +97,49 @@ func TestChaosSoakConservation(t *testing.T) {
 		}
 	}
 	// The soak is vacuous if no fault ever fired; the rates are chosen so
-	// that across 20 runs both classes trigger.
+	// that across the runs both classes trigger.
 	if totalFaulted == 0 {
 		t.Fatal("no link fault fired across the whole soak")
 	}
 	if totalQuarantined == 0 {
 		t.Fatal("no slot was quarantined across the whole soak")
+	}
+}
+
+// TestCheckBuffersAuditsStaticKinds corrupts one queue register of a
+// SAMQ and of a FIFO buffer's slot pool and requires CheckBuffers to
+// report it: the linked-list audit covers every kind, not only the
+// pooled ones.
+func TestCheckBuffersAuditsStaticKinds(t *testing.T) {
+	for _, kind := range []buffer.Kind{buffer.SAMQ, buffer.FIFO} {
+		t.Run(kind.String(), func(t *testing.T) {
+			s, err := New(chaosConfig(kind, sw.Blocking, 7))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 200; i++ {
+				s.Step(true)
+			}
+			if err := s.CheckBuffers(); err != nil {
+				t.Fatalf("healthy %v network: %v", kind, err)
+			}
+			sp := s.stages[0][0].Buffer(0).Pool()
+			st := sp.SaveState()
+			// Off by one in queue 0's packet counter, kept in range so
+			// the restore-time bounds checks let it through.
+			if st.QPkts[0] > 0 {
+				st.QPkts[0]--
+			} else {
+				st.QPkts[0]++
+			}
+			if err := sp.LoadState(st); err != nil {
+				t.Fatal(err)
+			}
+			err = s.CheckBuffers()
+			if err == nil || !strings.Contains(err.Error(), "stage 0 switch 0 input 0") {
+				t.Fatalf("CheckBuffers = %v, want the corrupt queue register at stage 0 switch 0 input 0", err)
+			}
+		})
 	}
 }
 
@@ -250,9 +293,9 @@ func TestSetFaultsValidates(t *testing.T) {
 	}
 }
 
-// TestStaticBuffersSkipSlotFaults: organizations without a slot pool
-// (FIFO, SAMQ) ignore slot faults instead of crashing, and link faults
-// still work.
+// TestStaticBuffersSkipSlotFaults: the static organizations (FIFO,
+// SAMQ) ignore slot faults, which apply to pooled kinds only, and link
+// faults still work.
 func TestStaticBuffersSkipSlotFaults(t *testing.T) {
 	for _, kind := range []buffer.Kind{buffer.FIFO, buffer.SAMQ} {
 		cfg := chaosConfig(kind, sw.Discarding, 3)
@@ -270,7 +313,7 @@ func TestStaticBuffersSkipSlotFaults(t *testing.T) {
 		}
 		res := s.Collect()
 		if s.QuarantinedSlots() != 0 {
-			t.Fatalf("%v: quarantined %d slots on a pool-less organization", kind, s.QuarantinedSlots())
+			t.Fatalf("%v: quarantined %d slots on a static organization", kind, s.QuarantinedSlots())
 		}
 		got := res.Delivered + res.DiscardedInNet + res.FaultedInNet + s.InFlight()
 		if res.Injected != got {

@@ -217,15 +217,13 @@ func (s *Sim) sampleMetrics(backlog int64) {
 	})
 }
 
-// slotCounter is the per-queue slot accounting every pooled buffer
-// exposes; the policy occupancy sampler sums it per storage pool.
-type slotCounter interface{ QueueSlots(out int) int }
-
 // samplePoolSlots observes each storage pool's occupied slot count:
 // one sample per input buffer normally, one per switch when all its
 // inputs share a pool (summing per-view counts walks the whole group).
 // Occupied means holding packets — quarantined slots are neither free
 // nor used, so the histogram isolates what the admission policy let in.
+// The histogram exists only for modern or shared-pool runs, so every
+// sampled kind is a pooled one.
 func (s *Sim) samplePoolSlots() {
 	m := s.metrics
 	shared := s.cfg.SharedPool
@@ -234,12 +232,9 @@ func (s *Sim) samplePoolSlots() {
 			ports := swc.Ports()
 			used := 0
 			for in := 0; in < ports; in++ {
-				sc, ok := swc.Buffer(in).(slotCounter)
-				if !ok {
-					return // non-pooled kind: nothing to sample
-				}
+				b := swc.Buffer(in)
 				for out := 0; out < ports; out++ {
-					used += sc.QueueSlots(out)
+					used += b.QueueSlots(out)
 				}
 				if !shared {
 					m.poolSlots.Observe(int64(used))

@@ -112,10 +112,7 @@ type Switch struct {
 	// The fields the per-packet path reads come first, so an Offer or a
 	// PopGrant touches one cache line of the switch.
 	//
-	// bufs are the input buffers as their concrete type, for direct calls
-	// on the per-packet path; faces are the same buffers as the Buffer
-	// values the buffer package built (PoolBuffers for pooled kinds), for
-	// Buffer and Buffers.
+	// bufs are the input buffers, one per input port.
 	bufs []*buffer.Composed
 	// count tracks buffered packets across all input buffers so Len and
 	// Empty are O(1); the active-set network simulator polls them every
@@ -135,9 +132,8 @@ type Switch struct {
 	down    *Downstream
 	// tick is set when the buffer kind's admission policy reads packet
 	// ages (BSHARE), so clockless switches skip the Tick sweep.
-	tick  bool
-	faces []buffer.Buffer
-	cfg   Config
+	tick bool
+	cfg  Config
 }
 
 // Metrics is the instrument set one observed switch maintains. Grant,
@@ -174,28 +170,26 @@ func New(cfg Config) (*Switch, error) {
 		cfg:  cfg,
 		arb:  arbiter.New(cfg.Policy, cfg.Ports, cfg.Ports),
 		snap: arbiter.NewSnapshot(cfg.Ports, cfg.Ports),
-		bufs: make([]*buffer.Composed, cfg.Ports),
 		tick: buffer.KindUsesClock(cfg.BufferKind),
 	}
 	s.blocked = s.headBlocked
 	if cfg.SharedPool {
-		faces, err := buffer.NewSharedGroup(cfg.bufferConfig(), cfg.Ports)
+		bufs, err := buffer.NewSharedGroup(cfg.bufferConfig(), cfg.Ports)
 		if err != nil {
 			return nil, fmt.Errorf("sw: shared pool: %w", err)
 		}
-		s.faces = faces
+		s.bufs = bufs
 	} else {
-		s.faces = make([]buffer.Buffer, cfg.Ports)
-		for i := range s.faces {
+		s.bufs = make([]*buffer.Composed, cfg.Ports)
+		for i := range s.bufs {
 			b, err := buffer.New(cfg.bufferConfig())
 			if err != nil {
 				return nil, fmt.Errorf("sw: input %d: %w", i, err)
 			}
-			s.faces[i] = b
+			s.bufs[i] = b
 		}
 	}
-	for i, b := range s.faces {
-		s.bufs[i] = buffer.ViewOf(b)
+	for i, b := range s.bufs {
 		s.snap.MaxReads[i] = b.MaxReadsPerCycle()
 	}
 	return s, nil
@@ -230,7 +224,7 @@ func MustNew(cfg Config) *Switch {
 func (s *Switch) Ports() int { return s.cfg.Ports }
 
 // Buffer exposes input i's buffer (for probes, tests, and statistics).
-func (s *Switch) Buffer(i int) buffer.Buffer { return s.faces[i] }
+func (s *Switch) Buffer(i int) *buffer.Composed { return s.bufs[i] }
 
 // Config returns the construction parameters.
 func (s *Switch) Config() Config { return s.cfg }
@@ -379,7 +373,7 @@ func (s *Switch) Arbiter() *arbiter.Arbiter { return s.arb }
 
 // Buffers returns the switch's per-input buffer views, for the
 // checkpoint codec (under a shared pool all views alias one group).
-func (s *Switch) Buffers() []buffer.Buffer { return s.faces }
+func (s *Switch) Buffers() []*buffer.Composed { return s.bufs }
 
 // ResyncLen recomputes the cached switch-wide packet count after the
 // buffers have been checkpoint-restored.

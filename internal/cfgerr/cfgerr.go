@@ -27,6 +27,13 @@ var (
 	ErrBadPolicy = errors.New("invalid arbitration policy")
 	// ErrBadProtocol reports an unknown flow-control protocol name.
 	ErrBadProtocol = errors.New("invalid protocol")
+	// ErrBadPacketSize reports packet-length bounds that are empty,
+	// non-positive, or larger than the simulator can store.
+	ErrBadPacketSize = errors.New("invalid packet size")
+	// ErrBadTiming reports a negative delay or simulation span (a
+	// per-hop or per-packet cycle count, a warmup, or a measurement
+	// window).
+	ErrBadTiming = errors.New("invalid timing")
 	// ErrBadFaultRate reports a fault-injection rate outside [0, 1].
 	ErrBadFaultRate = errors.New("fault rate out of range")
 	// ErrBadRetryLimit reports a negative retransmit retry limit or

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"damq/internal/buffer"
+	"damq/internal/cfgerr"
 	"damq/internal/omega"
 	"damq/internal/packet"
 	"damq/internal/pktq"
@@ -94,12 +95,20 @@ type Sim struct {
 	top *omega.Topology
 	eng Engine
 
-	// Per stage, per switch, per port state.
-	bufs         [][][]*buffer.Composed // [stage][switch][input]
-	outBusyUntil [][][]int64            // [stage][switch][output]
-	readCount    [][][]int              // concurrent reads per input buffer
-	transmitting [][][]bool             // per switch, flat [in*radix+out]: pairs mid-transmission
-	rr           [][]int                // per-switch rotating fairness offset
+	// Geometry, hoisted out of the per-event handlers. maxReads is the
+	// read-port limit of every buffer: all of a sim's buffers share one
+	// kind.
+	stages, switches int
+	maxReads         int
+
+	// Per-switch and per-port state, flattened stage-major (see port):
+	// switch (st, sw) is site st*switches+sw, its port p is
+	// site*radix+p, and its (in, out) pair is port(st, sw, in)*radix+out.
+	bufs         []*buffer.Composed // per input port
+	outBusyUntil []int64            // per output port
+	readCount    []int              // concurrent reads per input buffer
+	transmitting []bool             // per (in, out) pair: mid-transmission
+	rr           []int              // per switch: rotating fairness offset, in [0, radix)
 
 	srcQ         []pktq.Queue // per-source injection backlog (ring, shrink-on-drain)
 	srcBusyUntil []int64
@@ -124,59 +133,64 @@ func New(cfg Config) (*Sim, error) {
 	cfg = cfg.withDefaults()
 	top, err := omega.New(cfg.Radix, cfg.Inputs)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("eventsim: %v: %w", err, cfgerr.ErrBadRadix)
 	}
 	if cfg.Load < 0 || cfg.Load > 1 {
-		return nil, fmt.Errorf("eventsim: load %v out of [0,1]", cfg.Load)
+		return nil, fmt.Errorf("eventsim: load %v out of [0,1]: %w", cfg.Load, cfgerr.ErrBadLoad)
 	}
 	if cfg.MinBytes < 1 || cfg.MaxBytes < cfg.MinBytes || cfg.MaxBytes > 32 {
-		return nil, fmt.Errorf("eventsim: payload bounds %d..%d invalid", cfg.MinBytes, cfg.MaxBytes)
+		return nil, fmt.Errorf("eventsim: payload bounds %d..%d invalid: %w",
+			cfg.MinBytes, cfg.MaxBytes, cfgerr.ErrBadPacketSize)
+	}
+	if cfg.RouteDelay < 0 || cfg.Overhead < 0 || cfg.Warmup < 0 || cfg.Measure < 0 {
+		return nil, fmt.Errorf("eventsim: negative cycle count (route delay %d, overhead %d, warmup %d, measure %d): %w",
+			cfg.RouteDelay, cfg.Overhead, cfg.Warmup, cfg.Measure, cfgerr.ErrBadTiming)
 	}
 	if cfg.HotFraction < 0 || cfg.HotFraction > 1 {
-		return nil, fmt.Errorf("eventsim: hot fraction %v out of [0,1]", cfg.HotFraction)
+		return nil, fmt.Errorf("eventsim: hot fraction %v out of [0,1]: %w", cfg.HotFraction, cfgerr.ErrBadTraffic)
 	}
 	if cfg.HotFraction > 0 && (cfg.HotDest < 0 || cfg.HotDest >= cfg.Inputs) {
-		return nil, fmt.Errorf("eventsim: hot destination %d out of range", cfg.HotDest)
+		return nil, fmt.Errorf("eventsim: hot destination %d out of range: %w", cfg.HotDest, cfgerr.ErrBadTraffic)
 	}
-	s := &Sim{cfg: cfg, top: top}
+	s := &Sim{
+		cfg: cfg, top: top,
+		stages: top.Stages(), switches: top.SwitchesPerStage(),
+	}
 	master := rng.New(cfg.Seed)
 	s.sizes = master.Split()
 	for i := 0; i < cfg.Inputs; i++ {
 		s.gens = append(s.gens, master.Split())
 	}
 
-	for st := 0; st < top.Stages(); st++ {
-		var bufRow [][]*buffer.Composed
-		var busyRow [][]int64
-		var readRow [][]int
-		var txRow [][]bool
-		for sw := 0; sw < top.SwitchesPerStage(); sw++ {
-			bs := make([]*buffer.Composed, cfg.Radix)
-			for in := range bs {
-				b, err := buffer.New(buffer.Config{
-					Kind:       cfg.BufferKind,
-					NumOutputs: cfg.Radix,
-					Capacity:   cfg.Capacity,
-				})
-				if err != nil {
-					return nil, err
-				}
-				bs[in] = b
-			}
-			bufRow = append(bufRow, bs)
-			busyRow = append(busyRow, make([]int64, cfg.Radix))
-			readRow = append(readRow, make([]int, cfg.Radix))
-			txRow = append(txRow, make([]bool, cfg.Radix*cfg.Radix))
+	sites := s.stages * s.switches
+	ports := sites * cfg.Radix
+	s.bufs = make([]*buffer.Composed, ports)
+	for i := range s.bufs {
+		b, err := buffer.New(buffer.Config{
+			Kind:       cfg.BufferKind,
+			NumOutputs: cfg.Radix,
+			Capacity:   cfg.Capacity,
+		})
+		if err != nil {
+			return nil, err
 		}
-		s.bufs = append(s.bufs, bufRow)
-		s.outBusyUntil = append(s.outBusyUntil, busyRow)
-		s.readCount = append(s.readCount, readRow)
-		s.transmitting = append(s.transmitting, txRow)
-		s.rr = append(s.rr, make([]int, top.SwitchesPerStage()))
+		s.bufs[i] = b
 	}
+	s.maxReads = s.bufs[0].MaxReadsPerCycle()
+	s.outBusyUntil = make([]int64, ports)
+	s.readCount = make([]int, ports)
+	s.transmitting = make([]bool, ports*cfg.Radix)
+	s.rr = make([]int, sites)
 	s.srcQ = make([]pktq.Queue, cfg.Inputs)
 	s.srcBusyUntil = make([]int64, cfg.Inputs)
 	return s, nil
+}
+
+// port is the flat index of port p (input or output) of switch
+// (st, sw) in the per-port state arrays.
+// damqvet:hotpath
+func (s *Sim) port(st, sw, p int) int {
+	return (st*s.switches+sw)*s.cfg.Radix + p
 }
 
 // duration is a packet's link occupancy in cycles.
@@ -264,7 +278,7 @@ func (s *Sim) kickSource(src int) {
 	}
 	p := q.Front()
 	swIdx, port := s.top.FirstStageSwitch(src)
-	b := s.bufs[0][swIdx][port]
+	b := s.bufs[s.port(0, swIdx, port)]
 	out := s.top.RouteDigit(p.Dest, 0)
 	if !b.CanAcceptOut(p, out) {
 		return // retried when the stage-0 buffer frees slots
@@ -288,23 +302,33 @@ func (s *Sim) kickSource(src int) {
 // damqvet:hotpath
 func (s *Sim) kickSwitch(st, sw int) {
 	now := s.eng.Now()
-	s.rr[st][sw]++
-	tx := s.transmitting[st][sw]
-	for out := 0; out < s.cfg.Radix; out++ {
-		if s.outBusyUntil[st][sw][out] > now {
+	radix := s.cfg.Radix
+	site := st*s.switches + sw
+	first := s.rr[site] + 1
+	if first == radix {
+		first = 0
+	}
+	s.rr[site] = first
+	base := s.port(st, sw, 0)
+	bufs := s.bufs[base : base+radix]
+	reads := s.readCount[base : base+radix]
+	busy := s.outBusyUntil[base : base+radix]
+	tx := s.transmitting[base*radix : (base+radix)*radix]
+	for out := 0; out < radix; out++ {
+		if busy[out] > now {
 			continue
 		}
 		bestIn := -1
 		bestLen := 0
-		for k := 0; k < s.cfg.Radix; k++ {
-			in := (k + s.rr[st][sw]) % s.cfg.Radix
-			b := s.bufs[st][sw][in]
-			if s.readCount[st][sw][in] >= b.MaxReadsPerCycle() {
+		in := first
+		for k := 0; k < radix; k, in = k+1, in+1 {
+			if in == radix {
+				in = 0
+			}
+			if reads[in] >= s.maxReads || tx[in*radix+out] {
 				continue
 			}
-			if tx[in*s.cfg.Radix+out] {
-				continue
-			}
+			b := bufs[in]
 			p := b.Head(out)
 			if p == nil || p.ReadyAt > now {
 				continue
@@ -325,26 +349,25 @@ func (s *Sim) kickSwitch(st, sw int) {
 // downstreamAccepts probes the next hop's buffer (blocking flow control).
 // damqvet:hotpath
 func (s *Sim) downstreamAccepts(st, sw, out int, p *packet.Packet) bool {
-	if st == s.top.Stages()-1 {
+	if st == s.stages-1 {
 		return true // sinks always accept
 	}
 	nsw, nport := s.top.NextStage(sw, out)
-	return s.bufs[st+1][nsw][nport].CanAcceptOut(p, s.top.RouteDigit(p.Dest, st+1))
+	return s.bufs[s.port(st+1, nsw, nport)].CanAcceptOut(p, s.top.RouteDigit(p.Dest, st+1))
 }
 
 // startTx begins forwarding the head of (st, sw, in)'s queue for out.
 // damqvet:hotpath
 func (s *Sim) startTx(st, sw, in, out int) {
 	now := s.eng.Now()
-	b := s.bufs[st][sw][in]
-	p := b.Head(out)
+	port := s.port(st, sw, in)
+	p := s.bufs[port].Head(out)
 	dur := s.duration(p)
-	s.outBusyUntil[st][sw][out] = now + dur
-	s.readCount[st][sw][in]++
-	s.transmitting[st][sw][in*s.cfg.Radix+out] = true
+	s.outBusyUntil[s.port(st, sw, out)] = now + dur
+	s.readCount[port]++
+	s.transmitting[port*s.cfg.Radix+out] = true
 
-	last := st == s.top.Stages()-1
-	if last {
+	if st == s.stages-1 {
 		s.eng.At(now+dur, Event{kind: evDeliver, p: p})
 	} else {
 		// Reserve the downstream footprint now; the head becomes
@@ -359,7 +382,7 @@ func (s *Sim) startTx(st, sw, in, out int) {
 		np := s.alloc.Clone(p)
 		np.OutPort = s.top.RouteDigit(p.Dest, st+1)
 		np.ReadyAt = now + s.cfg.RouteDelay
-		if !s.bufs[st+1][nsw][nport].Offer(np) {
+		if !s.bufs[s.port(st+1, nsw, nport)].Offer(np) {
 			panic("eventsim: downstream buffer refused a probed packet")
 		}
 		s.eng.At(np.ReadyAt, Event{kind: evKickSwitch, a: int32(st + 1), b: int32(nsw)})
@@ -372,13 +395,13 @@ func (s *Sim) startTx(st, sw, in, out int) {
 // switch, the read port frees, and whoever was waiting gets another look.
 // damqvet:hotpath
 func (s *Sim) completeTx(st, sw, in, out int) {
-	b := s.bufs[st][sw][in]
-	p := b.Pop(out)
+	port := s.port(st, sw, in)
+	p := s.bufs[port].Pop(out)
 	if p == nil {
 		panic("eventsim: completion found empty queue")
 	}
-	s.readCount[st][sw][in]--
-	s.transmitting[st][sw][in*s.cfg.Radix+out] = false
+	s.readCount[port]--
+	s.transmitting[port*s.cfg.Radix+out] = false
 	// The record's bytes now live only downstream (or were delivered —
 	// deliver runs before completeTx at the same timestamp, having been
 	// scheduled first). Recycle the retired copy so a generation or hop
@@ -416,12 +439,8 @@ func (s *Sim) deliver(p *packet.Packet) {
 // InFlight counts buffered packets (diagnostics and conservation tests).
 func (s *Sim) InFlight() int {
 	n := 0
-	for _, stage := range s.bufs {
-		for _, sw := range stage {
-			for _, b := range sw {
-				n += b.Len()
-			}
-		}
+	for _, b := range s.bufs {
+		n += b.Len()
 	}
 	return n
 }

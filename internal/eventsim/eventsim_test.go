@@ -1,11 +1,13 @@
 package eventsim
 
 import (
+	"errors"
 	"math"
 	"sort"
 	"testing"
 
 	"damq/internal/buffer"
+	"damq/internal/cfgerr"
 	"damq/internal/rng"
 )
 
@@ -118,7 +120,27 @@ func TestEngineSameTimestampFIFO(t *testing.T) {
 // (exercising the free list's slot reuse mid-run) against a brute-force
 // sort-stable reference queue.
 func TestEngineStormMatchesReference(t *testing.T) {
-	src := rng.New(7)
+	engineStorm(t, rng.New(7), func(src *rng.Source) int64 { return int64(src.Intn(50)) })
+}
+
+// TestEngineStormAcrossHorizon is the storm with delays that straddle
+// the timing wheel's span: most land in the wheel, one in eight goes to
+// the overflow heap and comes due while later events for the same cycle
+// are scheduled inside the horizon.
+func TestEngineStormAcrossHorizon(t *testing.T) {
+	engineStorm(t, rng.New(11), func(src *rng.Source) int64 {
+		if src.Intn(8) == 0 {
+			return int64(src.IntnRange(200, 5_000))
+		}
+		return int64(src.Intn(50))
+	})
+}
+
+// engineStorm runs 30000 push-biased random operations against the
+// engine and a brute-force reference queue, auditing the calendar's
+// invariants after every one.
+func engineStorm(t *testing.T, src *rng.Source, delay func(*rng.Source) int64) {
+	t.Helper()
 	var e Engine
 	type ref struct {
 		at  int64
@@ -128,27 +150,116 @@ func TestEngineStormMatchesReference(t *testing.T) {
 	seq := 0
 	for op := 0; op < 30000; op++ {
 		if src.Intn(5) > 1 || len(pending) == 0 { // push-biased
-			at := e.Now() + int64(src.Intn(50))
+			at := e.Now() + delay(src)
 			e.At(at, Event{a: int32(seq)})
 			pending = append(pending, ref{at, seq})
 			seq++
-			continue
-		}
-		// Reference pop: earliest (at, seq) wins.
-		best := 0
-		for i, r := range pending {
-			if r.at < pending[best].at || (r.at == pending[best].at && r.seq < pending[best].seq) {
-				best = i
+		} else {
+			// Reference pop: earliest (at, seq) wins.
+			best := 0
+			for i, r := range pending {
+				if r.at < pending[best].at || (r.at == pending[best].at && r.seq < pending[best].seq) {
+					best = i
+				}
+			}
+			want := pending[best]
+			pending = append(pending[:best], pending[best+1:]...)
+			ev, ok := e.PopUntil(want.at)
+			if !ok {
+				t.Fatalf("op %d: engine had no event at or before %d, reference has seq %d", op, want.at, want.seq)
+			}
+			if int(ev.a) != want.seq || e.Now() != want.at {
+				t.Fatalf("op %d: popped event %d at %d, want event %d at %d", op, ev.a, e.Now(), want.seq, want.at)
 			}
 		}
-		want := pending[best]
-		pending = append(pending[:best], pending[best+1:]...)
-		ev, ok := e.PopUntil(want.at)
-		if !ok {
-			t.Fatalf("op %d: engine had no event at or before %d, reference has seq %d", op, want.at, want.seq)
+		if err := e.checkOrder(); err != nil {
+			t.Fatalf("op %d: %v", op, err)
 		}
-		if int(ev.a) != want.seq || e.Now() != want.at {
-			t.Fatalf("op %d: popped event %d at %d, want event %d at %d", op, ev.a, e.Now(), want.seq, want.at)
+		if e.Pending() != len(pending) {
+			t.Fatalf("op %d: Pending %d, reference holds %d", op, e.Pending(), len(pending))
+		}
+	}
+}
+
+// TestEngineOverflowBeforeWheel pins the one ordering the wheel cannot
+// get from append order alone: an event scheduled for time T from beyond
+// the horizon sits in the overflow heap, and must still run before
+// events scheduled for T later, from inside the horizon, in T's bucket.
+func TestEngineOverflowBeforeWheel(t *testing.T) {
+	var e Engine
+	const T = 1_000
+	e.At(T, Event{a: 1})           // overflow: T-0 >= wheelSize
+	e.At(T, Event{a: 2})           // overflow, same time: FIFO behind 1
+	e.At(T-wheelSize, Event{a: 0}) // overflow too; popping it moves time to T-wheelSize
+	if len(e.over) != 3 {
+		t.Fatalf("overflow heap holds %d events, want 3", len(e.over))
+	}
+	var order []int
+	if n := drain(&e, T-wheelSize, &order); n != 1 || e.Now() != T-wheelSize {
+		t.Fatalf("executed %d events, now %d", n, e.Now())
+	}
+	e.At(T, Event{a: 3}) // T-Now == wheelSize: still overflow
+	e.PopUntil(T - wheelSize + 1)
+	e.At(T, Event{a: 4}) // inside the horizon: bucket T&wheelMask
+	e.At(T, Event{a: 5})
+	e.At(T-1, Event{a: 6})
+	if len(e.over) != 3 || e.queued != 3 {
+		t.Fatalf("overflow %d, wheel %d; want 3 and 3", len(e.over), e.queued)
+	}
+	if err := e.checkOrder(); err != nil {
+		t.Fatal(err)
+	}
+	drain(&e, 1<<40, &order)
+	want := []int{0, 6, 1, 2, 3, 4, 5}
+	for i := range want {
+		if i >= len(order) || order[i] != want[i] {
+			t.Fatalf("order = %v, want %v", order, want)
+		}
+	}
+	if e.Now() != 1<<40 || e.Pending() != 0 {
+		t.Fatalf("now %d, pending %d after drain", e.Now(), e.Pending())
+	}
+	// An empty wheel jumps straight to the overflow minimum.
+	e.At(e.Now()+50_000, Event{a: 7})
+	if ev, ok := e.PopUntil(1 << 41); !ok || ev.a != 7 || e.Now() != 1<<40+50_000 {
+		t.Fatalf("jump popped %v (ok %v) at %d", ev.a, ok, e.Now())
+	}
+}
+
+// TestCheckOrderCatchesCorruption hand-corrupts a healthy calendar and
+// expects the self-check to name each fault.
+func TestCheckOrderCatchesCorruption(t *testing.T) {
+	build := func() *Engine {
+		e := new(Engine)
+		e.At(5, Event{a: 0})
+		e.At(5, Event{a: 1})
+		e.At(6, Event{a: 2})
+		e.At(9_000, Event{a: 3})
+		e.At(8_000, Event{a: 4})
+		if err := e.checkOrder(); err != nil {
+			t.Fatalf("healthy calendar: %v", err)
+		}
+		return e
+	}
+	for _, tc := range []struct {
+		name    string
+		corrupt func(e *Engine)
+	}{
+		{"foreign timestamp", func(e *Engine) { e.slots[e.tail[5]].next = e.head[6] }},
+		{"sequence order", func(e *Engine) {
+			first, second := e.head[5], e.slots[e.head[5]].next
+			e.slots[first].next, e.slots[second].next = 0, first
+			e.head[5], e.tail[5] = second, first
+		}},
+		{"link cycle", func(e *Engine) { e.slots[e.tail[5]].next = e.head[5] }},
+		{"stale tail", func(e *Engine) { e.tail[5] = e.head[5] }},
+		{"heap order", func(e *Engine) { e.over[0], e.over[1] = e.over[1], e.over[0] }},
+		{"pending count", func(e *Engine) { e.queued++ }},
+	} {
+		e := build()
+		tc.corrupt(e)
+		if err := e.checkOrder(); err == nil {
+			t.Errorf("%s: checkOrder accepted the corrupted calendar", tc.name)
 		}
 	}
 }
@@ -186,24 +297,33 @@ func asyncCfg(kind buffer.Kind, load float64) Config {
 }
 
 func TestNewValidation(t *testing.T) {
-	cfg := asyncCfg(buffer.DAMQ, 1.5)
-	if _, err := New(cfg); err == nil {
-		t.Error("accepted load > 1")
-	}
-	cfg = asyncCfg(buffer.DAMQ, 0.5)
-	cfg.MinBytes, cfg.MaxBytes = 8, 4
-	if _, err := New(cfg); err == nil {
-		t.Error("accepted max < min bytes")
-	}
-	cfg = asyncCfg(buffer.DAMQ, 0.5)
-	cfg.MaxBytes = 99
-	if _, err := New(cfg); err == nil {
-		t.Error("accepted oversized packets")
-	}
-	cfg = asyncCfg(buffer.SAMQ, 0.5)
-	cfg.Capacity = 5
-	if _, err := New(cfg); err == nil {
-		t.Error("accepted SAMQ capacity not divisible by radix")
+	for _, tc := range []struct {
+		name  string
+		edit  func(c *Config)
+		wants error
+	}{
+		{"load > 1", func(c *Config) { c.Load = 1.5 }, cfgerr.ErrBadLoad},
+		{"negative load", func(c *Config) { c.Load = -0.1 }, cfgerr.ErrBadLoad},
+		{"max < min bytes", func(c *Config) { c.MinBytes, c.MaxBytes = 8, 4 }, cfgerr.ErrBadPacketSize},
+		{"oversized packets", func(c *Config) { c.MaxBytes = 99 }, cfgerr.ErrBadPacketSize},
+		{"negative min bytes", func(c *Config) { c.MinBytes = -1 }, cfgerr.ErrBadPacketSize},
+		{"negative route delay", func(c *Config) { c.RouteDelay = -5 }, cfgerr.ErrBadTiming},
+		{"negative overhead", func(c *Config) { c.Overhead = -10 }, cfgerr.ErrBadTiming},
+		{"negative warmup", func(c *Config) { c.Warmup = -1 }, cfgerr.ErrBadTiming},
+		{"negative measure", func(c *Config) { c.Measure = -100 }, cfgerr.ErrBadTiming},
+		{"radix 1", func(c *Config) { c.Radix = 1 }, cfgerr.ErrBadRadix},
+		{"inputs not a power of radix", func(c *Config) { c.Inputs = 48 }, cfgerr.ErrBadRadix},
+		{"hot fraction > 1", func(c *Config) { c.HotFraction = 1.5 }, cfgerr.ErrBadTraffic},
+		{"hot destination out of range", func(c *Config) { c.HotFraction, c.HotDest = 0.05, 999 }, cfgerr.ErrBadTraffic},
+		{"SAMQ capacity not divisible by radix", func(c *Config) { c.BufferKind, c.Capacity = buffer.SAMQ, 5 }, cfgerr.ErrBadCapacity},
+		{"negative capacity", func(c *Config) { c.Capacity = -4 }, cfgerr.ErrBadCapacity},
+	} {
+		cfg := asyncCfg(buffer.DAMQ, 0.5)
+		tc.edit(&cfg)
+		_, err := New(cfg)
+		if !errors.Is(err, tc.wants) {
+			t.Errorf("%s: New returned %v, want an error wrapping %q", tc.name, err, tc.wants)
+		}
 	}
 }
 

@@ -215,3 +215,13 @@ func BenchmarkNetworkCycle1024Sharded(b *testing.B) {
 func BenchmarkNetworkCycle1024Sharded2(b *testing.B) {
 	benchNetworkCycle(b, 1024, 0.5, damq.WithWorkers(2))
 }
+
+// BenchmarkNetworkCycle1024ShardedObserved steps the 2-worker 1024×1024
+// network with an observer attached: the shards count into their own
+// partial instruments and the coordinator folds them at every cycle's
+// end, so the observed run stays on the gang and must stay as
+// allocation-free as the unobserved one. Its gate is allocation-only,
+// like the other sharded benchmarks.
+func BenchmarkNetworkCycle1024ShardedObserved(b *testing.B) {
+	benchNetworkCycle(b, 1024, 0.5, damq.WithWorkers(2), damq.WithObserver(damq.NewObserver()))
+}

@@ -63,13 +63,25 @@ func errf(format string, args ...any) error {
 // encoding Codec the same way, and Emit reports it.
 type Codec struct {
 	decoding bool
-	buf      []byte // encoding: the payload so far; decoding: payload (or section body)
+	buf      []byte // encoding: header room, then the payload so far; decoding: payload (or section body)
 	off      int    // decoding read offset
 	err      error
 }
 
 // NewEncoder returns a Codec that appends to an empty payload.
-func NewEncoder() *Codec { return &Codec{} }
+func NewEncoder() *Codec { return NewEncoderSize(0) }
+
+// NewEncoderSize is NewEncoder with room reserved for an n-byte payload,
+// so a caller that checkpoints repeatedly can size each stream from the
+// last one instead of growing it from empty. The buffer also reserves
+// the frame header, which Emit fills in place: a stream is built without
+// copying its payload.
+func NewEncoderSize(n int) *Codec {
+	return &Codec{buf: make([]byte, headerLen, headerLen+n+4)}
+}
+
+// Len returns the number of payload bytes encoded so far.
+func (c *Codec) Len() int { return len(c.buf) - headerLen }
 
 // NewDecoder reads the entire stream from r and verifies its envelope.
 func NewDecoder(r io.Reader) (*Codec, error) {
@@ -334,11 +346,10 @@ func (c *Codec) Emit(w io.Writer) error {
 	if c.err != nil {
 		return c.err
 	}
-	out := make([]byte, 0, headerLen+len(c.buf)+4)
-	out = append(out, magic[:]...)
-	out = binary.LittleEndian.AppendUint32(out, Version)
-	out = binary.LittleEndian.AppendUint64(out, uint64(len(c.buf)))
-	out = append(out, c.buf...)
+	out := c.buf
+	copy(out, magic[:])
+	binary.LittleEndian.PutUint32(out[len(magic):], Version)
+	binary.LittleEndian.PutUint64(out[len(magic)+4:], uint64(c.Len()))
 	out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(out))
 	_, err := w.Write(out)
 	return err

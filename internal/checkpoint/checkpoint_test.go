@@ -92,6 +92,31 @@ func TestPrimitiveRoundTrip(t *testing.T) {
 	}
 }
 
+// TestEncoderSizeSameStream: reserving payload room changes no byte of
+// the stream, whether the reservation is short, exact or generous, and
+// emitting twice writes the same stream twice (Emit frames the buffer in
+// place).
+func TestEncoderSizeSameStream(t *testing.T) {
+	in := sample{I64: -5, Str: "déjà", I64s: []int64{1, -2, 3}}
+	want := frame(t, func(c *Codec) { in.walk(c) })
+	for _, n := range []int{1, len(want) - headerLen - 4, 4 * len(want)} {
+		c := NewEncoderSize(n)
+		in.walk(c)
+		if got := c.Len(); got != len(want)-headerLen-4 {
+			t.Errorf("size %d: Len = %d, want %d", n, got, len(want)-headerLen-4)
+		}
+		for i := 0; i < 2; i++ {
+			var buf bytes.Buffer
+			if err := c.Emit(&buf); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(buf.Bytes(), want) {
+				t.Errorf("size %d, emit %d: stream differs from NewEncoder's", n, i+1)
+			}
+		}
+	}
+}
+
 func TestSectionRoundTrip(t *testing.T) {
 	one, body := int64(11), "body"
 	raw := frame(t, func(c *Codec) {

@@ -124,12 +124,13 @@ var sections = []struct {
 // effect (there is none — results are byte-identical at every worker
 // count), the observer attachment itself, or the delivery log.
 func (s *Sim) Checkpoint(w io.Writer) error {
-	c := checkpoint.NewEncoder()
+	c := checkpoint.NewEncoderSize(s.ckptSize)
 	for _, sec := range sections {
 		if sec.present == nil || sec.present(s) {
 			c.Section(sec.tag, func(c *checkpoint.Codec) error { return sec.walk(s, c) })
 		}
 	}
+	s.ckptSize = c.Len()
 	return c.Emit(w)
 }
 
@@ -626,6 +627,11 @@ func (s *Sim) walkObserver(c *checkpoint.Codec) error {
 	if !c.Decoding() {
 		st = s.captureObs()
 	}
+	return s.walkObsState(c, st)
+}
+
+// walkObsState is walkObserver's codec walk over an explicit state.
+func (s *Sim) walkObsState(c *checkpoint.Codec, st *obsState) error {
 	c.I64(&st.interval)
 	c.I64(&st.lastSample)
 	named := func(v *namedInt) {
@@ -717,19 +723,25 @@ func (s *Sim) validateObsState(st *obsState) error {
 			return ckptErr("checkpointed histogram %q has shape %dx%d, this simulation registers %dx%d",
 				hv.name, len(hv.buckets), hv.width, want.buckets, want.width)
 		}
-		var n int64
-		for _, b := range hv.buckets {
-			if b < 0 {
-				return ckptErr("checkpointed histogram %q has a negative bucket", hv.name)
-			}
-			n += b
-		}
-		if hv.overflow < 0 || n+hv.overflow != hv.total {
-			return ckptErr("checkpointed histogram %q total %d disagrees with its buckets", hv.name, hv.total)
+		if err := obs.CheckContents(hv.width, hv.buckets, hv.overflow, hv.total, hv.sum); err != nil {
+			return ckptErr("checkpointed histogram %q: %v", hv.name, err)
 		}
 	}
 	if st.interval < 0 {
 		return ckptErr("negative observer interval %d", st.interval)
+	}
+	// A record cycle past the clock, or a lastSample ahead of it, would
+	// silently suppress the resumed run's interval records.
+	if st.lastSample < -1 || st.lastSample > s.cycle {
+		return ckptErr("last interval sample at cycle %d outside [-1, %d]", st.lastSample, s.cycle)
+	}
+	for i, rec := range st.series {
+		if i > 0 && rec.Cycle <= st.series[i-1].Cycle {
+			return ckptErr("interval record %d at cycle %d does not follow cycle %d", i, rec.Cycle, st.series[i-1].Cycle)
+		}
+		if rec.Cycle > s.cycle {
+			return ckptErr("interval record %d at cycle %d is past the checkpoint's cycle %d", i, rec.Cycle, s.cycle)
+		}
 	}
 	return nil
 }

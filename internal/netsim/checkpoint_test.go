@@ -109,8 +109,8 @@ func tortureCases() []tortureCase {
 				name:   fmt.Sprintf("seed%d/kind=%v/faults=%v", seed, cfg.BufferKind, faults),
 				cfg:    cfg,
 				faults: faults,
-				// Observed sims step serially, so half the matrix keeps the
-				// gang path exercised by staying unobserved.
+				// Half the matrix is observed and half not, so both the
+				// observer section and its absence are resumed on the gang.
 				observe: seed%2 == 1,
 			})
 		}
@@ -493,6 +493,94 @@ func TestCheckpointStructuralCorruption(t *testing.T) {
 		c.Section(secConfig, sim.walkConfig)
 	}), "oversized geometry")
 	wantCheckpointError(t, misroutedCheckpoint(t), "buffered packet queued for the wrong output")
+
+	// Observer sections whose instrument values no run can produce: each
+	// would corrupt the resumed run's metrics if accepted. The untouched
+	// capture restores, so each rejection is the tampered field's.
+	if r, err := RestoreSim(bytes.NewReader(tamperedObsCheckpoint(t, func(*Sim, *obsState) {}))); err != nil {
+		t.Fatalf("untampered observer section rejected: %v", err)
+	} else {
+		r.Close()
+	}
+	for _, tc := range []struct {
+		what   string
+		tamper func(s *Sim, st *obsState)
+	}{
+		{"negative histogram sum", func(s *Sim, st *obsState) {
+			obsHist(t, st, MetricLatencyInjected).sum = -1
+		}},
+		{"histogram sum below its buckets", func(s *Sim, st *obsState) {
+			obsHist(t, st, MetricLatencyInjected).sum = 0
+		}},
+		{"histogram sum above its buckets", func(s *Sim, st *obsState) {
+			h := obsHist(t, st, MetricQueueDepth)
+			if h.overflow != 0 {
+				t.Fatalf("queue-depth histogram overflowed %d times", h.overflow)
+			}
+			h.sum++ // width 1: the buckets pin the sum exactly
+		}},
+		{"last sample past the clock", func(s *Sim, st *obsState) { st.lastSample = s.cycle + 1 }},
+		{"last sample below -1", func(s *Sim, st *obsState) { st.lastSample = -2 }},
+		{"series cycles not increasing", func(s *Sim, st *obsState) {
+			st.series[1].Cycle = st.series[0].Cycle
+		}},
+		{"series record past the clock", func(s *Sim, st *obsState) {
+			st.series[len(st.series)-1].Cycle = s.cycle + 1
+		}},
+	} {
+		wantCheckpointError(t, tamperedObsCheckpoint(t, tc.tamper), tc.what)
+	}
+}
+
+// tamperedObsCheckpoint checkpoints a mid-run observed network after
+// tamper edits the captured observer state; every other section is the
+// run's own.
+func tamperedObsCheckpoint(t *testing.T, tamper func(s *Sim, st *obsState)) []byte {
+	t.Helper()
+	s, err := New(Config{Radix: 4, Inputs: 64, Capacity: 4, WarmupCycles: 20, MeasureCycles: 200,
+		Seed: 5, BufferKind: buffer.DAMQ, Traffic: TrafficSpec{Kind: Uniform, Load: 0.6}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := obs.NewObserver()
+	o.SetInterval(10)
+	s.SetObserver(o)
+	for s.cycle < 20 {
+		s.Step(false)
+	}
+	s.warmupBoundary = s.cycle
+	for i := 0; i < 60; i++ {
+		s.Step(true)
+	}
+	c := checkpoint.NewEncoder()
+	for _, sec := range sections {
+		if sec.tag == secObserver {
+			st := s.captureObs()
+			tamper(s, st)
+			c.Section(sec.tag, func(c *checkpoint.Codec) error { return s.walkObsState(c, st) })
+			continue
+		}
+		if sec.present == nil || sec.present(s) {
+			c.Section(sec.tag, func(c *checkpoint.Codec) error { return sec.walk(s, c) })
+		}
+	}
+	var buf bytes.Buffer
+	if err := c.Emit(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// obsHist finds the captured histogram named name.
+func obsHist(t *testing.T, st *obsState, name string) *histState {
+	t.Helper()
+	for i := range st.hists {
+		if st.hists[i].name == name {
+			return &st.hists[i]
+		}
+	}
+	t.Fatalf("no captured histogram %q", name)
+	return nil
 }
 
 // misroutedCheckpoint checkpoints a mid-run DAMQ network after moving one

@@ -165,10 +165,8 @@ func (s *Sim) applyDueSlotFaults() {
 // dropOnFaultedLink reports whether the link leaving (stage, switch, out)
 // is down this cycle, counting the drop if so. The link decision is a
 // pure function of (seed, site, cycle) — fault.Injector holds no mutable
-// state — so concurrent shards may query it; the drop counters are
-// shard-local (the fault metrics counter only exists with an observer
-// attached, which forces serial stepping).
-// damqvet:sharded audited: the fault metrics counter only exists with an observer attached, which forces serial stepping; everything else mutated is shard-local
+// state — so concurrent shards may query it; the drop counters, the
+// observer's partial included, are shard-local.
 // damqvet:hotpath
 func (sh *shard) dropOnFaultedLink(st, si, out int, measuring bool) bool {
 	s := sh.sim
@@ -177,8 +175,8 @@ func (sh *shard) dropOnFaultedLink(st, si, out int, measuring bool) bool {
 		return false
 	}
 	sh.faulted++
-	if f.m != nil {
-		f.m.linkDrops.Inc()
+	if sh.m != nil {
+		sh.m.n.linkDrops++
 	}
 	if measuring {
 		sh.partial.FaultedInNet++

@@ -343,8 +343,8 @@ type Sim struct {
 	shards    []*shard
 	shardOfSw []int32
 	// workers is the effective intra-run worker count; gang is the
-	// lockstep crew driving the shards when workers > 1 (nil otherwise,
-	// and ignored while an observer is attached — see Step).
+	// lockstep crew driving the shards, observed or not, when workers > 1
+	// (nil otherwise, and after Close).
 	workers int
 	gang    *parallel.Gang
 
@@ -366,12 +366,13 @@ type Sim struct {
 	// sweep entirely.
 	needTick bool
 
-	// metrics is the attached observability probe set (SetObserver); nil
-	// means unobserved. Every hot-path use is nil-guarded, so detached
-	// runs execute no instrument code and stay bit-identical — the
-	// pattern damqvet's zeroalloc rule polices. An observed Sim always
-	// steps its shards serially (the instruments are shared), which by
-	// the sharding contract changes nothing.
+	// metrics is the attached observer's registered instrument set
+	// (SetObserver); nil means unobserved. Shards never write it: each
+	// writes its own shardMetrics partial (shard.m), and the coordinator
+	// folds the partials into it in the serial epilogue of every Step, so
+	// observed runs stay on the gang. Every hot-path probe is nil-guarded,
+	// so detached runs execute no instrument code and stay bit-identical —
+	// the pattern damqvet's zeroalloc rule polices.
 	metrics *netMetrics
 
 	// flt is the attached fault-injection state (SetFaults); nil means
@@ -388,6 +389,10 @@ type Sim struct {
 	// Sim until SetObserver re-registers the instruments and applies
 	// them; nil otherwise. See netsim/checkpoint.go.
 	pendingObs *obsState
+	// ckptSize is the payload size of the last Checkpoint, which sizes
+	// the next one's buffer: periodic checkpoints then build each stream
+	// in one allocation instead of a chain of doublings.
+	ckptSize int
 }
 
 // shard owns a contiguous range [lo, hi) of every stage's switches, the
@@ -418,6 +423,9 @@ type shard struct {
 	// partial accumulates this shard's measurement slice; Collect merges
 	// the partials in shard order. Its Config field stays zero.
 	partial Result
+	// m is this shard's partial of the observer's instruments, nil when
+	// unobserved; Step's epilogue folds and clears it (foldMetrics).
+	m *shardMetrics
 	// deliv logs this shard's measured deliveries when the sim's
 	// recordDeliv flag is set; Deliveries merges the logs in shard order.
 	deliv []Delivery
@@ -711,14 +719,13 @@ func (s *Sim) Step(measuring bool) {
 	}
 
 	s.measuring = measuring
-	if g := s.gang; g != nil && s.metrics == nil {
+	if g := s.gang; g != nil {
 		g.Run(phaseArbitrate)
 		g.Run(phaseMove)
 		g.Run(phaseInject)
 	} else {
-		// Serial path: same shards, same phase order, one goroutine. An
-		// observed Sim always takes it (shared instruments), and by the
-		// sharding contract produces byte-identical results.
+		// Serial path: same shards, same phase order, one goroutine; by
+		// the sharding contract it produces byte-identical results.
 		for _, sh := range s.shards {
 			sh.phaseArbitrateRun()
 		}
@@ -730,11 +737,11 @@ func (s *Sim) Step(measuring bool) {
 		}
 	}
 
+	var backlog int64
 	if measuring {
 		// Global source-backlog sample: needs every shard's counter, so
 		// the coordinator takes it after the last barrier. The full-scan
 		// reference recomputes it from the queues to cross-check.
-		var backlog int64
 		for _, sh := range s.shards {
 			backlog += sh.srcBacklog
 		}
@@ -745,10 +752,10 @@ func (s *Sim) Step(measuring bool) {
 			}
 		}
 		s.backlog.Add(float64(backlog))
-		if s.metrics != nil {
-			s.sampleMetrics(backlog)
-		}
 		s.measured++
+	}
+	if s.metrics != nil {
+		s.foldMetrics(measuring, backlog)
 	}
 	if s.cycle&(rebalanceStride-1) == rebalanceStride-1 {
 		s.rebalanceFreeLists()
@@ -921,11 +928,12 @@ func (sh *shard) phaseMoveRun() {
 // phaseInjectRun is phase 3 for one shard: accept the transfers addressed
 // to its switches (inboxes are drained in source-shard order, so the
 // sequence is independent of the worker count), then generate and inject
-// at its sources, then sample its occupancy. Only this shard offers into
+// at its sources, then sample its occupancy (and, observed, its
+// instrument tallies). Only this shard offers into
 // its switches, and the shuffle wiring delivers at most one packet per
 // input port per cycle, so admission decisions see exactly the state a
 // serial sweep would.
-// damqvet:sharded audited: inbox entries target owned switches by construction, and the sim-level metrics only exist with an observer attached, which forces serial stepping
+// damqvet:sharded audited: inbox entries target owned switches by construction; the only instruments written are the shard's own partials (sh.m)
 // damqvet:hotpath
 func (sh *shard) phaseInjectRun() {
 	s := sh.sim
@@ -944,8 +952,8 @@ func (sh *shard) phaseInjectRun() {
 				sh.inFlight--
 				if measuring {
 					sh.partial.DiscardedInNet++
-					if s.metrics != nil {
-						s.metrics.discardedNet.Inc()
+					if sh.m != nil {
+						sh.m.n.discardedNet++
 						sh.notePolicyRefused(st, si, int(x.in), x.p)
 					}
 				}
@@ -976,8 +984,8 @@ func (sh *shard) phaseInjectRun() {
 				sh.srcBacklog--
 				if measuring {
 					sh.partial.Injected++
-					if s.metrics != nil {
-						s.metrics.injected.Inc()
+					if sh.m != nil {
+						sh.m.n.injected++
 					}
 				}
 			}
@@ -994,6 +1002,9 @@ func (sh *shard) phaseInjectRun() {
 				sh.partial.Occupancy.Add(n)
 				sh.partial.StageOccupancy[st].Add(n)
 			}
+		}
+		if sh.m != nil {
+			sh.sampleMetrics()
 		}
 	}
 
@@ -1013,14 +1024,14 @@ func (sh *shard) phaseInjectRun() {
 }
 
 // enqueueSource routes a newborn packet toward the network.
-// damqvet:sharded audited: the source queue index is an owned source, and the sim-level metrics only exist with an observer attached, which forces serial stepping
+// damqvet:sharded audited: the source queue index is an owned source; the only instruments written are the shard's own partials (sh.m)
 // damqvet:hotpath
 func (sh *shard) enqueueSource(p *packet.Packet, measuring bool) {
 	s := sh.sim
 	if measuring {
 		sh.partial.Generated++
-		if s.metrics != nil {
-			s.metrics.generated.Inc()
+		if sh.m != nil {
+			sh.m.n.generated++
 		}
 	}
 	switch s.cfg.Protocol {
@@ -1031,15 +1042,15 @@ func (sh *shard) enqueueSource(p *packet.Packet, measuring bool) {
 		if sh.inject(p) {
 			if measuring {
 				sh.partial.Injected++
-				if s.metrics != nil {
-					s.metrics.injected.Inc()
+				if sh.m != nil {
+					sh.m.n.injected++
 				}
 			}
 		} else {
 			if measuring {
 				sh.partial.DiscardedAtEntry++
-				if s.metrics != nil {
-					s.metrics.discardedEntry.Inc()
+				if sh.m != nil {
+					sh.m.n.discardedEntry++
 					swIdx, port := s.top.FirstStageSwitch(p.Source)
 					sh.notePolicyRefused(0, swIdx, port, p)
 				}
@@ -1051,17 +1062,14 @@ func (sh *shard) enqueueSource(p *packet.Packet, measuring bool) {
 
 // notePolicyRefused classifies a discard: when the refusing buffer still
 // had room for the packet, the admission policy — not pool exhaustion —
-// turned it away, and the net.policy.refused counter records that. Only
-// reached under s.metrics != nil, so the unobserved hot path never pays
-// for the buffer probe.
-// damqvet:sharded audited: st,si is an owned coordinate at both call sites, and sim-level metrics only exist with an observer attached, forcing serial stepping
+// turned it away, and the shard's net.policy.refused partial records
+// that. Only reached under sh.m != nil, so the unobserved hot path never
+// pays for the buffer probe; the pool-slot tally exists exactly when the
+// policy-refused counter is registered.
 // damqvet:hotpath
 func (sh *shard) notePolicyRefused(st, si, in int, p *packet.Packet) {
-	m := sh.sim.metrics
-	if m.policyRefused != nil {
-		if sh.sim.stages[st][si].Buffer(in).Free() >= p.Slots {
-			m.policyRefused.Inc()
-		}
+	if sh.m.slots != nil && sh.sim.stages[st][si].Buffer(in).Free() >= p.Slots {
+		sh.m.n.policyRefused++
 	}
 }
 
@@ -1088,7 +1096,6 @@ func (sh *shard) inject(p *packet.Packet) bool {
 // bias the mean. The birth-phase draw comes from this shard's own phase
 // stream, in this shard's delivery order — deterministic at any worker
 // count.
-// damqvet:sharded audited: mutations are shard partials plus sim-level metrics, which only exist with an observer attached, forcing serial stepping
 // damqvet:hotpath
 func (sh *shard) deliver(p *packet.Packet, measuring bool) {
 	if !measuring {
@@ -1103,13 +1110,13 @@ func (sh *shard) deliver(p *packet.Packet, measuring bool) {
 			Born: p.Born, Injected: p.Injected, DeliveredAt: s.cycle,
 		})
 	}
-	if s.metrics != nil {
-		// The injection-based latency is observed for every measured
+	if sh.m != nil {
+		// The injection-based latency is logged for every measured
 		// delivery (it needs no RNG), so its histogram total always equals
 		// the delivered counter — the invariant ValidateSnapshot checks.
 		c := int64(s.cfg.ClocksPerCycle)
-		s.metrics.delivered.Inc()
-		s.metrics.latInjected.Observe((s.cycle+1)*c - (p.Injected+1)*c)
+		sh.m.n.delivered++
+		sh.m.latInj = append(sh.m.latInj, (s.cycle+1)*c-(p.Injected+1)*c)
 	}
 	if p.Born < s.warmupBoundary {
 		return
@@ -1121,11 +1128,11 @@ func (sh *shard) deliver(p *packet.Packet, measuring bool) {
 	res.LatencyHist.Add(float64(deliveryClock - bornClock))
 	res.LatencyFromBorn.Add(float64(deliveryClock - bornClock))
 	res.LatencyFromInjection.Add(float64(deliveryClock - injectClock))
-	if s.metrics != nil {
+	if sh.m != nil {
 		// Born-based latency reuses the phase draw above, so observing it
 		// consumes no extra randomness: observed and unobserved runs stay
 		// bit-identical.
-		s.metrics.latBorn.Observe(deliveryClock - bornClock)
+		sh.m.latBorn = append(sh.m.latBorn, deliveryClock-bornClock)
 	}
 	if p.Hot {
 		res.HotLatency.Add(float64(deliveryClock - bornClock))

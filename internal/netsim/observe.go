@@ -59,9 +59,11 @@ func StageOccupancyMetric(st int) string {
 }
 
 // netMetrics bundles the instruments an observed Sim updates. All
-// instruments are registered once in SetObserver; per-cycle probe code
-// only dereferences these pointers, so the observed hot path is as
-// allocation-free as the unobserved one.
+// instruments are registered once in SetObserver; the shards write only
+// their own shardMetrics partials, and the coordinator folds those into
+// these registered instruments in the serial epilogue of every Step, so
+// the registry is exact at every Step boundary and the observed hot path
+// is as allocation-free as the unobserved one.
 type netMetrics struct {
 	observer *obs.Observer
 
@@ -70,6 +72,12 @@ type netMetrics struct {
 	delivered      *obs.Counter
 	discardedEntry *obs.Counter
 	discardedNet   *obs.Counter
+
+	// Switch counters, aggregated over every switch.
+	grants       *obs.Counter
+	conflicts    *obs.Counter
+	blockedHeads *obs.Counter
+	offerRefused *obs.Counter
 
 	inFlight *obs.Gauge
 	backlog  *obs.Gauge
@@ -89,18 +97,56 @@ type netMetrics struct {
 	lastSample int64
 }
 
+// shardMetrics is one shard's partial of the observer's instruments:
+// everything the shard observes between two Step boundaries, written
+// only by its owner and folded into the registry (then cleared) by the
+// coordinator. Observed runs therefore step on the worker gang like
+// unobserved ones, and fold in fixed shard order at any worker count.
+type shardMetrics struct {
+	n shardCounts
+	// sw is attached to every switch the shard owns; its counters point
+	// at the shard-owned cells below.
+	sw                                  sw.Metrics
+	grants, conflicts, blocked, refused obs.Counter
+
+	// Measured-cycle tallies from the inject-phase sweep: depth[v] counts
+	// the shard's queues holding v packets, slots[v] its storage pools
+	// holding v slots (nil unless the pool histogram is registered), and
+	// stageOcc[st] the packets buffered in its stage-st switches. row is
+	// the sweep's QueueLens scratch.
+	depth, slots []int64
+	stageOcc     []int64
+	row          []int
+
+	// latInj/latBorn log this cycle's measured delivery latencies in
+	// clocks; the coordinator replays them into the two 4096-bucket
+	// histograms, which therefore exist once, not once per shard.
+	latInj, latBorn []int64
+}
+
+// shardCounts are a shard's packet and fault counts since the last fold.
+type shardCounts struct {
+	generated, injected, delivered int64
+	discardedEntry, discardedNet   int64
+	policyRefused, linkDrops       int64
+}
+
 // SetObserver attaches o's instrument registry to the simulation and to
 // every switch (nil detaches everything). Cold path: call it before
-// Run/Step. The probes consume no randomness, so an observed run
-// produces bit-identical Results to an unobserved one with the same
-// config. An observed Sim steps its shards serially even when Workers > 1
-// (the instruments are shared across shards); by the sharded-determinism
-// contract that changes no result.
+// Run/Step. Each shard gets its own partial instruments and its switches
+// count into them, so an observed Sim keeps stepping on its worker gang;
+// the coordinator folds the partials into o's registry in shard order at
+// the end of every Step. The probes consume no randomness, so an
+// observed run produces bit-identical Results to an unobserved one with
+// the same config, and identical snapshots at every worker count.
 func (s *Sim) SetObserver(o *obs.Observer) {
 	if o == nil {
 		s.metrics = nil
 		if s.flt != nil {
 			s.flt.m = nil
+		}
+		for _, sh := range s.shards {
+			sh.m = nil
 		}
 		for st := range s.stages {
 			for _, swc := range s.stages[st] {
@@ -117,6 +163,10 @@ func (s *Sim) SetObserver(o *obs.Observer) {
 		delivered:      r.Counter(MetricDelivered),
 		discardedEntry: r.Counter(MetricDiscardedEntry),
 		discardedNet:   r.Counter(MetricDiscardedNet),
+		grants:         r.Counter(MetricGrants),
+		conflicts:      r.Counter(MetricConflicts),
+		blockedHeads:   r.Counter(MetricBlockedHeads),
+		offerRefused:   r.Counter(MetricOfferRefused),
 		inFlight:       r.Gauge(MetricInFlight),
 		backlog:        r.Gauge(MetricSourceBacklog),
 		lastSample:     -1,
@@ -129,27 +179,38 @@ func (s *Sim) SetObserver(o *obs.Observer) {
 	m.queueDepth = r.Histogram(MetricQueueDepth, s.cfg.Capacity+1, 1)
 	m.latBorn = r.Histogram(MetricLatencyBorn, 4096, c)
 	m.latInjected = r.Histogram(MetricLatencyInjected, 4096, c)
+	// A queue holds at most as many packets as its storage pool has
+	// slots: one buffer's, or the whole switch's under SharedPool.
+	poolCap := s.cfg.Capacity
+	if s.cfg.SharedPool {
+		poolCap *= s.cfg.Radix
+	}
 	if buffer.KindModern(s.cfg.BufferKind) || s.cfg.SharedPool {
-		poolCap := s.cfg.Capacity
-		if s.cfg.SharedPool {
-			poolCap *= s.cfg.Radix
-		}
 		m.poolSlots = r.Histogram(MetricPoolSlotsUsed, poolCap+1, 1)
 		m.policyRefused = r.Counter(MetricPolicyRefused)
 	}
 
-	// Grant/conflict/blocked/refused counts aggregate across all
-	// switches: one shared counter set, fanned out to every stage.
-	swm := &sw.Metrics{
-		Grants:       r.Counter(MetricGrants),
-		Conflicts:    r.Counter(MetricConflicts),
-		BlockedHeads: r.Counter(MetricBlockedHeads),
-		OfferRefused: r.Counter(MetricOfferRefused),
-	}
-	for st := range s.stages {
-		for _, swc := range s.stages[st] {
-			swc.SetMetrics(swm)
+	for _, sh := range s.shards {
+		sm := &shardMetrics{
+			depth:    make([]int64, poolCap+1),
+			stageOcc: make([]int64, len(s.stages)),
+			row:      make([]int, s.cfg.Radix),
+			// At most one delivery per last-stage output per cycle, so
+			// the logs never grow past this.
+			latInj:  make([]int64, 0, (sh.hi-sh.lo)*s.cfg.Radix),
+			latBorn: make([]int64, 0, (sh.hi-sh.lo)*s.cfg.Radix),
 		}
+		if m.poolSlots != nil {
+			sm.slots = make([]int64, poolCap+1)
+		}
+		sm.sw = sw.Metrics{Grants: &sm.grants, Conflicts: &sm.conflicts,
+			BlockedHeads: &sm.blocked, OfferRefused: &sm.refused}
+		for st := range s.stages {
+			for _, swc := range s.stages[st][sh.lo:sh.hi] {
+				swc.SetMetrics(&sm.sw)
+			}
+		}
+		sh.m = sm
 	}
 	s.metrics = m
 	// Fault instruments ride on the same observer, but only when faults
@@ -168,33 +229,100 @@ func (s *Sim) SetObserver(o *obs.Observer) {
 	}
 }
 
-// sampleMetrics runs at the end of every measured cycle with an observer
-// attached: per-stage occupancy gauges, the per-queue depth histogram,
-// level gauges, and — when the observer's interval is enabled — the
-// cumulative time-series record. It allocates only when the time series
-// grows (amortized append, off by default).
-func (s *Sim) sampleMetrics(backlog int64) {
-	m := s.metrics
-	inFlight := s.InFlight()
-	for st := range s.stages {
-		total := int64(0)
-		for _, swc := range s.stages[st] {
-			total += int64(swc.Len())
-			ports := swc.Ports()
-			for in := 0; in < ports; in++ {
+// sampleMetrics is the shard's measured-cycle instrument sweep, run in
+// the inject phase over the switches it owns: queue-depth and pool-slot
+// tallies and per-stage occupancy. Occupied means holding packets —
+// quarantined slots are neither free nor used, so the pool tally
+// isolates what the admission policy let in; under SharedPool one pool
+// spans the switch, so it is tallied once per switch, not per view.
+// damqvet:hotpath
+func (sh *shard) sampleMetrics() {
+	sm := sh.m
+	shared := sh.sim.cfg.SharedPool
+	for st, row := range sh.sim.stages {
+		occ := int64(0)
+		for _, swc := range row[sh.lo:sh.hi] {
+			occ += int64(swc.Len())
+			used := 0
+			for in := 0; in < swc.Ports(); in++ {
 				b := swc.Buffer(in)
-				for out := 0; out < ports; out++ {
-					m.queueDepth.Observe(int64(b.QueueLen(out)))
+				b.QueueLens(sm.row)
+				for _, n := range sm.row {
+					sm.depth[n]++
+				}
+				if sm.slots != nil {
+					for out := range sm.row {
+						used += b.QueueSlots(out)
+					}
+					if !shared {
+						sm.slots[used]++
+						used = 0
+					}
 				}
 			}
+			if shared && sm.slots != nil {
+				sm.slots[used]++
+			}
 		}
-		m.stageOcc[st].Set(total)
+		sm.stageOcc[st] += occ
 	}
+}
+
+// foldMetrics runs in the serial epilogue of every Step with an observer
+// attached: it folds each shard's partials into the registry in shard
+// order and clears them. On a measured cycle it also sets the level
+// gauges and — when the observer's interval is enabled — appends the
+// cumulative time-series record. It allocates only when the time series
+// grows (amortized append, off by default).
+func (s *Sim) foldMetrics(measuring bool, backlog int64) {
+	m := s.metrics
+	var linkDrops int64
+	for _, sh := range s.shards {
+		sm := sh.m
+		n := sm.n
+		sm.n = shardCounts{}
+		m.generated.Add(n.generated)
+		m.injected.Add(n.injected)
+		m.delivered.Add(n.delivered)
+		m.discardedEntry.Add(n.discardedEntry)
+		m.discardedNet.Add(n.discardedNet)
+		if m.policyRefused != nil {
+			m.policyRefused.Add(n.policyRefused)
+		}
+		linkDrops += n.linkDrops
+		drain(m.grants, &sm.grants)
+		drain(m.conflicts, &sm.conflicts)
+		drain(m.blockedHeads, &sm.blocked)
+		drain(m.offerRefused, &sm.refused)
+		for _, v := range sm.latInj {
+			m.latInjected.Observe(v)
+		}
+		for _, v := range sm.latBorn {
+			m.latBorn.Observe(v)
+		}
+		sm.latInj, sm.latBorn = sm.latInj[:0], sm.latBorn[:0]
+		foldTally(m.queueDepth, sm.depth)
+		if sm.slots != nil {
+			foldTally(m.poolSlots, sm.slots)
+		}
+	}
+	if f := s.flt; f != nil && f.m != nil {
+		f.m.linkDrops.Add(linkDrops)
+	}
+	if !measuring {
+		return
+	}
+	for st, g := range m.stageOcc {
+		total := int64(0)
+		for _, sh := range s.shards {
+			total += sh.m.stageOcc[st]
+			sh.m.stageOcc[st] = 0
+		}
+		g.Set(total)
+	}
+	inFlight := s.InFlight()
 	m.inFlight.Set(inFlight)
 	m.backlog.Set(backlog)
-	if m.poolSlots != nil {
-		s.samplePoolSlots()
-	}
 
 	iv := m.observer.Interval()
 	if iv <= 0 {
@@ -217,33 +345,19 @@ func (s *Sim) sampleMetrics(backlog int64) {
 	})
 }
 
-// samplePoolSlots observes each storage pool's occupied slot count:
-// one sample per input buffer normally, one per switch when all its
-// inputs share a pool (summing per-view counts walks the whole group).
-// Occupied means holding packets — quarantined slots are neither free
-// nor used, so the histogram isolates what the admission policy let in.
-// The histogram exists only for modern or shared-pool runs, so every
-// sampled kind is a pooled one.
-func (s *Sim) samplePoolSlots() {
-	m := s.metrics
-	shared := s.cfg.SharedPool
-	for st := range s.stages {
-		for _, swc := range s.stages[st] {
-			ports := swc.Ports()
-			used := 0
-			for in := 0; in < ports; in++ {
-				b := swc.Buffer(in)
-				for out := 0; out < ports; out++ {
-					used += b.QueueSlots(out)
-				}
-				if !shared {
-					m.poolSlots.Observe(int64(used))
-					used = 0
-				}
-			}
-			if shared {
-				m.poolSlots.Observe(int64(used))
-			}
+// drain adds a shard-owned counter into its registered twin and clears it.
+func drain(to, from *obs.Counter) {
+	to.Add(from.Value())
+	from.Set(0)
+}
+
+// foldTally observes tally[v] samples of every value v into h and clears
+// the tally.
+func foldTally(h *obs.Histogram, tally []int64) {
+	for v, n := range tally {
+		if n != 0 {
+			h.ObserveN(int64(v), n)
+			tally[v] = 0
 		}
 	}
 }

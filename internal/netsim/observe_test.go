@@ -1,7 +1,9 @@
 package netsim
 
 import (
+	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"damq/internal/arbiter"
@@ -148,25 +150,41 @@ func TestObservedSnapshotShape(t *testing.T) {
 }
 
 // TestObservedStepSteadyStateAllocs extends the allocation diet to the
-// observed hot path: with all instruments registered up front, stepping
-// an observed simulation allocates nothing beyond the unobserved
-// amortized events (the time series is disabled here; enabled, it
-// amortizes one append per interval).
+// observed hot path: with all instruments registered up front and the
+// shards' partials and latency logs sized at attach, stepping an observed
+// simulation allocates nothing beyond the unobserved amortized events,
+// serially or on a 2-worker gang (the time series is disabled here;
+// enabled, it amortizes one append per interval).
 func TestObservedStepSteadyStateAllocs(t *testing.T) {
-	sim, err := New(observeTestConfig(sw.Blocking, 0.5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim.SetObserver(obs.NewObserver())
-	for i := 0; i < 2000; i++ {
-		sim.Step(true)
-	}
-	avg := testing.AllocsPerRun(500, func() {
-		sim.Step(true)
-	})
-	const limit = 0.05
-	if avg > limit {
-		t.Errorf("observed steady-state Step allocates %.3f allocs/op, want <= %v", avg, limit)
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			cfg := observeTestConfig(sw.Blocking, 0.5)
+			cfg.Workers = workers
+			sim, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sim.Close()
+			sim.SetObserver(obs.NewObserver())
+			for i := 0; i < 2000; i++ {
+				sim.Step(true)
+			}
+			// Not testing.AllocsPerRun: it drops to GOMAXPROCS 1, where a
+			// gang sized for two processors spins out its whole budget at
+			// every barrier. The malloc count is process-wide either way.
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			const runs = 500
+			for i := 0; i < runs; i++ {
+				sim.Step(true)
+			}
+			runtime.ReadMemStats(&after)
+			avg := float64(after.Mallocs-before.Mallocs) / runs
+			const limit = 0.05
+			if avg > limit {
+				t.Errorf("observed steady-state Step allocates %.3f allocs/op, want <= %v", avg, limit)
+			}
+		})
 	}
 }
 

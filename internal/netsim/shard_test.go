@@ -1,6 +1,8 @@
 package netsim
 
 import (
+	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"reflect"
@@ -9,6 +11,8 @@ import (
 	"damq/internal/arbiter"
 	"damq/internal/buffer"
 	"damq/internal/cfgerr"
+	"damq/internal/fault"
+	"damq/internal/obs"
 	"damq/internal/sw"
 )
 
@@ -92,6 +96,134 @@ func TestShardedMatchesSerial(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestShardedObservedMatchesSerial pins observed sharding: shards count
+// into their own partial instruments, which the coordinator folds into
+// the observer's registry at every Step boundary, so an observed run
+// stepped on any worker count must match the observed serial run in its
+// Result and in every byte of its snapshot, interval series included.
+// The same holds after a mid-interval checkpoint restored at another
+// worker count under a fresh observer. Besides the plain sharding cases
+// it covers the pool-slot histogram and policy-refused counter (DT), the
+// shard-local link-drop counter (faults) and a discarding radix-2 cell.
+func TestShardedObservedMatchesSerial(t *testing.T) {
+	type cell struct {
+		name   string
+		cfg    Config
+		faults bool
+	}
+	var cells []cell
+	for _, tc := range shardTestCases() {
+		cells = append(cells, cell{name: tc.name, cfg: tc.cfg})
+	}
+	cells = append(cells,
+		cell{name: "discarding DT saturated", cfg: Config{
+			BufferKind: buffer.DT, Capacity: 4, Policy: arbiter.Smart, Protocol: sw.Discarding,
+			Traffic:      TrafficSpec{Kind: Uniform, Load: 0.95},
+			WarmupCycles: 200, MeasureCycles: 1200,
+		}},
+		cell{name: "blocking DAMQ link and slot faults", cfg: Config{
+			BufferKind: buffer.DAMQ, Capacity: 4, Policy: arbiter.Smart, Protocol: sw.Blocking,
+			Traffic:      TrafficSpec{Kind: Uniform, Load: 0.6},
+			WarmupCycles: 200, MeasureCycles: 1200,
+		}, faults: true},
+		cell{name: "radix-2 discarding DAMQ", cfg: Config{
+			Radix: 2, Inputs: 64,
+			BufferKind: buffer.DAMQ, Capacity: 4, Policy: arbiter.Dumb, Protocol: sw.Discarding,
+			Traffic:      TrafficSpec{Kind: Uniform, Load: 0.8},
+			WarmupCycles: 200, MeasureCycles: 1200,
+		}},
+	)
+	faults := fault.Config{Seed: 3, SlotStuckRate: 1e-4, LinkTransientRate: 2e-3, LinkDeadRate: 2e-5}
+
+	for _, c := range cells {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := c.cfg
+			cfg.Seed = 7
+			// Nine observed runs per cell: a third of the usual length
+			// keeps the race-detector step quick and still spans eight
+			// records.
+			cfg.WarmupCycles, cfg.MeasureCycles = 100, 400
+			build := func(workers int) (*Sim, *obs.Observer) {
+				cfg := cfg
+				cfg.Workers = workers
+				s, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if c.faults {
+					if err := s.SetFaults(faults); err != nil {
+						t.Fatal(err)
+					}
+				}
+				o := obs.NewObserver()
+				o.SetInterval(50)
+				s.SetObserver(o)
+				return s, o
+			}
+			encode := func(o *obs.Observer) []byte {
+				raw, err := o.Snapshot().Encode()
+				if err != nil {
+					t.Fatal(err)
+				}
+				return raw
+			}
+			check := func(what string, s *Sim, o *obs.Observer, want *Result, wantSnap []byte) {
+				t.Helper()
+				if got := s.Collect(); !reflect.DeepEqual(got, want) {
+					t.Errorf("%s: Result diverges from serial:\n got: %+v\nwant: %+v", what, got, want)
+				}
+				if got := encode(o); !bytes.Equal(got, wantSnap) {
+					t.Errorf("%s: snapshot diverges from serial:\n got: %s\nwant: %s", what, got, wantSnap)
+				}
+			}
+
+			ref, refObs := build(1)
+			want := ref.Run()
+			wantSnap := encode(refObs)
+			if len(refObs.Series()) < 2 {
+				t.Fatalf("serial run recorded %d interval records, want several", len(refObs.Series()))
+			}
+			if c.faults {
+				snap := refObs.Snapshot()
+				drops, _ := snap.Counter(fault.MetricLinkDrops)
+				quarantined, _ := snap.Counter(fault.MetricSlotsQuarantined)
+				if drops == 0 || quarantined == 0 {
+					t.Fatalf("faulted cell: %d link drops, %d quarantined slots; want both > 0", drops, quarantined)
+				}
+			}
+
+			// Mid-interval: 17 cycles past a series record.
+			at := cfg.WarmupCycles + 5*50 + 17
+			for _, w := range []struct{ run, resume int }{{1, 2}, {2, 3}, {3, 8}, {8, 1}} {
+				workers, resumeWorkers := w.run, w.resume
+				s, o := build(workers)
+				var ckpt bytes.Buffer
+				_, err := s.RunCtxCheckpoint(context.Background(), 1, func() error {
+					if s.Cycle() != at {
+						return nil
+					}
+					return s.Checkpoint(&ckpt)
+				})
+				s.Close()
+				if err != nil {
+					t.Fatal(err)
+				}
+				check(fmt.Sprintf("workers=%d", workers), s, o, want, wantSnap)
+
+				r, err := RestoreSimOpts(bytes.NewReader(ckpt.Bytes()), RestoreOpts{Workers: resumeWorkers, WorkersSet: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				ro := obs.NewObserver()
+				r.SetObserver(ro)
+				r.Run()
+				r.Close()
+				check(fmt.Sprintf("checkpoint at cycle %d, workers %d -> %d", at, workers, resumeWorkers), r, ro, want, wantSnap)
+			}
+		})
 	}
 }
 

@@ -89,6 +89,25 @@ func (h *Histogram) Observe(v int64) {
 	h.buckets[b]++
 }
 
+// ObserveN records n samples of value v: exactly what n Observe(v) calls
+// would record, in one step. Shard-local tallies (value → count) fold
+// into a registered histogram with it.
+//
+// damqvet:hotpath
+func (h *Histogram) ObserveN(v, n int64) {
+	if v < 0 {
+		v = 0
+	}
+	h.total += n
+	h.sum += v * n
+	b := v / h.width
+	if b >= int64(len(h.buckets)) {
+		h.overflow += n
+		return
+	}
+	h.buckets[b] += n
+}
+
 // Total returns the number of samples observed.
 func (h *Histogram) Total() int64 { return h.total }
 
@@ -179,24 +198,54 @@ func (h *Histogram) Overflow() int64 { return h.overflow }
 
 // Restore overwrites the histogram's contents with previously captured
 // values, for checkpoint restore. The bucket count must match the
-// registered shape, and the counts must be non-negative and sum (with
-// overflow) to total — a stream that disagrees is corrupt.
+// registered shape, and the contents must pass CheckContents — a stream
+// that disagrees is corrupt.
 func (h *Histogram) Restore(buckets []int64, overflow, total, sum int64) error {
 	if len(buckets) != len(h.buckets) {
 		return fmt.Errorf("obs: %d restored buckets for a %d-bucket histogram", len(buckets), len(h.buckets))
 	}
-	var n int64
-	for _, c := range buckets {
-		if c < 0 {
-			return fmt.Errorf("obs: negative restored bucket count %d", c)
-		}
-		n += c
-	}
-	if overflow < 0 || n+overflow != total {
-		return fmt.Errorf("obs: restored histogram total %d does not match bucket sum %d", total, n+overflow)
+	if err := CheckContents(h.width, buckets, overflow, total, sum); err != nil {
+		return err
 	}
 	copy(h.buckets, buckets)
 	h.overflow, h.total, h.sum = overflow, total, sum
+	return nil
+}
+
+// CheckContents reports whether Observe calls on a histogram of the
+// given bucket width could have produced these contents: non-negative
+// counts that add up (with overflow) to total, and a sum each sample's
+// bucket can account for. Bucket b holds samples in [b*width,
+// (b+1)*width), and overflow samples are at least len(buckets)*width,
+// so the sum is bounded below always and above when overflow is 0.
+func CheckContents(width int64, buckets []int64, overflow, total, sum int64) error {
+	var n int64
+	for _, c := range buckets {
+		if c < 0 {
+			return fmt.Errorf("obs: negative bucket count %d", c)
+		}
+		if n += c; n < 0 {
+			return fmt.Errorf("obs: bucket counts overflow")
+		}
+	}
+	if overflow < 0 || n+overflow != total {
+		return fmt.Errorf("obs: histogram total %d does not match bucket sum %d", total, n+overflow)
+	}
+	// The bounds are summed in float64: exact for every reachable sum
+	// (counts and values far below 2^53) and immune to int64 wrap on
+	// hostile counts.
+	var lo, hi float64
+	for b, c := range buckets {
+		lo += float64(c) * float64(int64(b)*width)
+		hi += float64(c) * float64(int64(b+1)*width-1)
+	}
+	lo += float64(overflow) * float64(int64(len(buckets))*width)
+	if float64(sum) < lo {
+		return fmt.Errorf("obs: histogram sum %d below the %.0f its buckets hold", sum, lo)
+	}
+	if overflow == 0 && float64(sum) > hi {
+		return fmt.Errorf("obs: histogram sum %d above the %.0f its buckets can hold", sum, hi)
+	}
 	return nil
 }
 

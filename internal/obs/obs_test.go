@@ -44,6 +44,56 @@ func TestHistogram(t *testing.T) {
 	}
 }
 
+// TestObserveNMatchesObserve: n samples recorded in one ObserveN call
+// leave the histogram exactly as n Observe calls do, overflow and
+// clamping included.
+func TestObserveNMatchesObserve(t *testing.T) {
+	one := NewRegistry().Histogram("h", 4, 10)
+	batch := NewRegistry().Histogram("h", 4, 10)
+	for _, c := range []struct{ v, n int64 }{{0, 3}, {9, 1}, {25, 4}, {400, 2}, {-5, 2}, {7, 0}} {
+		for i := int64(0); i < c.n; i++ {
+			one.Observe(c.v)
+		}
+		batch.ObserveN(c.v, c.n)
+	}
+	if !reflect.DeepEqual(one, batch) {
+		t.Errorf("ObserveN histogram %+v, Observe histogram %+v", batch, one)
+	}
+}
+
+// TestCheckContents pins which captured contents Restore accepts: the
+// counts must add up, and the sum must lie within what the buckets hold
+// (bounded above only without overflow).
+func TestCheckContents(t *testing.T) {
+	// Width 10: 2 samples in [0,10), 1 in [20,30) → sum within [20, 47].
+	buckets := []int64{2, 0, 1}
+	for _, c := range []struct {
+		name                 string
+		overflow, total, sum int64
+		ok                   bool
+	}{
+		{"least sum", 0, 3, 20, true},
+		{"greatest sum", 0, 3, 47, true},
+		{"negative sum", 0, 3, -1, false},
+		{"sum below the buckets", 0, 3, 19, false},
+		{"sum above the buckets", 0, 3, 48, false},
+		{"overflow lifts the bound", 1, 4, 1000, true},
+		{"overflow sum below its floor", 1, 4, 49, false},
+		{"total disagrees", 0, 4, 20, false},
+	} {
+		err := CheckContents(10, buckets, c.overflow, c.total, c.sum)
+		if (err == nil) != c.ok {
+			t.Errorf("%s: CheckContents = %v, want ok=%v", c.name, err, c.ok)
+		}
+	}
+	if err := CheckContents(1, []int64{-1, 1}, 0, 0, 1); err == nil {
+		t.Error("negative bucket accepted")
+	}
+	if err := CheckContents(1, []int64{1 << 62, 1 << 62}, 0, -1<<63, 0); err == nil {
+		t.Error("bucket counts that wrap int64 accepted")
+	}
+}
+
 func TestRegistryIdentityAndShapeChecks(t *testing.T) {
 	r := NewRegistry()
 	if r.Counter("a") != r.Counter("a") {

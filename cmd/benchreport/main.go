@@ -5,7 +5,7 @@
 // baseline; regenerate it after intentional performance work with:
 //
 //	go run ./cmd/benchreport -pkg ./... \
-//	    -bench 'BenchmarkNetworkCycle|BenchmarkChipNetworkPacket|BenchmarkAsyncEvent|BenchmarkAsyncExtension|BenchmarkDamqvetAnalysis|BenchmarkPolicyAdmit|BenchmarkGang' \
+//	    -bench 'BenchmarkNetworkCycle|BenchmarkChipNetworkPacket|BenchmarkAsyncEvent|BenchmarkAsyncExtension|BenchmarkDamqvetAnalysis|BenchmarkPolicyAdmit|BenchmarkGang|BenchmarkArbitrate$' \
 //	    -count 5 -notime 'Sharded|Damqvet|Gang' -out BENCH_netsim.json
 //
 // The regex spans packages (the async event-engine benchmarks live in

@@ -55,9 +55,11 @@ var (
 	// ErrBadCapacity reports a slot capacity that is non-positive or not
 	// divisible as the buffer organization requires (SAMQ/SAFC).
 	ErrBadCapacity = cfgerr.ErrBadCapacity
-	// ErrBadPorts reports a non-positive port or output count.
+	// ErrBadPorts reports a non-positive port or output count, or a
+	// switch wider than 64 ports.
 	ErrBadPorts = cfgerr.ErrBadPorts
-	// ErrBadRadix reports an Omega-network radix/width mismatch.
+	// ErrBadRadix reports an Omega-network radix/width mismatch, or a
+	// radix above 64.
 	ErrBadRadix = cfgerr.ErrBadRadix
 	// ErrBadLoad reports an offered load outside [0, 1].
 	ErrBadLoad = cfgerr.ErrBadLoad

@@ -168,6 +168,9 @@ func TestFacadeSentinelErrors(t *testing.T) {
 	if err := (damq.SwitchConfig{BufferKind: damq.DAMQ, Capacity: 4}).Validate(); !errors.Is(err, damq.ErrBadPorts) {
 		t.Errorf("zero-port switch = %v, want ErrBadPorts", err)
 	}
+	if err := (damq.SwitchConfig{Ports: 65, BufferKind: damq.DAMQ, Capacity: 65}).Validate(); !errors.Is(err, damq.ErrBadPorts) {
+		t.Errorf("65-port switch = %v, want ErrBadPorts (the arbiter's masks are 64 bits)", err)
+	}
 
 	if err := (damq.NetworkConfig{}).Validate(); err != nil {
 		t.Errorf("zero network config must validate (defaults fill it): %v", err)
@@ -179,6 +182,9 @@ func TestFacadeSentinelErrors(t *testing.T) {
 	}
 	if _, err := damq.NewNetwork(damq.NetworkConfig{Radix: 3}); !errors.Is(err, damq.ErrBadRadix) {
 		t.Errorf("radix 3 = %v, want ErrBadRadix", err)
+	}
+	if err := (damq.NetworkConfig{Radix: 128, Inputs: 128}).Validate(); !errors.Is(err, damq.ErrBadRadix) {
+		t.Errorf("radix 128 = %v, want ErrBadRadix (the arbiter's masks are 64 bits)", err)
 	}
 	cfg = optionTestConfig()
 	cfg.Traffic = damq.TrafficSpec{Kind: damq.HotSpotTraffic, Load: 0.5, HotFraction: 2}

@@ -16,10 +16,16 @@
 // (non-blocked, output-still-free) queue. A buffer with a single read port
 // (FIFO, SAMQ, DAMQ) gets at most one grant per cycle; an SAFC buffer may
 // receive up to one grant per queue.
+//
+// Like the chip's arbitration logic, the arbiter decides from request
+// bits: per input, a mask of queues with a head packet and a mask of
+// heads the downstream buffer has room for. One scan over those masks
+// serves every switch of up to MaxOutputs outputs.
 package arbiter
 
 import (
 	"fmt"
+	"math/bits"
 
 	"damq/internal/cfgerr"
 	"damq/internal/names"
@@ -62,38 +68,45 @@ func ParsePolicy(s string) (Policy, error) {
 		s, names.List(policyNames[:]), cfgerr.ErrBadPolicy)
 }
 
-// Snapshot is what the arbiter sees of its switch in one cycle: the
-// state of every (input buffer, output queue) pair. The switch fills it
-// before each Arbitrate call; Arbitrate only reads it. A queue with
-// QueueLen > 0 is understood to have a deliverable head packet (FIFOs
-// report 0 when the head is for a different output), so QueueLen doubles
-// as the head-availability test.
+// MaxOutputs is the most outputs an arbiter serves: a Snapshot row is
+// one 64-bit mask over a buffer's output queues.
+const MaxOutputs = 64
+
+// Snapshot is what the arbiter sees of its switch in one cycle: per
+// input buffer, two bit masks over its output queues plus the queue
+// lengths. The switch fills it before each Arbitrate call; Arbitrate
+// only reads it. Bit o of a mask stands for output o, so a switch has at
+// most 64 outputs.
 type Snapshot struct {
-	// InputLen[in] is the total packet count buffered at input in. The
-	// arbiter skips a row whose InputLen is 0 without reading its queues,
-	// so the switch need not fill QueueLen rows of empty inputs.
-	InputLen []int
+	// Busy[in] marks the queues of input in with a deliverable head
+	// packet: QueueLen > 0 (a FIFO reports 0 for every output but its
+	// head's). The arbiter skips a row whose Busy is 0 without reading
+	// anything else of it, so the switch need not fill QueueLen rows of
+	// empty inputs.
+	Busy []uint64
+	// Ready[in] marks the busy queues whose head the downstream buffer
+	// has room for; Ready == Busy when nothing ever blocks (a
+	// discarding protocol, or a stage feeding sinks).
+	Ready []uint64
 	// QueueLen[in*outputs+out] is the number of packets input in could
 	// eventually send to out (0 when a FIFO's head is for a different
-	// output).
+	// output). It is read only to choose among two or more ready queues.
 	QueueLen []int
 	// MaxReads[in] is the read-port limit of input in's buffer.
 	MaxReads []int
-	// Blocked reports whether the head packet of (in, out) cannot be
-	// forwarded because the downstream buffer refuses it. It is only
-	// called when QueueLen > 0; nil means nothing ever blocks (a
-	// discarding protocol, or a stage feeding sinks).
-	Blocked func(in, out int) bool
 }
 
 // NewSnapshot allocates a snapshot for an inputs×outputs switch with one
-// read port per input, its three tables carved from one array.
+// read port per input: the two masks share one array, the two tables
+// another.
 func NewSnapshot(inputs, outputs int) Snapshot {
-	t := make([]int, inputs*(outputs+2))
+	m := make([]uint64, 2*inputs)
+	t := make([]int, inputs*(outputs+1))
 	v := Snapshot{
-		InputLen: t[:inputs:inputs],
-		MaxReads: t[inputs : 2*inputs : 2*inputs],
-		QueueLen: t[2*inputs:],
+		Busy:     m[:inputs:inputs],
+		Ready:    m[inputs:],
+		MaxReads: t[:inputs:inputs],
+		QueueLen: t[inputs:],
 	}
 	for i := range v.MaxReads {
 		v.MaxReads[i] = 1
@@ -115,12 +128,6 @@ type Arbiter struct {
 	prio    int
 	stale   []int64 // [in*outputs+out] cycles the queue has waited with traffic
 
-	// Per-cycle scratch of the general scan, allocated once: Arbitrate
-	// runs for every switch on every network cycle, so per-call slice
-	// allocations would dominate the simulator's heap profile.
-	outTaken []bool
-	sentRow  []bool // current input row's granted outputs
-
 	// Observability probes (nil when no observer is attached). Every use
 	// sits behind an `if x != nil` guard so the unobserved arbiter stays
 	// branch-predictable, allocation-free, and bit-identical.
@@ -129,17 +136,16 @@ type Arbiter struct {
 	mBlocked   *obs.Counter // queue heads refused by the downstream buffer
 }
 
-// New constructs an arbiter for a switch with the given port counts.
+// New constructs an arbiter for a switch with the given port counts. It
+// panics unless both are positive and outputs fits a 64-bit mask.
 func New(policy Policy, inputs, outputs int) *Arbiter {
-	if inputs <= 0 || outputs <= 0 {
-		panic("arbiter: ports must be positive")
+	if inputs <= 0 || outputs <= 0 || outputs > MaxOutputs {
+		panic(fmt.Sprintf("arbiter: %d×%d ports, want positive counts and at most %d outputs",
+			inputs, outputs, MaxOutputs))
 	}
-	scratch := make([]bool, 2*outputs)
 	return &Arbiter{
 		policy: policy, inputs: inputs, outputs: outputs,
-		stale:    make([]int64, inputs*outputs),
-		outTaken: scratch[:outputs:outputs],
-		sentRow:  scratch[outputs:],
+		stale: make([]int64, inputs*outputs),
 	}
 }
 
@@ -185,230 +191,127 @@ func (a *Arbiter) Reset() {
 // dst (pass nil to allocate) and returns the result; the order of grants
 // follows the examination order, which tests rely on.
 //
-// The 2×2 single-read-port case — the building block of binary multistage
-// networks — dispatches to a branchless fast path that computes the whole
-// matching as boolean expressions; every other shape (or an arbiter with
-// counters attached, which must count candidate rejections the boolean
-// form never enumerates) takes the general scan. Both produce identical
-// grants, priority movement, and stale counts; TestArbitrate2x2Exhaustive
-// and TestArbitrate2x2Trajectory pin that against the general path run on
-// the same state, and TestArbitrateMatchesReference pins the general scan
-// against a brute-force reference.
+// One scan serves every port count up to MaxOutputs, both policies, any
+// read-port limit and observed arbiters, in the style of hardware
+// request logic: a row's candidates are the set bits of Ready &^ taken,
+// walked from the lowest output, and stale counts and queue lengths are
+// read only to choose among two or more of them.
+// TestArbitrateMatchesReference and the 2×2 sweeps pin it against a
+// brute-force reference.
 // damqvet:hotpath
 func (a *Arbiter) Arbitrate(v *Snapshot, dst []Grant) []Grant {
-	if len(v.InputLen) != a.inputs || len(v.QueueLen) != a.inputs*a.outputs || len(v.MaxReads) != a.inputs {
+	n, m := a.inputs, a.outputs
+	if len(v.Busy) != n || len(v.Ready) != n || len(v.QueueLen) != n*m || len(v.MaxReads) != n {
 		panic(fmt.Sprintf("arbiter: snapshot is %d inputs × %d queues, arbiter is %dx%d",
-			len(v.InputLen), len(v.QueueLen), a.inputs, a.outputs))
+			len(v.Busy), len(v.QueueLen), n, m))
 	}
-	if a.inputs == 2 && a.outputs == 2 &&
-		a.mGrants == nil && a.mConflicts == nil && a.mBlocked == nil &&
-		v.MaxReads[0] == 1 && v.MaxReads[1] == 1 {
-		return a.arbitrate2x2(v, dst)
-	}
-	return a.arbitrateGeneral(v, dst)
-}
-
-// arbitrate2x2 is the fast path for a 2×2 switch whose buffers expose one
-// read port: forwarding eligibility, conflict resolution, and priority
-// movement reduce to pure boolean expressions over the four queue states,
-// with no per-candidate loops — the style of hardware arbitration logic,
-// one gate level per term. Row i0 (the priority holder) picks first; row
-// i1 then sees i0's winning output as taken.
-// damqvet:hotpath
-func (a *Arbiter) arbitrate2x2(v *Snapshot, dst []Grant) []Grant {
-	i0 := a.prio
-	i1 := i0 ^ 1
-	len0 := v.InputLen[i0] > 0
-	len1 := v.InputLen[i1] > 0
-
-	var g0, g1, g0hi bool // row grants; g0hi = row i0 took output 1
-	if len0 {
-		p0, p1 := a.pick2(v, i0, false, false)
-		g0 = p0 || p1
-		g0hi = p1
-		if g0 {
-			dst = append(dst, Grant{In: i0, Out: b2i(p1)})
-		}
-	}
-	if len1 {
-		p0, p1 := a.pick2(v, i1, g0 && !g0hi, g0 && g0hi)
-		g1 = p0 || p1
-		if g1 {
-			dst = append(dst, Grant{In: i1, Out: b2i(p1)})
-		}
-	}
-
-	// Priority as one boolean term. Smart keeps the pointer on i0 when the
-	// holder had traffic but sent nothing (blocked turns are not counted),
-	// and lands on i0 after a round where only i1 transmitted (rotate past
-	// the first server); every other case — any dumb round, a holder
-	// grant, a completely idle round — moves it to i1.
-	if a.policy == Smart && !g0 && (len0 || g1) {
-		a.prio = i0
-	} else {
-		a.prio = i1
-	}
-	return dst
-}
-
-// pick2 computes one 2×2 row's winning output as boolean logic: e_o is
-// the forward-eligibility of queue o (has traffic, output free, head not
-// blocked downstream), beats is the policy's preference for output 1 over
-// output 0 (stalest first under smart, then longest queue, ties to the
-// lower output), and the one-hot pick follows. Stale counts transition
-// exactly as the general row epilogue: waiting queues age, transmitting
-// or empty queues reset.
-// damqvet:hotpath
-func (a *Arbiter) pick2(v *Snapshot, i int, t0, t1 bool) (p0, p1 bool) {
-	s := a.stale[2*i : 2*i+2]
-	q0 := v.QueueLen[2*i]
-	q1 := v.QueueLen[2*i+1]
-	e0 := !t0 && q0 > 0 && (v.Blocked == nil || !v.Blocked(i, 0))
-	e1 := !t1 && q1 > 0 && (v.Blocked == nil || !v.Blocked(i, 1))
-	smart := a.policy == Smart
-	beats := (smart && s[1] > s[0]) || ((!smart || s[1] == s[0]) && q1 > q0)
-	p1 = e1 && (!e0 || beats)
-	p0 = e0 && !p1
-	s[0] = staleNext(s[0], q0 > 0 && !p0)
-	s[1] = staleNext(s[1], q1 > 0 && !p1)
-	return p0, p1
-}
-
-// staleNext is the per-queue stale transition function.
-// damqvet:hotpath
-func staleNext(old int64, waiting bool) int64 {
-	if waiting {
-		return old + 1
-	}
-	return 0
-}
-
-// b2i maps a one-hot output-1 pick to its output index.
-// damqvet:hotpath
-func b2i(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-// arbitrateGeneral is the reference matching algorithm for every port
-// count, read-port limit, and observed arbiter.
-// damqvet:hotpath
-func (a *Arbiter) arbitrateGeneral(v *Snapshot, dst []Grant) []Grant {
-	outTaken := a.outTaken
-	for i := range outTaken {
-		outTaken[i] = false
-	}
-	// firstGranted is the first input served, in examination order. The
+	counted := a.mConflicts != nil || a.mBlocked != nil
+	var taken uint64 // outputs granted so far this cycle
+	// first is the first input served, in examination order. The
 	// priority holder is examined first, so it transmitted exactly when
-	// firstGranted == a.prio.
-	firstGranted := -1
-	sentRow := a.sentRow
-
-	for k := 0; k < a.inputs; k++ {
-		i := (a.prio + k) % a.inputs
-		if v.InputLen[i] == 0 {
-			// An empty input can receive no grant, and its stale counts
-			// are already zero (a queue only carries a nonzero stale
-			// count while it holds traffic — any pop routes through a
-			// grant, which resets the count), so the whole row is
-			// skipped without touching its queues.
-			continue
-		}
-		qlen := v.QueueLen[i*a.outputs : (i+1)*a.outputs]
-		stale := a.stale[i*a.outputs : (i+1)*a.outputs]
-		for o := range sentRow {
-			sentRow[o] = false
-		}
-		for r := 0; r < v.MaxReads[i]; r++ {
-			best := -1
-			// The three rejection tests keep the pre-observability
-			// short-circuit order (taken output, empty queue, blocked head)
-			// so the unobserved path makes the exact same Blocked calls.
-			for o := 0; o < a.outputs; o++ {
-				if outTaken[o] {
-					if a.mConflicts != nil {
-						if qlen[o] > 0 {
-							a.mConflicts.Inc()
-						}
-					}
-					continue
+	// first == a.prio.
+	first := -1
+	i := a.prio
+	for k := 0; k < n; k++ {
+		// An input with no busy queue can receive no grant, and its stale
+		// counts are already zero (a queue only carries a nonzero stale
+		// count while it holds traffic, and any pop routes through a
+		// grant, which resets the count), so the row is skipped whole.
+		if busy := v.Busy[i]; busy != 0 {
+			ready := v.Ready[i]
+			var sent uint64 // this row's granted outputs
+			for r := v.MaxReads[i]; r > 0; r-- {
+				if counted {
+					a.count(busy, ready, taken)
 				}
-				if qlen[o] == 0 {
-					continue
+				elig := ready &^ taken
+				if elig == 0 {
+					break
 				}
-				if v.Blocked != nil && v.Blocked(i, o) {
-					if a.mBlocked != nil {
-						a.mBlocked.Inc()
-					}
-					continue
+				best := bits.TrailingZeros64(elig)
+				if rest := elig & (elig - 1); rest != 0 {
+					best = a.pick(v.QueueLen[i*m:(i+1)*m], a.stale[i*m:(i+1)*m], best, rest)
 				}
-				if best == -1 || better(a.policy, stale, qlen, o, best) {
-					best = o
+				bit := uint64(1) << best
+				taken |= bit
+				sent |= bit
+				if first < 0 {
+					first = i
+				}
+				dst = append(dst, Grant{In: i, Out: best})
+				if a.mGrants != nil {
+					a.mGrants.Inc()
 				}
 			}
-			if best == -1 {
-				break
-			}
-			outTaken[best] = true
-			sentRow[best] = true
-			if firstGranted == -1 {
-				firstGranted = i
-			}
-			dst = append(dst, Grant{In: i, Out: best})
-			if a.mGrants != nil {
-				a.mGrants.Inc()
+			// The row's stale counts are final once its examination ends,
+			// since later rows cannot grant to it: queues holding traffic
+			// that did not transmit age by one; transmitting or empty
+			// queues reset. (A queue that sent one of several waiting
+			// packets still made progress, so it resets.)
+			waiting := busy &^ sent
+			stale := a.stale[i*m : (i+1)*m]
+			for o := range stale {
+				stale[o] = (stale[o] + 1) & -int64(waiting&1)
+				waiting >>= 1
 			}
 		}
-		// Update this row's stale counts — final once its examination
-		// ends, since later rows cannot grant to it: queues holding
-		// traffic that did not transmit age by one; transmitting or
-		// empty queues reset. (A queue that sent one of several waiting
-		// packets still made progress, so it resets.)
-		for o := range stale {
-			if qlen[o] > 0 && !sentRow[o] {
-				stale[o]++
-			} else {
-				stale[o] = 0
-			}
+		if i++; i == n {
+			i = 0
 		}
 	}
 
-	// Advance the priority pointer.
-	switch a.policy {
-	case Dumb:
-		a.prio = (a.prio + 1) % a.inputs
-	case Smart:
-		// The paper's rule: a priority holder whose packets were all
-		// blocked keeps its turn ("does not count the times a buffer has
-		// priority but still does not transmit"). That rule is only
-		// about buffers that *held traffic*: an empty holder forfeits,
-		// and the pointer rotates to just past the first buffer actually
-		// served, so quiet inputs cannot pin the examination order and
-		// starve later buffers.
-		holderHadTraffic := v.InputLen[a.prio] > 0
-		switch {
-		case holderHadTraffic && firstGranted != a.prio:
-			// Blocked with traffic: turn not counted, priority retained.
-		case firstGranted >= 0:
-			a.prio = (firstGranted + 1) % a.inputs
-		default:
-			a.prio = (a.prio + 1) % a.inputs
-		}
+	// Advance the priority pointer. Under Smart, a priority holder whose
+	// packets were all blocked keeps its turn (the paper "does not count
+	// the times a buffer has priority but still does not transmit").
+	// That rule is only about buffers that held traffic: an empty holder
+	// forfeits, and the pointer rotates to just past the first buffer
+	// actually served, so quiet inputs cannot pin the examination order
+	// and starve later buffers. Dumb always advances by one.
+	next := a.prio
+	switch {
+	case a.policy == Smart && v.Busy[a.prio] != 0 && first != a.prio:
+		return dst
+	case a.policy == Smart && first >= 0:
+		next = first
 	}
+	if next++; next == n {
+		next = 0
+	}
+	a.prio = next
 	return dst
 }
 
-// better reports whether output o beats the incumbent best within one
-// input row under the active policy's selection rule: stalest first
-// (smart only), then longest queue, ties keeping the lowest output.
+// count adds one read round's rejections to the observed counters:
+// busy queues whose output another grant already took are conflicts,
+// and busy queues on free outputs whose head does not fit downstream
+// are blocked heads.
 // damqvet:hotpath
-func better(policy Policy, stale []int64, qlen []int, o, best int) bool {
-	if policy == Smart && stale[o] != stale[best] {
-		return stale[o] > stale[best]
+func (a *Arbiter) count(busy, ready, taken uint64) {
+	if a.mConflicts != nil {
+		a.mConflicts.Add(int64(bits.OnesCount64(busy & taken)))
 	}
-	return qlen[o] > qlen[best]
+	if a.mBlocked != nil {
+		a.mBlocked.Add(int64(bits.OnesCount64(busy &^ taken &^ ready)))
+	}
+}
+
+// pick chooses among two or more eligible outputs of one input row: best
+// is the lowest one and rest the others. The policy's selection rule is
+// stalest first (Smart only), then longest queue, ties keeping the lowest
+// output.
+// damqvet:hotpath
+func (a *Arbiter) pick(qlen []int, stale []int64, best int, rest uint64) int {
+	for ; rest != 0; rest &= rest - 1 {
+		o := bits.TrailingZeros64(rest)
+		if a.policy == Smart && stale[o] != stale[best] {
+			if stale[o] > stale[best] {
+				best = o
+			}
+		} else if qlen[o] > qlen[best] {
+			best = o
+		}
+	}
+	return best
 }
 
 // State is the arbiter's cross-cycle state — the round-robin priority

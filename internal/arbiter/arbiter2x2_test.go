@@ -7,14 +7,18 @@ import (
 	"damq/internal/rng"
 )
 
-// clone2x2 builds an arbiter with the given cross-cycle state (priority
-// pointer and stale counts) — the only state Arbitrate carries between
-// cycles.
-func clone2x2(policy Policy, prio int, stale [4]int64) *Arbiter {
+// clone2x2 builds an arbiter and the brute-force reference with the
+// given cross-cycle state (priority pointer and stale counts) — the only
+// state Arbitrate carries between cycles.
+func clone2x2(policy Policy, prio int, stale [4]int64) (*Arbiter, *refState) {
 	a := New(policy, 2, 2)
 	a.prio = prio
 	copy(a.stale, stale[:])
-	return a
+	r := newRefState(policy, 2)
+	r.prio = prio
+	copy(r.stale[0], stale[:2])
+	copy(r.stale[1], stale[2:])
+	return a, r
 }
 
 // stateOf snapshots the cross-cycle state for comparison.
@@ -22,8 +26,17 @@ func stateOf(a *Arbiter) (int, [4]int64) {
 	return a.prio, [4]int64(a.stale)
 }
 
-// TestArbitrate2x2Exhaustive proves the branchless 2×2 path equivalent to
-// the general scan by brute force: every combination of queue lengths,
+// refStateOf is stateOf for the reference.
+func refStateOf(r *refState) (int, [4]int64) {
+	return r.prio, [4]int64{r.stale[0][0], r.stale[0][1], r.stale[1][0], r.stale[1][1]}
+}
+
+// singleReads is the read-port limit of two single-port buffers.
+var singleReads = []int{1, 1}
+
+// TestArbitrate2x2Exhaustive proves the mask scan on a 2×2 switch — the
+// building block of binary multistage networks — equivalent to the
+// brute-force reference: every combination of queue lengths,
 // blocked flags, priority position, and a spread of stale counts, under
 // both policies. Grants (values and order), the next priority pointer,
 // and every stale counter must match exactly.
@@ -45,8 +58,7 @@ func TestArbitrate2x2Exhaustive(t *testing.T) {
 									for _, s11 := range stales {
 										s = [4]int64{s00, 1, 0, s11}
 										cases++
-										fast := clone2x2(policy, prio, s)
-										ref := clone2x2(policy, prio, s)
+										a, ref := clone2x2(policy, prio, s)
 										v := newTableView(2, 2)
 										for i := 0; i < 2; i++ {
 											for o := 0; o < 2; o++ {
@@ -54,16 +66,17 @@ func TestArbitrate2x2Exhaustive(t *testing.T) {
 												v.block(i, o, blk&(1<<(2*i+o)) != 0)
 											}
 										}
-										gotG := fast.arbitrate2x2(&v.Snapshot, nil)
-										wantG := ref.arbitrateGeneral(&v.Snapshot, nil)
-										if !reflect.DeepEqual(gotG, wantG) {
-											t.Fatalf("%v prio=%d q=%v blk=%04b stale=%v: grants %v, general %v",
+										gotG := a.Arbitrate(&v.Snapshot, nil)
+										rq, rb := v.tables()
+										wantG := ref.arbitrate(rq, rb, singleReads)
+										if len(gotG) != len(wantG) || (len(wantG) > 0 && !reflect.DeepEqual(gotG, wantG)) {
+											t.Fatalf("%v prio=%d q=%v blk=%04b stale=%v: grants %v, reference %v",
 												policy, prio, q, blk, s, gotG, wantG)
 										}
-										gotP, gotS := stateOf(fast)
-										wantP, wantS := stateOf(ref)
+										gotP, gotS := stateOf(a)
+										wantP, wantS := refStateOf(ref)
 										if gotP != wantP || gotS != wantS {
-											t.Fatalf("%v prio=%d q=%v blk=%04b stale=%v: state (%d,%v), general (%d,%v)",
+											t.Fatalf("%v prio=%d q=%v blk=%04b stale=%v: state (%d,%v), reference (%d,%v)",
 												policy, prio, q, blk, s, gotP, gotS, wantP, wantS)
 										}
 									}
@@ -80,16 +93,14 @@ func TestArbitrate2x2Exhaustive(t *testing.T) {
 	}
 }
 
-// TestArbitrate2x2Trajectory runs paired arbiters through thousands of
-// random cycles, the fast one dispatched through the public Arbitrate
-// (which must select the 2×2 path: no metrics, single read ports), the
-// reference pinned to the general scan. State carried across cycles —
-// priority rotation and stale aging — must never diverge.
+// TestArbitrate2x2Trajectory runs a 2×2 arbiter and the brute-force
+// reference through thousands of random cycles. State carried across
+// cycles — priority rotation and stale aging — must never diverge.
 func TestArbitrate2x2Trajectory(t *testing.T) {
 	for _, policy := range []Policy{Dumb, Smart} {
 		src := rng.New(42 + uint64(policy))
-		fast := New(policy, 2, 2)
-		ref := New(policy, 2, 2)
+		a := New(policy, 2, 2)
+		ref := newRefState(policy, 2)
 		v := newTableView(2, 2)
 		for step := 0; step < 5000; step++ {
 			for i := 0; i < 2; i++ {
@@ -98,22 +109,23 @@ func TestArbitrate2x2Trajectory(t *testing.T) {
 					v.block(i, o, src.Intn(3) == 0)
 				}
 			}
-			gotG := fast.Arbitrate(&v.Snapshot, nil)
-			wantG := ref.arbitrateGeneral(&v.Snapshot, nil)
-			if !reflect.DeepEqual(gotG, wantG) {
-				t.Fatalf("%v step %d: grants %v, general %v", policy, step, gotG, wantG)
+			gotG := a.Arbitrate(&v.Snapshot, nil)
+			rq, rb := v.tables()
+			wantG := ref.arbitrate(rq, rb, singleReads)
+			if len(gotG) != len(wantG) || (len(wantG) > 0 && !reflect.DeepEqual(gotG, wantG)) {
+				t.Fatalf("%v step %d: grants %v, reference %v", policy, step, gotG, wantG)
 			}
-			gotP, gotS := stateOf(fast)
-			wantP, wantS := stateOf(ref)
+			gotP, gotS := stateOf(a)
+			wantP, wantS := refStateOf(ref)
 			if gotP != wantP || gotS != wantS {
-				t.Fatalf("%v step %d: state (%d,%v), general (%d,%v)", policy, step, gotP, gotS, wantP, wantS)
+				t.Fatalf("%v step %d: state (%d,%v), reference (%d,%v)", policy, step, gotP, gotS, wantP, wantS)
 			}
 		}
 	}
 }
 
-// TestArbitrate2x2AllocFree pins the fast path's allocation budget: with
-// scratch warmed, repeated arbitration allocates nothing.
+// TestArbitrate2x2AllocFree pins the scan's allocation budget: with the
+// grant slice warmed, repeated arbitration allocates nothing.
 func TestArbitrate2x2AllocFree(t *testing.T) {
 	a := New(Smart, 2, 2)
 	v := newTableView(2, 2)

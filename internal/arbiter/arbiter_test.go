@@ -1,13 +1,16 @@
 package arbiter
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
+
+	"damq/internal/rng"
 )
 
 // tableView is a scriptable snapshot for tests: set and block edit the
-// queue table, keeping InputLen in step, and Blocked reads the blocked
-// table.
+// queue and blocked tables and keep the row's Busy and Ready masks in
+// step.
 type tableView struct {
 	Snapshot
 	out     int
@@ -15,17 +18,32 @@ type tableView struct {
 }
 
 func newTableView(in, out int) *tableView {
-	v := &tableView{Snapshot: NewSnapshot(in, out), out: out, blocked: make([]bool, in*out)}
-	v.Blocked = func(i, o int) bool { return v.blocked[i*out+o] }
-	return v
+	return &tableView{Snapshot: NewSnapshot(in, out), out: out, blocked: make([]bool, in*out)}
 }
 
 func (v *tableView) queue(i, o int) int { return v.QueueLen[i*v.out+o] }
 func (v *tableView) set(i, o, n int) {
-	v.InputLen[i] += n - v.queue(i, o)
 	v.QueueLen[i*v.out+o] = n
+	v.sync(i)
 }
-func (v *tableView) block(i, o int, b bool) { v.blocked[i*v.out+o] = b }
+func (v *tableView) block(i, o int, b bool) {
+	v.blocked[i*v.out+o] = b
+	v.sync(i)
+}
+
+// sync rebuilds input i's masks from its rows of the two tables.
+func (v *tableView) sync(i int) {
+	var busy, ready uint64
+	for o := 0; o < v.out; o++ {
+		if v.queue(i, o) > 0 {
+			busy |= 1 << o
+			if !v.blocked[i*v.out+o] {
+				ready |= 1 << o
+			}
+		}
+	}
+	v.Busy[i], v.Ready[i] = busy, ready
+}
 
 func TestPolicyString(t *testing.T) {
 	if Dumb.String() != "dumb" || Smart.String() != "smart" {
@@ -348,6 +366,39 @@ func BenchmarkArbitrate4x4(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		grants = a.Arbitrate(&v.Snapshot, grants[:0])
+	}
+}
+
+// BenchmarkArbitrate steps a Smart arbiter through a ring of seeded random
+// snapshots — sparse rows with empty queues, blocked heads and idle
+// inputs, drawn as TestArbitrateMatchesReference draws them — so the
+// scan's branches see varying traffic instead of one predictable row.
+func BenchmarkArbitrate(b *testing.B) {
+	for _, n := range []int{4, 2} {
+		b.Run(fmt.Sprintf("%dx%d", n, n), func(b *testing.B) {
+			const ring = 1024
+			src := rng.New(uint64(n))
+			views := make([]*tableView, ring)
+			for k := range views {
+				v := newTableView(n, n)
+				for i := 0; i < n; i++ {
+					for o := 0; o < n; o++ {
+						if src.Intn(3) == 0 {
+							v.set(i, o, 1+src.Intn(3))
+						}
+						v.block(i, o, src.Intn(4) == 0)
+					}
+				}
+				views[k] = v
+			}
+			a := New(Smart, n, n)
+			grants := make([]Grant, 0, n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				grants = a.Arbitrate(&views[i%ring].Snapshot, grants[:0])
+			}
+		})
 	}
 }
 

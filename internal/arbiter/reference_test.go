@@ -105,6 +105,19 @@ func (r *refState) arbitrate(q [][]int, blk [][]bool, reads []int) []Grant {
 	return grants
 }
 
+// tables copies the view into the reference's [in][out] queue and
+// blocked tables.
+func (v *tableView) tables() ([][]int, [][]bool) {
+	n := len(v.Busy)
+	q := make([][]int, n)
+	blk := make([][]bool, n)
+	for i := range q {
+		q[i] = append([]int(nil), v.QueueLen[i*v.out:(i+1)*v.out]...)
+		blk[i] = append([]bool(nil), v.blocked[i*v.out:(i+1)*v.out]...)
+	}
+	return q, blk
+}
+
 // TestArbitrateMatchesReference drives the arbiter and the brute-force
 // reference through random cycles of 3×3 and 4×4 switches — both
 // policies, single and full read ports, with and without counters —

@@ -15,9 +15,11 @@ var (
 	// storable by the selected organization (e.g. SAMQ capacity not
 	// divisible by the port count).
 	ErrBadCapacity = errors.New("invalid capacity")
-	// ErrBadPorts reports a non-positive port or output count.
+	// ErrBadPorts reports a non-positive port or output count, or a
+	// switch wider than the arbiter's 64 outputs.
 	ErrBadPorts = errors.New("invalid port count")
-	// ErrBadRadix reports an unbuildable radix/width combination.
+	// ErrBadRadix reports an unbuildable radix/width combination, or a
+	// radix above the arbiter's 64 outputs.
 	ErrBadRadix = errors.New("invalid radix or network width")
 	// ErrBadLoad reports an offered load outside [0, 1].
 	ErrBadLoad = errors.New("load out of range")

@@ -44,7 +44,8 @@ func modernShardCases() []struct {
 
 // TestShardedModernMatchesSerial extends the sharded-equals-serial pin
 // to the admission-policy kinds and the shared-pool geometry: clocks,
-// per-class state and pool-wide admission must all shard cleanly.
+// per-class state and pool-wide admission must all shard cleanly. As in
+// TestShardedMatchesSerial, the reference is already the one-worker run.
 func TestShardedModernMatchesSerial(t *testing.T) {
 	for _, tc := range modernShardCases() {
 		for _, seed := range []uint64{1, 2, 3, 4, 5} {
@@ -56,7 +57,7 @@ func TestShardedModernMatchesSerial(t *testing.T) {
 					t.Fatal(err)
 				}
 				want := ref.Run()
-				for _, workers := range []int{1, 3, 8} {
+				for _, workers := range []int{3, 8} {
 					cfg.Workers = workers
 					sim, err := New(cfg)
 					if err != nil {

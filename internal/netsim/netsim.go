@@ -131,6 +131,10 @@ type Config struct {
 // calls it first; CLIs may call it directly for early flag feedback.
 func (c Config) Validate() error {
 	c = c.withDefaults()
+	if c.Radix > arbiter.MaxOutputs {
+		return fmt.Errorf("netsim: radix %d exceeds the arbiter's %d outputs: %w",
+			c.Radix, arbiter.MaxOutputs, cfgerr.ErrBadRadix)
+	}
 	if _, err := omega.New(c.Radix, c.Inputs); err != nil {
 		return fmt.Errorf("netsim: %v: %w", err, cfgerr.ErrBadRadix)
 	}

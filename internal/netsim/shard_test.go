@@ -58,15 +58,16 @@ func shardTestCases() []struct {
 // so "byte-identical" here is literal. Run under -race this test also
 // proves the phase barriers are sound.
 //
-// Workers 3 and 8 oversubscribe a small machine, so their gangs park at
-// every barrier; the first config also runs at 2 workers, which fits
-// any machine with two cores, so the gang's spinning barrier is pinned
-// too.
+// The serial reference runs at Workers 0, which New clamps to one
+// worker, so no column repeats it at 1. Workers 3 and 8 oversubscribe a
+// small machine, so their gangs park at every barrier; the first config
+// also runs at 2 workers, which fits any machine with two cores, so the
+// gang's spinning barrier is pinned too.
 func TestShardedMatchesSerial(t *testing.T) {
 	for i, tc := range shardTestCases() {
-		workerCounts := []int{1, 3, 8}
+		workerCounts := []int{3, 8}
 		if i == 0 {
-			workerCounts = []int{1, 2, 3, 8}
+			workerCounts = []int{2, 3, 8}
 		}
 		for _, seed := range []uint64{1, 2, 3, 4, 5} {
 			t.Run(fmt.Sprintf("%s/seed%d", tc.name, seed), func(t *testing.T) {

@@ -102,14 +102,10 @@ func (a *Alloc) New(source, dest, slots int, born int64) *Packet {
 	} else {
 		p = new(Packet)
 	}
-	*p = Packet{
-		ID:       id,
-		Source:   source,
-		Dest:     dest,
-		Slots:    slots,
-		Born:     born,
-		Injected: -1,
-	}
+	// Field by field, not *p = Packet{...}: a composite literal is built
+	// in a stack temporary and block-copied over the packet.
+	p.ID, p.Source, p.Dest, p.Slots, p.Born, p.Injected = id, source, dest, slots, born, -1
+	p.Hot, p.OutPort, p.Bytes, p.ReadyAt = false, 0, 0, 0
 	return p
 }
 

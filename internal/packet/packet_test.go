@@ -1,6 +1,7 @@
 package packet
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -31,6 +32,37 @@ func TestNewFields(t *testing.T) {
 	}
 	if p.Hot {
 		t.Fatal("packets are cold by default")
+	}
+}
+
+// TestNewResetsRecycledPacket dirties every field of a recycled packet
+// through reflection, so a field added to Packet later is covered too,
+// and requires New to hand it back holding only its arguments, the next
+// ID and Injected = -1.
+func TestNewResetsRecycledPacket(t *testing.T) {
+	var a Alloc
+	p := a.New(1, 1, 1, 1)
+	f := reflect.ValueOf(p).Elem()
+	for i := 0; i < f.NumField(); i++ {
+		switch fv := f.Field(i); fv.Kind() {
+		case reflect.Bool:
+			fv.SetBool(true)
+		case reflect.Int, reflect.Int64:
+			fv.SetInt(99)
+		case reflect.Uint64:
+			fv.SetUint(99)
+		default:
+			t.Fatalf("field %s has kind %v; teach this test to dirty it", f.Type().Field(i).Name, fv.Kind())
+		}
+	}
+	a.Recycle(p)
+	q := a.New(3, 7, 2, 42)
+	if q != p {
+		t.Fatal("New did not reuse the recycled packet")
+	}
+	want := Packet{ID: 2, Source: 3, Dest: 7, Slots: 2, Born: 42, Injected: -1}
+	if *q != want {
+		t.Fatalf("recycled packet = %+v, want %+v", *q, want)
 	}
 }
 

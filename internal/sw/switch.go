@@ -20,6 +20,7 @@ package sw
 
 import (
 	"fmt"
+	"math/bits"
 
 	"damq/internal/arbiter"
 	"damq/internal/buffer"
@@ -94,8 +95,8 @@ func (cfg Config) bufferConfig() buffer.Config {
 // buffer shape errors wrap ErrBadKind/ErrBadCapacity, policy errors
 // wrap ErrBadPolicy, sharing errors wrap ErrBadSharing.
 func (cfg Config) Validate() error {
-	if cfg.Ports <= 0 {
-		return fmt.Errorf("sw: ports must be positive, got %d: %w", cfg.Ports, cfgerr.ErrBadPorts)
+	if cfg.Ports <= 0 || cfg.Ports > arbiter.MaxOutputs {
+		return fmt.Errorf("sw: ports must be in [1, %d], got %d: %w", arbiter.MaxOutputs, cfg.Ports, cfgerr.ErrBadPorts)
 	}
 	if cfg.Policy != arbiter.Dumb && cfg.Policy != arbiter.Smart {
 		return fmt.Errorf("sw: unknown policy %v: %w", cfg.Policy, cfgerr.ErrBadPolicy)
@@ -123,13 +124,10 @@ type Switch struct {
 	// hot-path probe behind a never-taken branch.
 	m   *Metrics
 	arb *arbiter.Arbiter
-	// snap is the arbiter's view of this cycle, refilled by Arbitrate.
-	// blocked is headBlocked bound once here, so installing it as the
-	// snapshot's Blocked callback allocates nothing per cycle; down is
-	// the current Arbitrate call's downstream view.
-	snap    arbiter.Snapshot
-	blocked func(in, out int) bool
-	down    *Downstream
+	// snap is the arbiter's view of this cycle, refilled by Arbitrate:
+	// queue lengths plus, per input, the bit masks of busy queues and of
+	// heads the downstream room admits.
+	snap arbiter.Snapshot
 	// tick is set when the buffer kind's admission policy reads packet
 	// ages (BSHARE), so clockless switches skip the Tick sweep.
 	tick bool
@@ -172,7 +170,6 @@ func New(cfg Config) (*Switch, error) {
 		snap: arbiter.NewSnapshot(cfg.Ports, cfg.Ports),
 		tick: buffer.KindUsesClock(cfg.BufferKind),
 	}
-	s.blocked = s.headBlocked
 	if cfg.SharedPool {
 		bufs, err := buffer.NewSharedGroup(cfg.bufferConfig(), cfg.Ports)
 		if err != nil {
@@ -277,49 +274,54 @@ type Downstream struct {
 	Classes int
 }
 
-// headBlocked is the snapshot's Blocked callback: the head packet of
-// (in → out) is blocked when it needs more slots than the room the
-// downstream buffer publishes for its next hop and class.
+// headBlocked reports whether the head packet of b's queue for out needs
+// more slots than the room the downstream buffer publishes for its next
+// hop and class. The queue must be busy.
 // damqvet:hotpath
-func (s *Switch) headBlocked(in, out int) bool {
-	p := s.bufs[in].Head(out)
-	if p == nil {
-		return false
-	}
-	d := s.down
+func (s *Switch) headBlocked(b *buffer.Composed, out int, d *Downstream) bool {
+	p := b.Head(out)
 	k := int(d.Base[out]) + p.Dest/d.Div%s.cfg.Ports*d.Classes + buffer.Class(p, d.Classes)
 	return p.Slots > int(d.Room[k])
 }
 
-// fillSnapshot loads this cycle's input and queue lengths into the
-// arbiter snapshot; rows of empty inputs are left stale, since the
-// arbiter skips them.
+// fillSnapshot loads this cycle's queue lengths and masks into the
+// arbiter snapshot. A busy queue is ready unless down is non-nil and its
+// head does not fit the published room. Queue rows of empty inputs are
+// left stale, since the arbiter skips rows whose Busy mask is 0.
 // damqvet:hotpath
-func (s *Switch) fillSnapshot() {
+func (s *Switch) fillSnapshot(down *Downstream) {
 	n := len(s.bufs)
 	for i, b := range s.bufs {
-		s.snap.InputLen[i] = b.Len()
+		var busy, ready uint64
 		if b.Len() > 0 {
-			b.QueueLens(s.snap.QueueLen[i*n : (i+1)*n])
+			row := s.snap.QueueLen[i*n : (i+1)*n]
+			b.QueueLens(row)
+			for o := n - 1; o >= 0; o-- {
+				busy = busy<<1 | uint64(-row[o])>>63 // bit o set when row[o] > 0
+			}
+			ready = busy
+			if down != nil {
+				for m := busy; m != 0; m &= m - 1 {
+					o := bits.TrailingZeros64(m)
+					if s.headBlocked(b, o, down) {
+						ready &^= 1 << o
+					}
+				}
+			}
 		}
+		s.snap.Busy[i] = busy
+		s.snap.Ready[i] = ready
 	}
 }
 
-// Arbitrate computes this cycle's matching, withholding heads that down
-// reports blocked; a nil down means nothing ever blocks (discarding
-// protocol, or final stage feeding sinks). grants is reused storage
-// (pass nil to allocate).
+// Arbitrate computes this cycle's matching, withholding heads that do
+// not fit the room down publishes; a nil down means nothing ever blocks
+// (discarding protocol, or final stage feeding sinks). grants is reused
+// storage (pass nil to allocate).
 // damqvet:hotpath
 func (s *Switch) Arbitrate(down *Downstream, grants []arbiter.Grant) []arbiter.Grant {
-	s.fillSnapshot()
-	s.down = down
-	s.snap.Blocked = nil
-	if down != nil {
-		s.snap.Blocked = s.blocked
-	}
-	grants = s.arb.Arbitrate(&s.snap, grants)
-	s.down = nil // do not retain the view between cycles
-	return grants
+	s.fillSnapshot(down)
+	return s.arb.Arbitrate(&s.snap, grants)
 }
 
 // PopGrant removes and returns the packet named by a grant from Arbitrate.

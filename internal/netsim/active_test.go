@@ -1,6 +1,10 @@
 package netsim
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -8,6 +12,24 @@ import (
 	"damq/internal/buffer"
 	"damq/internal/sw"
 )
+
+// fullScanDigestsPath pins the full-scan reference's trajectories for
+// TestActiveSetMatchesFullScan's cases: the sha256 of each run's Result,
+// final slot pools, in-flight count and source backlog. The digests were
+// taken from the reference that arbitrates every switch every cycle;
+// regenerating them from any other path defeats their purpose.
+var fullScanDigestsPath = filepath.Join("testdata", "fullscan_digests.json")
+
+// digestScanRun extends digestBlockingRun with the conservation counters
+// a Result does not carry: packets in flight and packets waiting at the
+// sources.
+func digestScanRun(t *testing.T, s *Sim, res *Result) string {
+	t.Helper()
+	h := sha256.New()
+	fmt.Fprintf(h, "%s inflight %d backlog %d\n",
+		digestBlockingRun(t, s, res), s.InFlight(), s.SourceBacklogLen())
+	return hex.EncodeToString(h.Sum(nil))
+}
 
 // TestActiveSetMatchesFullScan is the equivalence property behind the
 // active-set optimization: a run that arbitrates only switches holding
@@ -59,6 +81,7 @@ func TestActiveSetMatchesFullScan(t *testing.T) {
 			Seed:    17, WarmupCycles: 300, MeasureCycles: 1200,
 		}},
 	}
+	digests := loadDigests(t, fullScanDigestsPath)
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			fast, err := New(tc.cfg)
@@ -73,6 +96,11 @@ func TestActiveSetMatchesFullScan(t *testing.T) {
 
 			got := fast.Run()
 			want := ref.Run()
+			if sum := digestScanRun(t, ref, want); *updateDigests {
+				digests[tc.name] = sum
+			} else if d := digests[tc.name]; d != sum {
+				t.Errorf("full-scan run hashes to %s, %s pins %q", sum, fullScanDigestsPath, d)
+			}
 			if !reflect.DeepEqual(got, want) {
 				t.Errorf("active-set result diverges from full-scan reference:\n got: %+v\nwant: %+v", got, want)
 			}

@@ -78,26 +78,8 @@ func blockingCells() []blockingCell {
 // runs at 1 and 2 workers, and both must hash to the committed digest of
 // the Result and the final slot-pool state.
 func TestBlockingKindsDigest(t *testing.T) {
-	digests := map[string]string{}
-	if raw, err := os.ReadFile(blockingDigestsPath); err == nil {
-		if err := json.Unmarshal(raw, &digests); err != nil {
-			t.Fatalf("%s: %v", blockingDigestsPath, err)
-		}
-	} else if !*updateDigests {
-		t.Fatal(err)
-	}
+	digests := loadDigests(t, blockingDigestsPath)
 	var mu sync.Mutex
-	if *updateDigests {
-		t.Cleanup(func() {
-			out, err := json.MarshalIndent(digests, "", "  ")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(blockingDigestsPath, append(out, '\n'), 0o644); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
 	for _, bc := range blockingCells() {
 		t.Run(bc.name, func(t *testing.T) {
 			t.Parallel()
@@ -118,6 +100,33 @@ func TestBlockingKindsDigest(t *testing.T) {
 			}
 		})
 	}
+}
+
+// loadDigests reads the committed digest pins at path. Under -update a
+// missing file is no error, and the map as the test leaves it is written
+// back to path when the test finishes.
+func loadDigests(t *testing.T, path string) map[string]string {
+	t.Helper()
+	digests := map[string]string{}
+	if raw, err := os.ReadFile(path); err == nil {
+		if err := json.Unmarshal(raw, &digests); err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+	} else if !*updateDigests {
+		t.Fatal(err)
+	}
+	if *updateDigests {
+		t.Cleanup(func() {
+			out, err := json.MarshalIndent(digests, "", "  ")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	return digests
 }
 
 // runBlockingCell runs one cell at the given worker count and returns the

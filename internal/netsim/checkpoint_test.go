@@ -4,12 +4,10 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"hash/crc32"
-	"os"
 	"path/filepath"
 	"reflect"
 	"sync"
@@ -138,26 +136,8 @@ var digestsPath = filepath.Join("testdata", "checkpoint_digests.json")
 // checkpoint cycle. The checkpoint bytes themselves must hash to the
 // cell's committed digest.
 func TestCheckpointResumeTorture(t *testing.T) {
-	digests := map[string]string{}
-	if raw, err := os.ReadFile(digestsPath); err == nil {
-		if err := json.Unmarshal(raw, &digests); err != nil {
-			t.Fatalf("%s: %v", digestsPath, err)
-		}
-	} else if !*updateDigests {
-		t.Fatal(err)
-	}
+	digests := loadDigests(t, digestsPath)
 	var mu sync.Mutex
-	if *updateDigests {
-		t.Cleanup(func() {
-			out, err := json.MarshalIndent(digests, "", "  ")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(digestsPath, append(out, '\n'), 0o644); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
 	for _, tc := range tortureCases() {
 		for _, workers := range []int{1, 8} {
 			workers := workers

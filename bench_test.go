@@ -184,8 +184,9 @@ func benchNetworkCycle(b *testing.B, inputs int, load float64, opts ...damq.Opti
 func BenchmarkNetworkCycle(b *testing.B) { benchNetworkCycle(b, 64, 0.5) }
 
 // BenchmarkNetworkCycleLowLoad is the sparse case: at 0.2 load most
-// switches are empty most cycles, so it measures how well the active-set
-// core avoids paying for idle switches.
+// switches are empty most cycles, so it measures what an idle switch
+// still costs — one occupancy-counter test per cycle, plus the arbiter
+// fast-forward when a packet next arrives.
 func BenchmarkNetworkCycleLowLoad(b *testing.B) { benchNetworkCycle(b, 64, 0.2) }
 
 // BenchmarkNetworkCycleObserved is the dense case with an observer

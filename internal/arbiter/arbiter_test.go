@@ -402,8 +402,8 @@ func BenchmarkArbitrate(b *testing.B) {
 	}
 }
 
-// TestAdvanceIdleMatchesEmptyArbitration pins the contract the active-set
-// network simulator depends on: AdvanceIdle(k) must leave the arbiter in
+// TestAdvanceIdleMatchesEmptyArbitration pins the contract the network
+// simulator's empty-switch skip depends on: AdvanceIdle(k) must leave the arbiter in
 // exactly the state k Arbitrate calls against an empty view would, for
 // both policies, so that skipping idle switches cannot perturb any later
 // arbitration decision.

@@ -228,8 +228,7 @@ type Buffer interface {
 	// Implementations keep it O(1): network simulators read it on hot
 	// paths.
 	Len() int
-	// Empty reports whether the buffer holds no packets, in O(1). It is
-	// the emptiness hook the active-set network simulator polls.
+	// Empty reports whether the buffer holds no packets, in O(1).
 	Empty() bool
 	// CanAccept reports whether p (with OutPort set) fits right now — the
 	// admission policy's decision.

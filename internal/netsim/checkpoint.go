@@ -862,12 +862,12 @@ func missingSection(c *checkpoint.Codec, tag uint8) error {
 	return ckptErr("checkpoint is missing section %d", tag)
 }
 
-// resyncAfterRestore rebuilds the derived structures (switch occupancy
-// counts and per-shard active sets, sorted by construction) and
-// cross-checks the global conservation
-// invariants that tie the decoded sections together: the shards'
-// in-flight counters must sum to the packets actually buffered, and each
-// shard's backlog counter must equal its own source queues' lengths.
+// resyncAfterRestore rebuilds the switch occupancy counters, which the
+// arbitrate phase reads to skip empty switches, and cross-checks the
+// global conservation invariants that tie the decoded sections together:
+// the shards' in-flight counters must sum to the packets actually
+// buffered, and each shard's backlog counter must equal its own source
+// queues' lengths.
 func (s *Sim) resyncAfterRestore() error {
 	var buffered, inFlight int64
 	for st := range s.stages {
@@ -878,14 +878,6 @@ func (s *Sim) resyncAfterRestore() error {
 	}
 	for _, sh := range s.shards {
 		inFlight += sh.inFlight
-		for st := range s.stages {
-			sh.active[st] = sh.active[st][:0]
-			for si := sh.lo; si < sh.hi; si++ {
-				if !s.stages[st][si].Empty() {
-					sh.active[st] = append(sh.active[st], int32(si))
-				}
-			}
-		}
 		var backlog int64
 		for _, src := range sh.srcs {
 			backlog += int64(s.srcQ[src].Len())

@@ -8,10 +8,12 @@
 // One network cycle (three barrier-separated phases; DESIGN.md §11):
 //
 //  1. Arbitrate: every switch arbitrates its crossbar against the
-//     pre-movement state. Under the blocking protocol a queue whose head
-//     needs more slots than the room its downstream buffer publishes is
-//     masked from arbitration (the paper's "longest queue ... which was
-//     not blocked"). Grants are recorded but nothing is popped, so every
+//     pre-movement state (an empty switch is skipped on its occupancy
+//     counter, and its arbiter replays the skipped rounds when a packet
+//     next arrives; DESIGN.md §8). Under the blocking protocol a queue
+//     whose head needs more slots than the room its downstream buffer
+//     publishes is masked from arbitration (the paper's "longest queue
+//     ... which was not blocked"). Grants are recorded but nothing is popped, so every
 //     arbitration decision — including the reads of the published room —
 //     sees one consistent snapshot.
 //  2. Move: all granted packets are popped, then delivered: last-stage
@@ -27,9 +29,10 @@
 //
 // The network is partitioned into shards — contiguous switch ranges
 // applied to every stage, plus the sources and deliveries wired to them.
-// Each shard owns its switches' buffers, arbiters, active sets, RNG
-// streams, and measurement partials; cross-shard traffic moves through
-// per-(writer, reader) outboxes handed over at the phase barriers. The
+// Each shard owns its switches' buffers, arbiters, arbitration stamps,
+// RNG streams, and measurement partials; cross-shard traffic moves
+// through per-(writer, reader) outboxes handed over at the phase
+// barriers. The
 // shard count is a pure function of the topology, so results are
 // byte-identical at any worker count (Config.Workers), including 1.
 //
@@ -356,10 +359,6 @@ type Sim struct {
 	// (it needs all shards' counters, so it cannot live in a partial).
 	backlog stats.Summary
 
-	// fullScan forces the naive every-switch arbitration path; the
-	// active-set equivalence property test runs it as the reference model.
-	fullScan bool
-
 	// down[st][si] is switch si of stage st's view of the room stage st+1
 	// publishes; nil unless the protocol is blocking (see wireDownstream).
 	down [][]sw.Downstream
@@ -402,8 +401,8 @@ type Sim struct {
 // shard owns a contiguous range [lo, hi) of every stage's switches, the
 // sources wired into its stage-0 range, and the deliveries leaving its
 // last-stage range. All its mutable state — buffers (via the switches),
-// active sets, RNG streams, measurement partials — is written only by its
-// owner; everything a shard reads of its peers (the room downstream
+// arbitration stamps, RNG streams, measurement partials — is written only
+// by its owner; everything a shard reads of its peers (the room downstream
 // buffers publish, during arbitration; outboxes, during injection) is
 // frozen by the phase barriers.
 // damqvet's sharded rule enforces the ownership discipline at the source
@@ -441,17 +440,13 @@ type shard struct {
 	srcBacklog int64
 	faulted    int64
 
-	// Active-set tracking (DESIGN.md "Performance model"): active[st] is
-	// the sorted list of this shard's switch indices in stage st holding
-	// at least one buffered packet. The arbitrate phase visits only
-	// those; a switch leaves the set when its last packet is popped
-	// (move phase) and re-enters when a packet lands in it (inject
-	// phase); on re-entry its arbiter is fast-forwarded through the empty
-	// rounds it sat out (AdvanceIdle), so results are bit-identical to
-	// arbitrating every switch every cycle.
-	active [][]int32
 	// lastArb[st][si-lo] is the cycle the switch last ran (or was fast-
-	// forwarded through) arbitration; -1 before its first packet.
+	// forwarded through) arbitration; -1 before its first packet. The
+	// arbitrate phase skips switches whose occupancy counter reads empty
+	// (DESIGN.md §8); when a packet lands in a skipped switch, its
+	// arbiter is fast-forwarded through the empty rounds since this
+	// stamp (AdvanceIdle), so results are bit-identical to arbitrating
+	// every switch every cycle.
 	lastArb [][]int64
 
 	grantScratch []arbiter.Grant
@@ -561,10 +556,8 @@ func New(cfg Config) (*Sim, error) {
 		}
 		sh.partial.LatencyHist = stats.NewHistogram(4096, float64(cfg.ClocksPerCycle))
 		sh.partial.StageOccupancy = make([]stats.Summary, top.Stages())
-		sh.active = make([][]int32, top.Stages())
 		sh.lastArb = make([][]int64, top.Stages())
 		for st := 0; st < top.Stages(); st++ {
-			sh.active[st] = make([]int32, 0, own)
 			sh.lastArb[st] = make([]int64, own)
 			for i := range sh.lastArb[st] {
 				sh.lastArb[st][i] = -1
@@ -644,36 +637,21 @@ func (s *Sim) Close() {
 }
 
 // noteAccept records that a packet entered switch si of stage st (owned
-// by this shard). On the 0→1 occupancy transition the switch re-enters
-// the active set: its arbiter is fast-forwarded through every empty round
-// it was skipped for, and it is re-inserted into the sorted index list.
+// by this shard). On the 0→1 occupancy transition the arbitrate phase
+// stops skipping the switch, so its arbiter is fast-forwarded here
+// through every empty round it was skipped for.
 // damqvet:sharded audited: st,si is always an owned coordinate (si in [lo,hi)), so the switch and its arbiter belong to this shard's partition
 // damqvet:hotpath
 func (sh *shard) noteAccept(st, si int) {
 	s := sh.sim
 	swc := s.stages[st][si]
-	if swc.Len() != 1 || s.fullScan {
+	if swc.Len() != 1 {
 		return
 	}
 	if skipped := s.cycle - sh.lastArb[st][si-sh.lo]; skipped > 0 {
 		swc.AdvanceIdle(skipped)
 	}
 	sh.lastArb[st][si-sh.lo] = s.cycle
-	sh.activate(st, si)
-}
-
-// activate inserts si into stage st's sorted active list. Insertion moves
-// at most the tail of the list; active sets are small by construction.
-// damqvet:hotpath
-func (sh *shard) activate(st, si int) {
-	lst := append(sh.active[st], 0)
-	i := len(lst) - 1
-	for i > 0 && lst[i-1] > int32(si) {
-		lst[i] = lst[i-1]
-		i--
-	}
-	lst[i] = int32(si)
-	sh.active[st] = lst
 }
 
 // wireDownstream wires the blocking protocol's flow control. Every
@@ -744,16 +722,9 @@ func (s *Sim) Step(measuring bool) {
 	var backlog int64
 	if measuring {
 		// Global source-backlog sample: needs every shard's counter, so
-		// the coordinator takes it after the last barrier. The full-scan
-		// reference recomputes it from the queues to cross-check.
+		// the coordinator takes it after the last barrier.
 		for _, sh := range s.shards {
 			backlog += sh.srcBacklog
-		}
-		if s.fullScan {
-			backlog = 0
-			for i := range s.srcQ {
-				backlog += int64(s.srcQ[i].Len())
-			}
 		}
 		s.backlog.Add(float64(backlog))
 		s.measured++
@@ -832,12 +803,13 @@ func (s *Sim) runPhase(w, phase int) {
 	}
 }
 
-// phaseArbitrateRun is phase 1 for one shard: arbitrate every (active)
-// owned switch against the pre-movement state, recording grants without
-// popping. Mutates only this shard's arbiters and scratch; of its peers
-// it reads only the room their buffers published, which no one writes
-// until the phase barrier.
-// damqvet:sharded audited: arbitration touches only owned switches (si in [lo,hi) or the owned active list); of peer shards it only reads the published room arrays
+// phaseArbitrateRun is phase 1 for one shard: arbitrate every owned
+// switch that holds a packet against the pre-movement state, in (stage,
+// switch) order, recording grants without popping. An empty switch is
+// skipped on its occupancy counter and keeps its stamp, so noteAccept
+// can replay the rounds it sat out. Mutates only this shard's arbiters
+// and scratch; of its peers it reads only the room their buffers
+// published, which no one writes until the phase barrier.
 // damqvet:hotpath
 func (sh *shard) phaseArbitrateRun() {
 	s := sh.sim
@@ -845,21 +817,14 @@ func (sh *shard) phaseArbitrateRun() {
 	for d := range sh.outbox {
 		sh.outbox[d] = sh.outbox[d][:0]
 	}
-	nStages := len(s.stages)
-	if s.fullScan {
-		for st := 0; st < nStages; st++ {
-			row := s.stages[st]
-			for si := sh.lo; si < sh.hi; si++ {
-				sh.arbitrateOne(st, si, row[si])
+	for st, row := range s.stages {
+		stamps := sh.lastArb[st]
+		for si := sh.lo; si < sh.hi; si++ {
+			if row[si].Empty() {
+				continue
 			}
-		}
-		return
-	}
-	for st := 0; st < nStages; st++ {
-		row := s.stages[st]
-		for _, si := range sh.active[st] {
-			sh.arbitrateOne(st, int(si), row[si])
-			sh.lastArb[st][int(si)-sh.lo] = s.cycle
+			sh.arbitrateOne(st, si, row[si])
+			stamps[si-sh.lo] = s.cycle
 		}
 	}
 }
@@ -879,8 +844,7 @@ func (sh *shard) arbitrateOne(st, si int, swc *sw.Switch) {
 
 // phaseMoveRun is phase 2 for one shard: pop the recorded grants in
 // order; deliveries and fault drops are finished locally, inter-stage
-// transfers are routed into the destination shard's outbox. Afterwards
-// switches whose last packet left drop out of the active set.
+// transfers are routed into the destination shard's outbox.
 // damqvet:sharded audited: grants recorded in phase 1 name only owned switches; cross-shard handoff goes through the outboxes, drained after the barrier
 // damqvet:hotpath
 func (sh *shard) phaseMoveRun() {
@@ -911,21 +875,6 @@ func (sh *shard) phaseMoveRun() {
 		p.OutPort = s.top.RouteDigit(p.Dest, st+1)
 		d := s.shardOfSw[nsw]
 		sh.outbox[d] = append(sh.outbox[d], xfer{p: p, st: int32(st + 1), si: int32(nsw), in: int32(nport)})
-	}
-	if s.fullScan {
-		return
-	}
-	for st := range sh.active {
-		row := s.stages[st]
-		lst := sh.active[st]
-		w := 0
-		for _, si := range lst {
-			if !row[si].Empty() {
-				lst[w] = si
-				w++
-			}
-		}
-		sh.active[st] = lst[:w]
 	}
 }
 

@@ -116,7 +116,8 @@ type Switch struct {
 	// bufs are the input buffers, one per input port.
 	bufs []*buffer.Composed
 	// count tracks buffered packets across all input buffers so Len and
-	// Empty are O(1); the active-set network simulator polls them every
+	// Empty are O(1). It is the occupancy counter on which the network
+	// simulator's arbitrate phase skips empty switches, every switch every
 	// cycle. It stays correct as long as buffer contents change only
 	// through Offer, PopGrant, and Reset.
 	count int
@@ -244,11 +245,11 @@ func (s *Switch) Reset() {
 // AdvanceIdle fast-forwards the switch through cycles arbitration rounds
 // in which it held no packets, reproducing exactly the arbiter state those
 // empty rounds would have produced (the priority pointer advances once per
-// round; nothing else changes). The active-set network simulator calls it
-// when a switch that sat out of arbitration re-enters the active set —
-// typically just after the packet ending the idle span was accepted, so
-// the switch may be non-empty at call time. The caller asserts that the
-// rounds being replayed themselves held no packets.
+// round; nothing else changes). The network simulator skips empty
+// switches in its arbitrate phase and calls this when a packet reaches a
+// skipped switch — just after that packet was accepted, so the switch
+// may be non-empty at call time. The caller asserts that the rounds
+// being replayed themselves held no packets.
 func (s *Switch) AdvanceIdle(cycles int64) {
 	s.arb.AdvanceIdle(cycles)
 }

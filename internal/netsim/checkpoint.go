@@ -464,8 +464,10 @@ func (s *Sim) walkShards(c *checkpoint.Codec) error {
 				return ckptErr("shard %d stage %d has %d arbitration stamps for %d switches",
 					sh.id, st, len(arb), len(stamps))
 			}
+			// Checkpoints fall between cycles: no switch can have
+			// been arbitrated in the cycle that has not run yet.
 			for i, v := range arb {
-				if v < -1 || v > s.cycle {
+				if v < -1 || v >= s.cycle {
 					return ckptErr("shard %d stage %d switch %d arbitrated at impossible cycle %d",
 						sh.id, st, i, v)
 				}

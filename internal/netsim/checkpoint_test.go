@@ -473,6 +473,7 @@ func TestCheckpointStructuralCorruption(t *testing.T) {
 		c.Section(secConfig, sim.walkConfig)
 	}), "oversized geometry")
 	wantCheckpointError(t, misroutedCheckpoint(t), "buffered packet queued for the wrong output")
+	wantCheckpointError(t, stampedAtCycleCheckpoint(t), "arbitration stamp at the checkpoint's cycle")
 
 	// Observer sections whose instrument values no run can produce: each
 	// would corrupt the resumed run's metrics if accepted. The untouched
@@ -596,6 +597,30 @@ func misroutedCheckpoint(t *testing.T) []byte {
 	}
 	t.Fatal("no buffered packet after 10 cycles at load 0.9")
 	return nil
+}
+
+// stampedAtCycleCheckpoint checkpoints a run in which one switch claims
+// to have been arbitrated in the cycle the checkpoint precedes.
+// Checkpoints fall between cycles, so every true stamp is at most
+// cycle-1; accepting this one would skip a round of that switch's
+// arbiter fast-forward when it next receives a packet.
+func stampedAtCycleCheckpoint(t *testing.T) []byte {
+	t.Helper()
+	s, err := New(Config{Radix: 4, Inputs: 64, Capacity: 4, WarmupCycles: 10, MeasureCycles: 10,
+		Seed: 5, BufferKind: buffer.DAMQ, Traffic: TrafficSpec{Kind: Uniform, Load: 0.5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for i := 0; i < 10; i++ {
+		s.Step(false)
+	}
+	s.shards[0].lastArb[0][0] = s.cycle
+	var buf bytes.Buffer
+	if err := s.Checkpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 // TestCheckpointRejectsTrailingGarbage: extra bytes after a section body

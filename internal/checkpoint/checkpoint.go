@@ -45,6 +45,23 @@ var magic = [8]byte{'D', 'A', 'M', 'Q', 'C', 'K', 'P', 'T'}
 // headerLen is the byte count before the payload: magic + version + length.
 const headerLen = len(magic) + 4 + 8
 
+// MaxPayload caps the payload length a stream may declare; a larger
+// declaration is corruption, rejected before any payload is read. It
+// sits above the largest simulator state netsim's restore geometry check
+// (checkpointSanity) admits: at most 4M buffer slots with their
+// registers and packet records (about 0.4 GB), 33M queue register sets
+// (about 0.8 GB) and 512 radix-256 arbiters (about 0.3 GB). Source
+// backlogs and observer series grow with run length instead; only tens
+// of millions of queued packets would reach the cap.
+const MaxPayload = 1 << 32
+
+// readChunk bounds how far NewDecoder allocates ahead of the bytes a
+// stream has delivered. A stream up to this size is read into one buffer
+// of its exact size; a longer one doubles its buffer up to its exact
+// size. A length header that lies below MaxPayload therefore costs at
+// most readChunk plus twice the bytes actually present.
+const readChunk = 1 << 24
+
 // errf wraps a decode failure in the corrupt-checkpoint sentinel.
 func errf(format string, args ...any) error {
 	return fmt.Errorf("checkpoint: "+format+": %w", append(args, cfgerr.ErrBadCheckpoint)...)
@@ -83,31 +100,74 @@ func NewEncoderSize(n int) *Codec {
 // Len returns the number of payload bytes encoded so far.
 func (c *Codec) Len() int { return len(c.buf) - headerLen }
 
-// NewDecoder reads the entire stream from r and verifies its envelope.
+// NewDecoder reads one stream from r and verifies its envelope. It reads
+// the header first and sizes its buffer from the declared payload
+// length; a declaration over MaxPayload fails before any payload read,
+// and so does a byte after the stream's end.
 func NewDecoder(r io.Reader) (*Codec, error) {
-	raw, err := io.ReadAll(r)
+	var hdr [headerLen]byte
+	k, err := io.ReadFull(r, hdr[:])
+	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
+		return nil, errf("read: %v", err)
+	}
+	n, err := parseHeader(hdr[:k])
 	if err != nil {
+		return nil, err
+	}
+	size := headerLen + int(n) + 4
+	raw := make([]byte, headerLen, min(size, readChunk))
+	copy(raw, hdr[:])
+	for {
+		k, err := io.ReadFull(r, raw[len(raw):cap(raw)])
+		raw = raw[:len(raw)+k]
+		if err != nil {
+			return nil, errf("stream ends after %d of its %d bytes: %v", len(raw), size, err)
+		}
+		if len(raw) == size {
+			break
+		}
+		grown := make([]byte, len(raw), cap(raw)+min(size-cap(raw), cap(raw)))
+		copy(grown, raw)
+		raw = grown
+	}
+	var extra [1]byte
+	if k, err := io.ReadFull(r, extra[:]); k > 0 {
+		return nil, errf("trailing bytes after the %d-byte stream", size)
+	} else if err != io.EOF {
 		return nil, errf("read: %v", err)
 	}
 	return NewDecoderBytes(raw)
+}
+
+// parseHeader checks a stream's magic and version and returns the
+// payload length its header declares, at most MaxPayload.
+func parseHeader(raw []byte) (uint64, error) {
+	if len(raw) < len(magic) || string(raw[:len(magic)]) != string(magic[:]) {
+		return 0, errf("not a checkpoint stream (bad magic)")
+	}
+	if len(raw) < headerLen {
+		return 0, errf("truncated header (%d bytes)", len(raw))
+	}
+	if v := binary.LittleEndian.Uint32(raw[len(magic):]); v != Version {
+		return 0, fmt.Errorf("checkpoint: stream version %d, this build reads version %d: %w",
+			v, Version, cfgerr.ErrCheckpointVersion)
+	}
+	n := binary.LittleEndian.Uint64(raw[len(magic)+4:])
+	if n > MaxPayload || n > uint64(math.MaxInt-headerLen-4) {
+		return 0, errf("declared payload length %d exceeds the %d-byte cap", n, uint64(MaxPayload))
+	}
+	return n, nil
 }
 
 // NewDecoderBytes verifies the envelope (magic, version, length, CRC) of
 // a fully buffered stream up front and returns a Codec that reads its
 // payload.
 func NewDecoderBytes(raw []byte) (*Codec, error) {
-	if len(raw) < len(magic) || string(raw[:len(magic)]) != string(magic[:]) {
-		return nil, errf("not a checkpoint stream (bad magic)")
+	n, err := parseHeader(raw)
+	if err != nil {
+		return nil, err
 	}
-	if len(raw) < headerLen {
-		return nil, errf("truncated header (%d bytes)", len(raw))
-	}
-	if v := binary.LittleEndian.Uint32(raw[len(magic):]); v != Version {
-		return nil, fmt.Errorf("checkpoint: stream version %d, this build reads version %d: %w",
-			v, Version, cfgerr.ErrCheckpointVersion)
-	}
-	n := binary.LittleEndian.Uint64(raw[len(magic)+4:])
-	if n != uint64(len(raw)-headerLen-4) {
+	if uint64(len(raw)) != uint64(headerLen)+n+4 {
 		return nil, errf("payload length %d does not match stream size %d", n, len(raw))
 	}
 	body := raw[:len(raw)-4]

@@ -2,12 +2,14 @@ package checkpoint
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"damq/internal/cfgerr"
@@ -170,9 +172,11 @@ func TestDecoderDefensiveness(t *testing.T) {
 
 	check := func(name string, raw []byte, want error) {
 		t.Helper()
-		_, err := NewDecoderBytes(raw)
-		if !errors.Is(err, want) {
-			t.Errorf("%s: got %v, want %v", name, err, want)
+		if _, err := NewDecoderBytes(raw); !errors.Is(err, want) {
+			t.Errorf("%s: NewDecoderBytes got %v, want %v", name, err, want)
+		}
+		if _, err := NewDecoder(bytes.NewReader(raw)); !errors.Is(err, want) {
+			t.Errorf("%s: NewDecoder got %v, want %v", name, err, want)
 		}
 	}
 	check("empty", nil, cfgerr.ErrBadCheckpoint)
@@ -192,6 +196,31 @@ func TestDecoderDefensiveness(t *testing.T) {
 	flipped := append([]byte(nil), valid...)
 	flipped[headerLen] ^= 0xFF
 	check("CRC mismatch", flipped, cfgerr.ErrBadCheckpoint)
+
+	check("trailing byte", append(append([]byte(nil), valid...), 0), cfgerr.ErrBadCheckpoint)
+
+	// A length header past the stream's end fails at the end of the
+	// stream; one over MaxPayload fails before any payload is read.
+	withLength := func(n uint64) []byte {
+		raw := append([]byte(nil), valid...)
+		binary.LittleEndian.PutUint64(raw[len(magic)+4:], n)
+		return raw
+	}
+	check("length past the stream", withLength(uint64(len(valid))), cfgerr.ErrBadCheckpoint)
+	lying := withLength(MaxPayload + 1)
+	check("length over the cap", lying, cfgerr.ErrBadCheckpoint)
+	if _, err := NewDecoder(&headerOnly{t: t, rest: lying[:headerLen]}); !errors.Is(err, cfgerr.ErrBadCheckpoint) {
+		t.Errorf("length over the cap: got %v", err)
+	}
+	// A lie just under the cap allocates little more than readChunk
+	// before the stream runs out.
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	check("length at the cap", withLength(MaxPayload), cfgerr.ErrBadCheckpoint)
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 2*readChunk {
+		t.Errorf("decoding a lying length allocated %d bytes", grew)
+	}
 
 	// A count far beyond the remaining payload fails instead of
 	// allocating.
@@ -223,6 +252,22 @@ func TestDecoderDefensiveness(t *testing.T) {
 	if c.I64(&v); v != 7 || c.Err() == nil {
 		t.Errorf("overread returned %d with err %v", v, c.Err())
 	}
+}
+
+// headerOnly serves a stream header and fails the test on any read
+// past it.
+type headerOnly struct {
+	t    *testing.T
+	rest []byte
+}
+
+func (r *headerOnly) Read(p []byte) (int, error) {
+	if len(r.rest) == 0 {
+		r.t.Fatal("decoder read past the header")
+	}
+	n := copy(p, r.rest)
+	r.rest = r.rest[n:]
+	return n, nil
 }
 
 func TestWriteFileAtomic(t *testing.T) {

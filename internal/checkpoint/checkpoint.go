@@ -45,7 +45,7 @@ var magic = [8]byte{'D', 'A', 'M', 'Q', 'C', 'K', 'P', 'T'}
 // headerLen is the byte count before the payload: magic + version + length.
 const headerLen = len(magic) + 4 + 8
 
-// MaxPayload caps the payload length a stream may declare; a larger
+// maxPayload caps the payload length a stream may declare; a larger
 // declaration is corruption, rejected before any payload is read. It
 // sits above the largest simulator state netsim's restore geometry check
 // (checkpointSanity) admits: at most 4M buffer slots with their
@@ -53,12 +53,12 @@ const headerLen = len(magic) + 4 + 8
 // (about 0.8 GB) and 512 radix-256 arbiters (about 0.3 GB). Source
 // backlogs and observer series grow with run length instead; only tens
 // of millions of queued packets would reach the cap.
-const MaxPayload = 1 << 32
+const maxPayload = 1 << 32
 
 // readChunk bounds how far NewDecoder allocates ahead of the bytes a
 // stream has delivered. A stream up to this size is read into one buffer
 // of its exact size; a longer one doubles its buffer up to its exact
-// size. A length header that lies below MaxPayload therefore costs at
+// size. A length header that lies below maxPayload therefore costs at
 // most readChunk plus twice the bytes actually present.
 const readChunk = 1 << 24
 
@@ -102,7 +102,7 @@ func (c *Codec) Len() int { return len(c.buf) - headerLen }
 
 // NewDecoder reads one stream from r and verifies its envelope. It reads
 // the header first and sizes its buffer from the declared payload
-// length; a declaration over MaxPayload fails before any payload read,
+// length; a declaration over maxPayload fails before any payload read,
 // and so does a byte after the stream's end.
 func NewDecoder(r io.Reader) (*Codec, error) {
 	var hdr [headerLen]byte
@@ -140,7 +140,7 @@ func NewDecoder(r io.Reader) (*Codec, error) {
 }
 
 // parseHeader checks a stream's magic and version and returns the
-// payload length its header declares, at most MaxPayload.
+// payload length its header declares, at most maxPayload.
 func parseHeader(raw []byte) (uint64, error) {
 	if len(raw) < len(magic) || string(raw[:len(magic)]) != string(magic[:]) {
 		return 0, errf("not a checkpoint stream (bad magic)")
@@ -153,8 +153,8 @@ func parseHeader(raw []byte) (uint64, error) {
 			v, Version, cfgerr.ErrCheckpointVersion)
 	}
 	n := binary.LittleEndian.Uint64(raw[len(magic)+4:])
-	if n > MaxPayload || n > uint64(math.MaxInt-headerLen-4) {
-		return 0, errf("declared payload length %d exceeds the %d-byte cap", n, uint64(MaxPayload))
+	if n > maxPayload || n > uint64(math.MaxInt-headerLen-4) {
+		return 0, errf("declared payload length %d exceeds the %d-byte cap", n, uint64(maxPayload))
 	}
 	return n, nil
 }

@@ -200,14 +200,14 @@ func TestDecoderDefensiveness(t *testing.T) {
 	check("trailing byte", append(append([]byte(nil), valid...), 0), cfgerr.ErrBadCheckpoint)
 
 	// A length header past the stream's end fails at the end of the
-	// stream; one over MaxPayload fails before any payload is read.
+	// stream; one over maxPayload fails before any payload is read.
 	withLength := func(n uint64) []byte {
 		raw := append([]byte(nil), valid...)
 		binary.LittleEndian.PutUint64(raw[len(magic)+4:], n)
 		return raw
 	}
 	check("length past the stream", withLength(uint64(len(valid))), cfgerr.ErrBadCheckpoint)
-	lying := withLength(MaxPayload + 1)
+	lying := withLength(maxPayload + 1)
 	check("length over the cap", lying, cfgerr.ErrBadCheckpoint)
 	if _, err := NewDecoder(&headerOnly{t: t, rest: lying[:headerLen]}); !errors.Is(err, cfgerr.ErrBadCheckpoint) {
 		t.Errorf("length over the cap: got %v", err)
@@ -216,7 +216,7 @@ func TestDecoderDefensiveness(t *testing.T) {
 	// before the stream runs out.
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	check("length at the cap", withLength(MaxPayload), cfgerr.ErrBadCheckpoint)
+	check("length at the cap", withLength(maxPayload), cfgerr.ErrBadCheckpoint)
 	runtime.ReadMemStats(&after)
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > 2*readChunk {
 		t.Errorf("decoding a lying length allocated %d bytes", grew)

@@ -13,9 +13,9 @@
 //     next arrives; DESIGN.md §8). Under the blocking protocol a queue
 //     whose head needs more slots than the room its downstream buffer
 //     publishes is masked from arbitration (the paper's "longest queue
-//     ... which was not blocked"). Grants are recorded but nothing is popped, so every
-//     arbitration decision — including the reads of the published room —
-//     sees one consistent snapshot.
+//     ... which was not blocked"). Grants are recorded but nothing is
+//     popped, so every arbitration decision — including the reads of the
+//     published room — sees one consistent snapshot.
 //  2. Move: all granted packets are popped, then delivered: last-stage
 //     packets exit to their memory module; others are routed toward the
 //     next stage's input buffer. Pops happen before accepts, so a slot
@@ -32,9 +32,9 @@
 // Each shard owns its switches' buffers, arbiters, arbitration stamps,
 // RNG streams, and measurement partials; cross-shard traffic moves
 // through per-(writer, reader) outboxes handed over at the phase
-// barriers. The
-// shard count is a pure function of the topology, so results are
-// byte-identical at any worker count (Config.Workers), including 1.
+// barriers. The shard count is a pure function of the topology, so
+// results are byte-identical at any worker count (Config.Workers),
+// including 1.
 //
 // Latency accounting (DESIGN.md §4): a packet is born at clock
 // cycle*C + u with u uniform in [0, C); it is delivered at the end of the
@@ -441,12 +441,9 @@ type shard struct {
 	faulted    int64
 
 	// lastArb[st][si-lo] is the cycle the switch last ran (or was fast-
-	// forwarded through) arbitration; -1 before its first packet. The
-	// arbitrate phase skips switches whose occupancy counter reads empty
-	// (DESIGN.md §8); when a packet lands in a skipped switch, its
-	// arbiter is fast-forwarded through the empty rounds since this
-	// stamp (AdvanceIdle), so results are bit-identical to arbitrating
-	// every switch every cycle.
+	// forwarded through) arbitration; -1 before its first packet.
+	// noteAccept replays the empty rounds since it when a packet reaches
+	// a switch the arbitrate phase skipped (DESIGN.md §8).
 	lastArb [][]int64
 
 	grantScratch []arbiter.Grant

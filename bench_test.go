@@ -147,9 +147,9 @@ func BenchmarkChipNetworkPacket(b *testing.B) {
 }
 
 // benchNetworkCycle measures the simulator's raw speed: one network cycle
-// of an inputs×inputs DAMQ Omega network at the given load.
+// of an inputs×inputs blocking DAMQ Omega network at the given load.
 func benchNetworkCycle(b *testing.B, inputs int, load float64, opts ...damq.Option) {
-	sim, err := damq.NewNetwork(damq.NetworkConfig{
+	benchCycles(b, damq.NetworkConfig{
 		Inputs:     inputs,
 		BufferKind: damq.DAMQ,
 		Capacity:   4,
@@ -158,6 +158,12 @@ func benchNetworkCycle(b *testing.B, inputs int, load float64, opts ...damq.Opti
 		Traffic:    damq.TrafficSpec{Kind: damq.UniformTraffic, Load: load},
 		Seed:       1,
 	}, opts...)
+}
+
+// benchCycles times one Step of the network cfg describes and returns
+// the Sim's collected Result.
+func benchCycles(b *testing.B, cfg damq.NetworkConfig, opts ...damq.Option) *damq.NetworkResult {
+	sim, err := damq.NewNetwork(cfg, opts...)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -177,6 +183,8 @@ func benchNetworkCycle(b *testing.B, inputs int, load float64, opts ...damq.Opti
 	for i := 0; i < b.N; i++ {
 		sim.Step(true)
 	}
+	b.StopTimer()
+	return sim.Collect()
 }
 
 // BenchmarkNetworkCycle is the dense case: 0.5 load keeps most switches
@@ -195,6 +203,25 @@ func BenchmarkNetworkCycleLowLoad(b *testing.B) { benchNetworkCycle(b, 64, 0.2) 
 // must stay allocation-free like the unobserved path.
 func BenchmarkNetworkCycleObserved(b *testing.B) {
 	benchNetworkCycle(b, 64, 0.5, damq.WithObserver(damq.NewObserver()))
+}
+
+// BenchmarkNetworkCycleDiscarding is the paper's Table 3 setup: a
+// 64-input DAMQ network on the discarding protocol at load 1.0, where
+// buffers refuse packets every cycle. It is the cycle benchmark of the
+// drop paths and of a route phase with no room to latch.
+func BenchmarkNetworkCycleDiscarding(b *testing.B) {
+	res := benchCycles(b, damq.NetworkConfig{
+		Inputs:     64,
+		BufferKind: damq.DAMQ,
+		Capacity:   4,
+		Policy:     damq.SmartArbitration,
+		Protocol:   damq.Discarding,
+		Traffic:    damq.TrafficSpec{Kind: damq.UniformTraffic, Load: 1.0},
+		Seed:       1,
+	})
+	if res.DiscardedAtEntry+res.DiscardedInNet == 0 {
+		b.Fatal("no packet was refused")
+	}
 }
 
 // BenchmarkNetworkCycle1024 is the headline scale: a 1024×1024 Omega

@@ -3,6 +3,7 @@ package buffer
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"damq/internal/packet"
@@ -42,11 +43,14 @@ type roomCoverage struct {
 
 // walkRoom drives a buffer built from cfg, with a room window attached,
 // through a seeded random sequence of offers, pops, ticks and stuck
-// slots, and calls check after every step.
+// slots, and calls check after every step at the clock edge: a pop must
+// leave the row byte-for-byte as it was (the latch), and is followed by
+// the PublishRoom that latches its room before the check.
 func walkRoom(t *testing.T, cfg Config, seed uint64, check func(c *Composed, row []int32)) roomCoverage {
 	t.Helper()
 	c := MustNew(cfg)
 	row := make([]int32, c.NumOutputs()*c.RoomClasses())
+	latched := make([]int32, len(row))
 	c.AttachRoom(row)
 	pooled := KindSharesPool(cfg.Kind)
 	r := rng.New(seed)
@@ -58,7 +62,12 @@ func walkRoom(t *testing.T, cfg Config, seed uint64, check func(c *Composed, row
 			id++
 			c.Offer(&packet.Packet{ID: id, OutPort: r.Intn(c.NumOutputs()), Slots: 1 + r.Intn(4)})
 		case op < 15:
+			copy(latched, row)
 			c.Pop(r.Intn(c.NumOutputs()))
+			if !slices.Equal(row, latched) {
+				t.Fatalf("seed %d step %d: Pop rewrote the latched room %v to %v", seed, step, latched, row)
+			}
+			c.PublishRoom()
 		case op < 19:
 			c.Tick()
 		case pooled:
@@ -108,11 +117,12 @@ func roomMismatch(c *Composed, row []int32) string {
 	return ""
 }
 
-// TestRoomMatchesCanAcceptOut is the published room's contract: on
-// random states of every kind — multi-slot packets, stuck slots, FB
-// classes, BSHARE heads older than the delay target, thresholds between
-// integers — a packet fits exactly when its slot count is at most the
-// room register of its output and class.
+// TestRoomMatchesCanAcceptOut is the published room's contract: at every
+// clock edge of random walks over every kind — multi-slot packets, stuck
+// slots, FB classes, BSHARE heads older than the delay target,
+// thresholds between integers — a packet fits exactly when its slot
+// count is at most the room register of its output and class; between a
+// pop and its PublishRoom the register holds the room from before.
 func TestRoomMatchesCanAcceptOut(t *testing.T) {
 	for _, cfg := range roomConfigs() {
 		name := cfg.Kind.String()

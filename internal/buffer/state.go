@@ -234,9 +234,7 @@ func ResyncAfterRestore(views []*Composed) error {
 		}
 	}
 	for _, c := range views {
-		if c.room != nil {
-			c.publishRoom()
-		}
+		c.PublishRoom()
 	}
 	return nil
 }

@@ -228,7 +228,7 @@ func (sp *SlotPool) EnableClock() {
 // Tick advances the pool clock by one cycle. The owning switch calls it
 // once per long clock; the network simulator calls it from the inject
 // phase, after the cycle's last admission, and the composed buffer then
-// republishes its age-dependent room for the next arbitrate phase.
+// republishes its age-dependent room for the next route phase.
 // damqvet:hotpath
 func (sp *SlotPool) Tick() { sp.now++ }
 

@@ -111,8 +111,8 @@ func TestActiveSetMatchesFullScan(t *testing.T) {
 	}
 }
 
-// TestArbitrationStamps checks the invariant that lets the arbitrate
-// phase skip empty switches: after every Step, each switch holding a
+// TestArbitrationStamps checks the invariant that lets the route phase
+// skip empty switches: after every Step, each switch holding a
 // packet carries the stamp of the cycle just run (it was arbitrated, or
 // a packet reached it and its arbiter was fast-forwarded), and every
 // stamp lies in [-1, Cycle()-1]. A stamp the scan failed to write would

@@ -23,7 +23,9 @@ import (
 // while each switch kept a second slice of its buffers as interface
 // values 26,394 objects and 4.05 MB, and while each switch bound its
 // head-blocked test as the arbiter's callback and the arbiter kept
-// per-output scratch 25,114 objects and 3.95 MB.
+// per-output scratch 25,114 objects and 3.95 MB, and while each shard
+// recorded its grants in a pending list for a separate move phase
+// 23,738 objects and 3.89 MB.
 func TestNewAllocs(t *testing.T) {
 	cfg := Config{
 		Radix: 4, Inputs: 1024, BufferKind: buffer.DAMQ, Capacity: 4,
@@ -48,7 +50,7 @@ func TestNewAllocs(t *testing.T) {
 	}
 	// Race-detector builds allocate the same objects but about 10 KB more,
 	// so the byte pin allows 0.5%.
-	const maxObjects, maxBytes = 23_834, 3_897_744 + 3_897_744/200
+	const maxObjects, maxBytes = 23_738, 3_796_368 + 3_796_368/200
 	if objects > maxObjects || bytes > maxBytes {
 		t.Errorf("New(1024 inputs) allocates %d objects, %d bytes; pinned at most %d, %d",
 			objects, bytes, maxObjects, maxBytes)
@@ -93,8 +95,7 @@ func TestStepSteadyStateAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 			// Reach steady state with measurement on, so all scratch —
-			// outboxes, pending-grant lists, free lists — has grown to its
-			// high-water mark.
+			// outboxes, free lists — has grown to its high-water mark.
 			for i := 0; i < 2000; i++ {
 				sim.Step(true)
 			}

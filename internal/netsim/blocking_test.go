@@ -15,6 +15,7 @@ import (
 	"damq/internal/arbiter"
 	"damq/internal/buffer"
 	"damq/internal/fault"
+	"damq/internal/packet"
 	"damq/internal/stats"
 	"damq/internal/sw"
 )
@@ -100,6 +101,73 @@ func TestBlockingKindsDigest(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestRoomExactAtStepBoundary checks the latch of the published room at
+// the clock edge: a pop leaves its buffer's row as it was during the
+// route phase, so after every Step each stage>0 buffer's row must again
+// agree with CanAcceptOut for every output, class and slot count. It
+// runs every blocking digest cell — all eight kinds, 1-slot and 1-4-slot
+// packets, FB classes, BSHARE ages, stuck-slot faults — at 1 and 3
+// workers.
+func TestRoomExactAtStepBoundary(t *testing.T) {
+	for _, bc := range blockingCells() {
+		t.Run(bc.name, func(t *testing.T) {
+			t.Parallel()
+			for _, workers := range []int{1, 3} {
+				cfg := bc.cfg
+				cfg.Workers = workers
+				s, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer s.Close()
+				if bc.faults != nil {
+					if err := s.SetFaults(*bc.faults); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for s.Cycle() < 300 {
+					s.Step(true)
+					if msg := roomMismatchAt(s); msg != "" {
+						t.Fatalf("workers=%d after cycle %d: %s", workers, s.Cycle()-1, msg)
+					}
+				}
+			}
+		})
+	}
+}
+
+// roomMismatchAt returns the first stage>0 buffer register of s whose
+// published room disagrees with CanAcceptOut, or "" when all agree.
+func roomMismatchAt(s *Sim) string {
+	k := s.cfg.Radix
+	for st := 1; st < len(s.stages); st++ {
+		d := &s.down[st-1][0]
+		row := k * d.Classes
+		for si, swc := range s.stages[st] {
+			for in := 0; in < k; in++ {
+				b := swc.Buffer(in)
+				room := d.Room[(si*k+in)*row : (si*k+in+1)*row]
+				for c := 0; c < d.Classes; c++ {
+					p := &packet.Packet{ID: 1}
+					for buffer.Class(p, d.Classes) != c {
+						p.ID++
+					}
+					for out := 0; out < k; out++ {
+						r := room[out*d.Classes+c]
+						for p.Slots = 1; p.Slots <= b.Capacity()+1; p.Slots++ {
+							if want := b.CanAcceptOut(p, out); want != (p.Slots <= int(r)) {
+								return fmt.Sprintf("stage %d switch %d input %d out %d class %d slots %d: CanAcceptOut %v, room %d",
+									st, si, in, out, c, p.Slots, want, r)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	return ""
 }
 
 // loadDigests reads the committed digest pins at path. Under -update a

@@ -8,8 +8,9 @@
 // stored: topology, shard partition, downstream views, scratch buffers,
 // and the packet allocators' free lists. The published room is derived
 // from the restored pools (buffer.ResyncAfterRestore republishes it).
-// The scratch (pending grants, outboxes) is dead at cycle boundaries,
-// which is where checkpoints are taken.
+// The scratch (grants, popped-buffer lists, outboxes) is dead at cycle
+// boundaries, which is where checkpoints are taken; so is the latch of
+// popped room, which every inject phase completes.
 //
 // The format is a table of sections, each one walk function over the
 // Sim's state that Checkpoint runs encoding and RestoreSim runs decoding
@@ -865,7 +866,7 @@ func missingSection(c *checkpoint.Codec, tag uint8) error {
 }
 
 // resyncAfterRestore rebuilds the switch occupancy counters, which the
-// arbitrate phase reads to skip empty switches, and cross-checks the
+// route phase reads to skip empty switches, and cross-checks the
 // global conservation invariants that tie the decoded sections together:
 // the shards' in-flight counters must sum to the packets actually
 // buffered, and each shard's backlog counter must equal its own source

@@ -5,27 +5,28 @@
 // (12 in the paper: 8 to transmit + 4 to route); processors are message
 // generators, memories are message receivers.
 //
-// One network cycle (three barrier-separated phases; DESIGN.md §11):
+// One network cycle (two barrier-separated phases; DESIGN.md §11):
 //
-//  1. Arbitrate: every switch arbitrates its crossbar against the
-//     pre-movement state (an empty switch is skipped on its occupancy
-//     counter, and its arbiter replays the skipped rounds when a packet
-//     next arrives; DESIGN.md §8). Under the blocking protocol a queue
-//     whose head needs more slots than the room its downstream buffer
-//     publishes is masked from arbitration (the paper's "longest queue
-//     ... which was not blocked"). Grants are recorded but nothing is
-//     popped, so every arbitration decision — including the reads of the
-//     published room — sees one consistent snapshot.
-//  2. Move: all granted packets are popped, then delivered: last-stage
-//     packets exit to their memory module; others are routed toward the
-//     next stage's input buffer. Pops happen before accepts, so a slot
-//     freed this cycle can hold a packet arriving this cycle.
-//  3. Inject: routed packets enter next-stage buffers (under the
-//     discarding protocol a packet that finds its buffer full is
-//     dropped), then sources inject: newly generated packets (plus,
-//     under blocking, the backlog waiting in unbounded source queues)
-//     enter first-stage buffers; under discarding a generated packet
-//     that does not fit is dropped at entry.
+//  1. Route: every switch that holds a packet (an empty switch is skipped
+//     on its occupancy counter, and its arbiter replays the skipped
+//     rounds when a packet next arrives; DESIGN.md §8) arbitrates its
+//     crossbar and at once pops its grants: last-stage packets exit to
+//     their memory module, others are routed toward the next stage's
+//     input buffer. Under the blocking protocol a queue whose head needs
+//     more slots than the room its downstream buffer publishes is masked
+//     from arbitration (the paper's "longest queue ... which was not
+//     blocked"). The published room is a register latched at the clock
+//     edge: a pop leaves it as it was, so every arbitration decision —
+//     whichever switch pops first — reads the room from before any
+//     packet moved.
+//  2. Inject: each shard first latches the room of the buffers it popped,
+//     then routed packets enter next-stage buffers (under the discarding
+//     protocol a packet that finds its buffer full is dropped), then
+//     sources inject: newly generated packets (plus, under blocking, the
+//     backlog waiting in unbounded source queues) enter first-stage
+//     buffers; under discarding a generated packet that does not fit is
+//     dropped at entry. Pops happen before accepts, so a slot freed this
+//     cycle can hold a packet arriving this cycle.
 //
 // The network is partitioned into shards — contiguous switch ranges
 // applied to every stage, plus the sources and deliveries wired to them.
@@ -150,8 +151,8 @@ func (c Config) Validate() error {
 			c.BufferKind, c.BufferKind.PolicyName(), cfgerr.ErrBadSharing)
 	}
 	if c.SharedPool && c.Protocol == sw.Blocking {
-		// Blocking relies on the room a buffer publishes before the
-		// arbitrate phase guaranteeing the inject-phase Offer. A per-port
+		// Blocking relies on the room a buffer latched before the route
+		// phase guaranteeing the inject-phase Offer. A per-port
 		// buffer takes at most one packet per cycle, and pops only widen
 		// every policy's room, so the guarantee holds; one pool spanning
 		// ports can show room to n upstream links at once and overflow
@@ -322,8 +323,7 @@ func shardCount(spp int) int {
 
 // Gang phase numbers (the argument Step hands to parallel.Gang.Run).
 const (
-	phaseArbitrate = iota
-	phaseMove
+	phaseRoute = iota
 	phaseInject
 )
 
@@ -403,8 +403,8 @@ type Sim struct {
 // last-stage range. All its mutable state — buffers (via the switches),
 // arbitration stamps, RNG streams, measurement partials — is written only
 // by its owner; everything a shard reads of its peers (the room downstream
-// buffers publish, during arbitration; outboxes, during injection) is
-// frozen by the phase barriers.
+// buffers publish, during routing; outboxes, during injection) is frozen
+// by the phase barriers.
 // damqvet's sharded rule enforces the ownership discipline at the source
 // level.
 type shard struct {
@@ -443,24 +443,17 @@ type shard struct {
 	// lastArb[st][si-lo] is the cycle the switch last ran (or was fast-
 	// forwarded through) arbitration; -1 before its first packet.
 	// noteAccept replays the empty rounds since it when a packet reaches
-	// a switch the arbitrate phase skipped (DESIGN.md §8).
+	// a switch the route phase skipped (DESIGN.md §8).
 	lastArb [][]int64
 
 	grantScratch []arbiter.Grant
-	// pending records the arbitrate phase's grants; pops are deferred to
-	// the move phase so arbitration network-wide sees one pre-movement
-	// snapshot.
-	pending []pendingGrant
+	// popped lists the room-publishing buffers the route phase popped;
+	// the inject phase latches their room. Nil under discarding, where
+	// no buffer publishes room.
+	popped []*buffer.Composed
 	// outbox[d] carries this shard's routed transfers into shard d's
 	// switches; d drains it in the inject phase, after the barrier.
 	outbox [][]xfer
-}
-
-// pendingGrant is one recorded arbitration outcome: switch si of stage st
-// may pop grant g in the move phase.
-type pendingGrant struct {
-	st, si int32
-	g      arbiter.Grant
 }
 
 // xfer is one routed inter-stage transfer: packet p enters input port in
@@ -561,7 +554,9 @@ func New(cfg Config) (*Sim, error) {
 			}
 		}
 		sh.grantScratch = make([]arbiter.Grant, 0, cfg.Radix)
-		sh.pending = make([]pendingGrant, 0, own*top.Stages()*cfg.Radix)
+		if blocking {
+			sh.popped = make([]*buffer.Composed, 0, own*(top.Stages()-1)*cfg.Radix)
+		}
 		sh.outbox = make([][]xfer, nShards)
 		for d := range sh.outbox {
 			sh.outbox[d] = make([]xfer, 0, own*cfg.Radix/nShards+cfg.Radix)
@@ -634,7 +629,7 @@ func (s *Sim) Close() {
 }
 
 // noteAccept records that a packet entered switch si of stage st (owned
-// by this shard). On the 0→1 occupancy transition the arbitrate phase
+// by this shard). On the 0→1 occupancy transition the route phase
 // stops skipping the switch, so its arbiter is fast-forwarded here
 // through every empty round it was skipped for.
 // damqvet:sharded audited: st,si is always an owned coordinate (si in [lo,hi)), so the switch and its arbiter belong to this shard's partition
@@ -655,11 +650,13 @@ func (sh *shard) noteAccept(st, si int) {
 // buffer of stages 1..S-1 publishes its admission room into rooms[st],
 // one dense array per stage, and every switch of stages 0..S-2 reads the
 // array of the stage after it through a Downstream view; the last stage
-// feeds memories, which always accept. A buffer rewrites its row
-// whenever its state changes: in the move and inject phases and the tick
-// of the shard that owns it, and in the coordinator's stuck-slot faults
-// and restore. The arbitrate phase only reads rows, after the barrier.
-// Room is derived state, never checkpointed.
+// feeds memories, which always accept. A row is a register latched at
+// the clock edge: a buffer rewrites it on every admission and tick and
+// in the coordinator's stuck-slot faults and restore, but a pop leaves
+// it as it was until the owning shard's inject phase latches it (the
+// shard's popped list). The route phase only reads rows, so every
+// arbiter sees the room from before any packet moved. Room is derived
+// state, never checkpointed.
 func (s *Sim) wireDownstream(rooms [][]int32) {
 	k, spp := s.cfg.Radix, s.top.SwitchesPerStage()
 	classes := s.stages[0][0].RoomClasses()
@@ -699,17 +696,13 @@ func (s *Sim) Step(measuring bool) {
 
 	s.measuring = measuring
 	if g := s.gang; g != nil {
-		g.Run(phaseArbitrate)
-		g.Run(phaseMove)
+		g.Run(phaseRoute)
 		g.Run(phaseInject)
 	} else {
 		// Serial path: same shards, same phase order, one goroutine; by
 		// the sharding contract it produces byte-identical results.
 		for _, sh := range s.shards {
-			sh.phaseArbitrateRun()
-		}
-		for _, sh := range s.shards {
-			sh.phaseMoveRun()
+			sh.phaseRouteRun()
 		}
 		for _, sh := range s.shards {
 			sh.phaseInjectRun()
@@ -789,95 +782,84 @@ func (s *Sim) runPhase(w, phase int) {
 	hi := (w + 1) * len(s.shards) / s.workers
 	for k := lo; k < hi; k++ {
 		sh := s.shards[k]
-		switch phase {
-		case phaseArbitrate:
-			sh.phaseArbitrateRun()
-		case phaseMove:
-			sh.phaseMoveRun()
-		case phaseInject:
+		if phase == phaseRoute {
+			sh.phaseRouteRun()
+		} else {
 			sh.phaseInjectRun()
 		}
 	}
 }
 
-// phaseArbitrateRun is phase 1 for one shard: arbitrate every owned
-// switch that holds a packet against the pre-movement state, in (stage,
-// switch) order, recording grants without popping. An empty switch is
-// skipped on its occupancy counter and keeps its stamp, so noteAccept
-// can replay the rounds it sat out. Mutates only this shard's arbiters
-// and scratch; of its peers it reads only the room their buffers
-// published, which no one writes until the phase barrier.
+// phaseRouteRun is phase 1 for one shard: in (stage, switch) order,
+// arbitrate every owned switch that holds a packet and pop its grants at
+// once. Deliveries and fault drops are finished locally, inter-stage
+// transfers are routed into the destination shard's outbox. An empty
+// switch is skipped on its occupancy counter and keeps its stamp, so
+// noteAccept can replay the rounds it sat out. Popping before the next
+// switch arbitrates is exact: an arbiter reads only its own queues,
+// which receive packets only in the inject phase, and the room rows
+// downstream, which a pop leaves latched (the popped list defers their
+// rewrite to the inject phase).
 // damqvet:hotpath
-func (sh *shard) phaseArbitrateRun() {
+func (sh *shard) phaseRouteRun() {
 	s := sh.sim
-	sh.pending = sh.pending[:0]
+	measuring := s.measuring
+	last := len(s.stages) - 1
 	for d := range sh.outbox {
 		sh.outbox[d] = sh.outbox[d][:0]
 	}
 	for st, row := range s.stages {
+		var down []sw.Downstream
+		if st < len(s.down) {
+			down = s.down[st]
+		}
+		latch := st > 0 && sh.popped != nil
 		stamps := sh.lastArb[st]
 		for si := sh.lo; si < sh.hi; si++ {
-			if row[si].Empty() {
+			swc := row[si]
+			if swc.Empty() {
 				continue
 			}
-			sh.arbitrateOne(st, si, row[si])
 			stamps[si-sh.lo] = s.cycle
+			var dv *sw.Downstream
+			if down != nil {
+				dv = &down[si]
+			}
+			sh.grantScratch = swc.Arbitrate(dv, sh.grantScratch[:0])
+			for _, g := range sh.grantScratch {
+				p := swc.PopGrant(g)
+				if latch {
+					sh.popped = append(sh.popped, swc.Buffer(g.In))
+				}
+				// A granted packet crosses the link leaving its switch; if
+				// that link is down this cycle it is dropped here — counted
+				// as faulted-discard, never silently lost. This applies
+				// under both protocols: blocking flow control cannot see a
+				// link die after the grant, exactly like the hardware.
+				if s.flt != nil && sh.dropOnFaultedLink(st, si, g.Out, measuring) {
+					sh.inFlight--
+					sh.alloc.Recycle(p)
+					continue
+				}
+				if st == last {
+					sh.inFlight--
+					sh.deliver(p, measuring)
+					sh.alloc.Recycle(p)
+					continue
+				}
+				nsw, nport := s.top.NextStage(si, g.Out)
+				p.OutPort = s.top.RouteDigit(p.Dest, st+1)
+				d := s.shardOfSw[nsw]
+				sh.outbox[d] = append(sh.outbox[d], xfer{p: p, st: int32(st + 1), si: int32(nsw), in: int32(nport)})
+			}
 		}
 	}
 }
 
-// arbitrateOne runs one switch's arbitration and records its grants.
-// damqvet:hotpath
-func (sh *shard) arbitrateOne(st, si int, swc *sw.Switch) {
-	var down *sw.Downstream
-	if st < len(sh.sim.down) {
-		down = &sh.sim.down[st][si]
-	}
-	sh.grantScratch = swc.Arbitrate(down, sh.grantScratch[:0])
-	for _, g := range sh.grantScratch {
-		sh.pending = append(sh.pending, pendingGrant{st: int32(st), si: int32(si), g: g})
-	}
-}
-
-// phaseMoveRun is phase 2 for one shard: pop the recorded grants in
-// order; deliveries and fault drops are finished locally, inter-stage
-// transfers are routed into the destination shard's outbox.
-// damqvet:sharded audited: grants recorded in phase 1 name only owned switches; cross-shard handoff goes through the outboxes, drained after the barrier
-// damqvet:hotpath
-func (sh *shard) phaseMoveRun() {
-	s := sh.sim
-	measuring := s.measuring
-	last := len(s.stages) - 1
-	for i := range sh.pending {
-		pg := &sh.pending[i]
-		st, si := int(pg.st), int(pg.si)
-		p := s.stages[st][si].PopGrant(pg.g)
-		// A granted packet crosses the link leaving its switch; if that
-		// link is down this cycle it is dropped here — counted as
-		// faulted-discard, never silently lost. This applies under both
-		// protocols: blocking flow control cannot see a link die after
-		// the grant, exactly like the hardware.
-		if s.flt != nil && sh.dropOnFaultedLink(st, si, pg.g.Out, measuring) {
-			sh.inFlight--
-			sh.alloc.Recycle(p)
-			continue
-		}
-		if st == last {
-			sh.inFlight--
-			sh.deliver(p, measuring)
-			sh.alloc.Recycle(p)
-			continue
-		}
-		nsw, nport := s.top.NextStage(si, pg.g.Out)
-		p.OutPort = s.top.RouteDigit(p.Dest, st+1)
-		d := s.shardOfSw[nsw]
-		sh.outbox[d] = append(sh.outbox[d], xfer{p: p, st: int32(st + 1), si: int32(nsw), in: int32(nport)})
-	}
-}
-
-// phaseInjectRun is phase 3 for one shard: accept the transfers addressed
-// to its switches (inboxes are drained in source-shard order, so the
-// sequence is independent of the worker count), then generate and inject
+// phaseInjectRun is phase 2 for one shard: latch the room of the buffers
+// it popped, accept the transfers addressed to its switches (inboxes are
+// drained in source-shard order, so the sequence is independent of the
+// worker count), then generate and inject
 // at its sources, then sample its occupancy (and, observed, its
 // instrument tallies). Only this shard offers into
 // its switches, and the shuffle wiring delivers at most one packet per
@@ -888,6 +870,10 @@ func (sh *shard) phaseMoveRun() {
 func (sh *shard) phaseInjectRun() {
 	s := sh.sim
 	measuring := s.measuring
+	for _, b := range sh.popped {
+		b.PublishRoom()
+	}
+	sh.popped = sh.popped[:0]
 	for j := range s.shards {
 		inbox := s.shards[j].outbox[sh.id]
 		for i := range inbox {
@@ -961,7 +947,7 @@ func (sh *shard) phaseInjectRun() {
 	// Age clocks advance last, after every admission decision of the
 	// cycle, so an age-reading policy (BSHARE) admits at one age all
 	// cycle, and the room each buffer republishes on its tick is the
-	// room the next arbitrate phase reads. Ticking only owned switches
+	// room the next route phase reads. Ticking only owned switches
 	// keeps the sweep inside the shard partition.
 	if s.needTick {
 		for st := range s.stages {

@@ -15,7 +15,7 @@ import (
 // exactly n goroutines during Run. Phases are totally ordered: every
 // worker observes phase p complete (Run returns) before any worker starts
 // phase p+1, which is the happens-before edge a sharded simulator needs
-// between its arbitrate/move/inject phases.
+// between its route and inject phases.
 //
 // The barrier is a spin-then-park one built on two atomics, with no
 // allocation and, while the workers keep up, no channel operation:

@@ -11,7 +11,9 @@
 // The regex spans packages (the async event-engine benchmarks live in
 // internal/eventsim, the analyzer benchmark in cmd/damqvet), so -pkg is
 // ./...; entries fold by benchmark name, which therefore must stay
-// unique across the repository.
+// unique across the repository. BenchmarkNetworkCycle is unanchored, so
+// it selects every network-cycle benchmark: dense, low-load, observed,
+// discarding (BenchmarkNetworkCycleDiscarding) and the 1024-input ones.
 //
 // -notime names benchmarks whose wall-clock is not comparable across
 // machines — the multi-worker sharded benchmarks and the worker gang's

@@ -3,7 +3,7 @@ package damq_test
 // One benchmark per table and figure of the paper's evaluation, each
 // regenerating (a quick-scale version of) the corresponding artifact.
 // `go test -bench=. -benchmem` therefore re-runs the entire evaluation.
-// EXPERIMENTS.md records full-scale numbers produced by cmd/experiments.
+// EXPERIMENTS.md records full-scale numbers produced by omegasim -exp report.
 
 import (
 	"testing"

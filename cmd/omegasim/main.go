@@ -1,16 +1,25 @@
-// Command omegasim runs the paper's Omega-network experiments.
+// Command omegasim runs the paper's experiments: the whole report, any
+// one table or figure, a single network, a custom sweep, or the chip
+// trace.
 //
 // Usage:
 //
+//	omegasim -exp report -scale full > report.txt   # every table and figure
+//	omegasim -exp report -skip-markov -json r.json  # without Table 2, plus JSON
 //	omegasim -exp table3            # Table 3 (discarding, uniform)
 //	omegasim -exp table4            # Table 4 (blocking latencies)
 //	omegasim -exp table5            # Table 5 (slot-count sweep)
 //	omegasim -exp table6            # Table 6 (hot spot)
 //	omegasim -exp figure3           # Figure 3 (latency vs throughput)
+//	omegasim -exp table2            # Table 2 (exact Markov analysis)
+//	omegasim -exp table2 -kind damq -capacity 3 -load 0.9 -sim 100000  # one cell
 //	omegasim -exp modern            # 1988 vs 2026 sharing policies
 //	omegasim -exp varlen            # variable-length extension
 //	omegasim -exp async             # asynchronous event-driven extension
 //	omegasim -exp async -packets 200000       # ~200k delivered packets/point
+//	omegasim -exp chip              # ComCoBB chip trace, 8-byte packet
+//	omegasim -exp chip -bytes 32 -busy        # longest packet, output pre-occupied
+//	omegasim -exp chip -faults "wirecorrupt=0.05,retries=4"  # parity NACK + retransmit
 //	omegasim -exp run -kind damq -load 0.6 -protocol blocking  # one run
 //	omegasim -exp run -kind dt:alpha=0.5 -shared -protocol discarding  # pooled switch
 //	omegasim -exp run -inputs 1024 -workers 8                  # sharded 1024×1024
@@ -19,9 +28,23 @@
 //	omegasim -exp sweep -kinds fifo,damq -loads 0.2,0.5,0.8 -caps 4,8 -out sweep.csv
 //	omegasim -exp sweep -kinds damq -loads 1.0 -caps 4 -traffic hotspot -hot 0.05
 //
-// Every other -exp name (table1, table2, hogging, a1 ... a4, ...) runs
-// that entry of the experiment registry, exactly as the experiments
-// report renders it.
+// Every other -exp name (table1, hogging, a1 ... a4, ...) runs that
+// entry of the experiment registry, exactly as the report renders it.
+//
+// -exp report prints every section of the registry's report under a
+// header and section banners. -skip-markov drops Table 2, -reps N adds
+// the saturation throughput replicated across N seeds, -metrics FILE
+// adds Figure 3 recovered from one instrumented run (its snapshot goes
+// to FILE), and -json FILE also writes the machine-readable report.
+//
+// -exp table2 with -kind set solves one cell of Table 2 (-capacity
+// slots per port at -load) and prints its diagnostics; -sim N also
+// estimates it by Monte-Carlo over N cycles from -seed.
+//
+// -exp chip pushes one -bytes packet through an idle ComCoBB chip and
+// prints the Table 1 event schedule: virtual cut-through in four clock
+// cycles. -busy pre-occupies the destination output so the packet is
+// buffered; -faults injects wire faults.
 //
 // -exp sweep runs a custom parameter grid, every combination of -kinds,
 // -caps and -loads, and writes CSV to stdout or -out. It shares
@@ -29,9 +52,10 @@
 //
 // -scale quick|full selects run length (full is what EXPERIMENTS.md
 // records; quick is a fast smoke version). -workers parallelizes: for
-// sweeps it fans points out across cores; for -exp run it shards the
-// single network's stages across cores, stepping them in lock-step
-// phases — either way the results are byte-identical at any count.
+// sweeps and the report it fans points out across cores; for -exp run
+// it shards the single network's stages across cores, stepping them in
+// lock-step phases — either way the results are byte-identical at any
+// count.
 //
 // With -exp run, -metrics <file> attaches an observer and writes its
 // JSON snapshot (per-stage occupancy, per-queue depth, discard/block
@@ -54,6 +78,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"slices"
 	"strconv"
@@ -64,7 +89,9 @@ import (
 	"damq/internal/checkpoint"
 	"damq/internal/cli"
 	"damq/internal/experiments"
+	"damq/internal/markov2x2"
 	"damq/internal/netsim"
+	"damq/internal/rng"
 )
 
 // svgTitles names the figures -svg can plot.
@@ -78,28 +105,34 @@ var sweepTraffic = map[string]netsim.TrafficKind{"uniform": netsim.Uniform, "hot
 
 func main() {
 	sections := append(experiments.Sections(time.Now), experiments.Extras(time.Now)...)
-	expNames := []string{"run", "sweep"}
+	expNames := []string{"report", "run", "sweep", "chip"}
 	for _, s := range sections {
 		expNames = append(expNames, s.Name)
 	}
 	exp := flag.String("exp", "table4", "experiment: "+strings.Join(expNames, "|"))
 	svgPath := flag.String("svg", "", "figure3/modern: also write an SVG figure to this path")
 	scaleName := flag.String("scale", "quick", "simulation scale: quick|full")
-	kind := flag.String("kind", "damq", `run: buffer kind, optionally with sharing knobs ("dt:alpha=0.5,classes=4")`)
+	kind := flag.String("kind", "damq", `run: buffer kind, optionally with sharing knobs ("dt:alpha=0.5,classes=4"); table2: setting it solves that one cell (fifo|samq|safc|damq|dafc)`)
 	shared := flag.Bool("shared", false, "run: pool all of a switch's input buffers into one shared storage group")
-	load := flag.Float64("load", 0.5, "run: offered load")
+	load := flag.Float64("load", 0.5, "run, table2 cell: offered load")
 	inputs := flag.Int("inputs", 0, "run: network size (ports per side, power of the radix; 0 = the paper's 64)")
-	capacity := flag.Int("capacity", 4, "run: slots per input buffer")
+	capacity := flag.Int("capacity", 4, "run: slots per input buffer; table2 cell: slots per input port")
 	protocol := flag.String("protocol", "blocking", "run/sweep: blocking|discarding")
 	policy := flag.String("policy", "smart", "run/sweep: smart|dumb arbitration")
 	hot := flag.Float64("hot", 0, "run: hot-spot fraction (0 = uniform); sweep: the fraction -traffic hotspot uses")
 	seed := flag.Uint64("seed", 1988, "PRNG seed")
 	packets := flag.Int64("packets", 0, "async: size each point's measurement window to deliver ~this many packets (0 = -scale's cycle spans)")
-	workers := flag.Int("workers", 0, "parallelism: concurrent simulations for sweeps, shard workers stepping the one network for -exp run (0 = GOMAXPROCS, 1 = serial); results are identical at any setting")
-	metricsPath := flag.String("metrics", "", "run: attach an observer and write its JSON snapshot to this path")
+	simCycles := flag.Int64("sim", 0, "table2 cell: also cross-check it by Monte-Carlo for this many cycles")
+	workers := flag.Int("workers", 0, "parallelism: concurrent simulations for sweeps and the report, shard workers stepping the one network for -exp run (0 = GOMAXPROCS, 1 = serial); results are identical at any setting")
+	skipMarkov := flag.Bool("skip-markov", false, "report: skip Table 2 (the slowest exact computation)")
+	jsonPath := flag.String("json", "", "report: also write the machine-readable report to this path")
+	reps := flag.Int("reps", 0, "report: replicate the saturation measurement across this many seeds, run concurrently on -workers goroutines (0 = skip)")
+	metricsPath := flag.String("metrics", "", "run: attach an observer and write its JSON snapshot to this path; report: run one instrumented over-subscribed DAMQ simulation, write its snapshot (with time series) to this path, and report the Figure-3-style curve recovered from it")
 	metricsInterval := flag.Int64("metrics-interval", 0, "run: record a cumulative time-series point every N cycles in the -metrics snapshot (0 = off)")
 	checkMetrics := flag.String("check-metrics", "", "validate a -metrics JSON file and exit (CI smoke check)")
-	faultsSpec := flag.String("faults", "", `run/faults: fault spec, e.g. "linktransient=1e-3,slotstuck=1e-5,seed=7" (see damq.ParseFaultSpec); faults takes only linktransient`)
+	faultsSpec := flag.String("faults", "", `run/faults/chip: fault spec, e.g. "linktransient=1e-3,slotstuck=1e-5,seed=7" (see damq.ParseFaultSpec); faults takes only linktransient`)
+	nbytes := flag.Int("bytes", 8, "chip: payload bytes (1..32)")
+	busy := flag.Bool("busy", false, "chip: pre-occupy the destination output so the packet is buffered, not cut through")
 	ckptEvery := flag.Int64("checkpoint-every", 0, "run: save a checkpoint to -checkpoint-file after every N cycles (0 = only on interrupt)")
 	ckptFile := flag.String("checkpoint-file", "", "run: checkpoint path, written atomically (temp file, fsync, rename) so a kill mid-save never corrupts it")
 	resumePath := flag.String("resume", "", "run: resume from this checkpoint instead of starting fresh; topology, seed, progress, and fault schedule come from the file (-workers and -metrics still apply)")
@@ -110,8 +143,8 @@ func main() {
 	burst := flag.Float64("burst", 4, "sweep: mean message length (-traffic bursty)")
 	out := flag.String("out", "", "sweep: CSV output path (default stdout)")
 	flag.Parse()
-	workersSet := false
-	flag.Visit(func(f *flag.Flag) { workersSet = workersSet || f.Name == "workers" })
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
 
 	// SIGINT/SIGTERM cancel the scale context: running sweeps drain their
 	// in-flight points and return what they finished.
@@ -130,23 +163,41 @@ func main() {
 			return err
 		}
 		sc.Seed, sc.Workers, sc.Ctx = *seed, *workers, ctx
+		rep := &experiments.Report{Scale: sc}
 
 		switch *exp {
 		case "run":
-			return runOne(ctx, *kind, *shared, *load, *inputs, *capacity, *protocol, *policy, *hot, sc, workersSet, *metricsPath, *metricsInterval, *faultsSpec,
+			return runOne(ctx, *kind, *shared, *load, *inputs, *capacity, *protocol, *policy, *hot, sc, set["workers"], *metricsPath, *metricsInterval, *faultsSpec,
 				*ckptEvery, *ckptFile, *resumePath)
 		case "sweep":
 			return sweep(sc, *out, *kinds, *loads, *caps, *protocol, *policy, *trafficName, *hot, *burst)
+		case "report":
+			fmt.Printf("DAMQ reproduction report (scale=%s, seed=%d)\n", *scaleName, sc.Seed)
+			if err := printSections(os.Stdout, sc, rep, reportSections(*skipMarkov, *metricsPath, *reps), true); err != nil || *jsonPath == "" {
+				return err
+			}
+			if err := cli.WriteFile(*jsonPath, rep.JSON); err != nil {
+				return err
+			}
+			fmt.Printf("\nJSON report written to %s\n", *jsonPath)
+			return nil
 		}
-		i := slices.IndexFunc(sections, func(s experiments.Section) bool { return s.Name == *exp })
-		if i < 0 {
-			return fmt.Errorf("unknown experiment %q (want %s)", *exp, strings.Join(expNames, "|"))
+		var run func(experiments.Scale, *experiments.Report) (string, error)
+		if i := slices.IndexFunc(sections, func(s experiments.Section) bool { return s.Name == *exp }); i >= 0 {
+			run = sections[i].Run
 		}
-		run := sections[i].Run
-		// -packets and -faults are inputs only this CLI takes: they swap in
-		// a run of the same experiment with other parameters, rendered the
-		// same way.
+		// -exp chip, -exp table2 -kind, -exp async -packets and -exp faults
+		// -faults take inputs the registry does not: they swap in a run
+		// with those parameters, printed the same way.
 		switch {
+		case *exp == "chip":
+			run = func(sc experiments.Scale, _ *experiments.Report) (string, error) {
+				return chipTrace(sc.Ctx, *nbytes, *busy, *faultsSpec)
+			}
+		case *exp == "table2" && set["kind"]:
+			run = func(sc experiments.Scale, _ *experiments.Report) (string, error) {
+				return table2Cell(*kind, *capacity, *load, *simCycles, sc.Seed)
+			}
 		case *exp == "async" && *packets > 0:
 			run = experiments.Entry(func(sc experiments.Scale) ([]experiments.AsyncRow, error) {
 				return experiments.AsyncPackets(sc, *packets)
@@ -160,11 +211,11 @@ func main() {
 				return experiments.FaultCurve(nil, rates, sc)
 			}, experiments.RenderFaultCurve, nil)
 		}
-		rep := &experiments.Report{}
-		text, err := run(sc, rep)
-		fmt.Print(text)
-		if err != nil {
-			return cli.Interrupted(err, "interrupted before the experiment completed")
+		if run == nil {
+			return fmt.Errorf("unknown experiment %q (want %s)", *exp, strings.Join(expNames, "|"))
+		}
+		if err := printSections(os.Stdout, sc, rep, []experiments.Section{{Name: *exp, Run: run}}, false); err != nil {
+			return err
 		}
 		if title, ok := svgTitles[*exp]; ok && *svgPath != "" {
 			if err := os.WriteFile(*svgPath, []byte(damq.RenderFigure3SVG(rep.Curves, title)), 0o644); err != nil {
@@ -174,6 +225,161 @@ func main() {
 		}
 		return nil
 	})
+}
+
+// printSections runs entries in order and prints their text to w, a
+// cancelled entry's partial text included. With banners, the -exp report
+// layout, each titled entry opens under a ruled banner and an untitled
+// one continues the previous section after a blank line.
+func printSections(w io.Writer, sc experiments.Scale, rep *experiments.Report, entries []experiments.Section, banners bool) error {
+	total, done := 0, 0
+	for _, s := range entries {
+		if s.Title != "" {
+			total++
+		}
+	}
+	rule := strings.Repeat("=", 78)
+	for _, s := range entries {
+		switch {
+		case !banners:
+		case s.Title == "":
+			fmt.Fprintln(w)
+		default:
+			done++
+			fmt.Fprintf(w, "\n%s\n%s\n%s\n", rule, s.Title, rule)
+		}
+		text, err := s.Run(sc, rep)
+		fmt.Fprint(w, text)
+		if err != nil && !banners {
+			return cli.Interrupted(err, "interrupted before the experiment completed")
+		}
+		if err != nil {
+			return cli.Interrupted(err, "interrupted at %d/%d sections; the report above covers the completed ones", done, total)
+		}
+	}
+	return nil
+}
+
+// reportSections lists the sections of -exp report: the registry's
+// report without Table 2 when skipMarkov, then the -metrics and -reps
+// companions when asked for.
+func reportSections(skipMarkov bool, metricsPath string, reps int) []experiments.Section {
+	entries := experiments.Sections(time.Now)
+	if skipMarkov {
+		entries = slices.DeleteFunc(entries, func(s experiments.Section) bool { return s.Name == "table2" })
+	}
+	if metricsPath != "" {
+		entries = append(entries, metricsSection(metricsPath))
+	}
+	if reps > 0 {
+		entries = append(entries, experiments.Section{
+			Title: fmt.Sprintf("Replication — saturation throughput across %d seeds", reps),
+			Run: experiments.Entry(func(sc experiments.Scale) ([]experiments.CIRow, error) {
+				return experiments.SaturationCI(reps, sc)
+			}, experiments.RenderCI, nil)})
+	}
+	return entries
+}
+
+// metricsSection runs one over-subscribed blocking DAMQ network with no
+// warmup and writes its observer snapshot to path. The ramp from empty
+// network to saturation sweeps through every operating point Figure 3
+// samples one load at a time, so the section recovers the curve from
+// the snapshot's time series.
+func metricsSection(path string) experiments.Section {
+	return experiments.Section{
+		Title: "Companion — Figure 3 from one instrumented run (observer time series)",
+		Run: func(sc experiments.Scale, _ *experiments.Report) (string, error) {
+			_, snap, err := experiments.InstrumentedRun(netsim.Config{
+				BufferKind:    damq.DAMQ,
+				Capacity:      4,
+				Policy:        damq.SmartArbitration,
+				Protocol:      damq.Blocking,
+				Traffic:       netsim.TrafficSpec{Kind: netsim.Uniform, Load: 1.0},
+				WarmupCycles:  1,
+				MeasureCycles: sc.Warmup + sc.Measure,
+				Seed:          sc.Seed,
+			}, max(sc.Measure/100, 1))
+			if err == nil {
+				err = cli.WriteFile(path, snap.Encode)
+			}
+			if err != nil {
+				return "", err
+			}
+			curve := experiments.CurveFromIntervals("DAMQ/4 (one run)", 64, snap.Series)
+			return experiments.RenderFigure3([]damq.Figure3Series{curve}) +
+				fmt.Sprintf("\nmetrics snapshot written to %s\n", path), nil
+		},
+	}
+}
+
+// table2Cell solves one cell of Table 2 exactly (-exp table2 -kind K)
+// and renders its diagnostics; sim > 0 also estimates the discard
+// probability by Monte-Carlo over that many cycles from seed.
+func table2Cell(kindName string, slots int, load float64, sim int64, seed uint64) (string, error) {
+	k, err := damq.ParseBufferKind(kindName)
+	if err != nil {
+		return "", err
+	}
+	r, err := markov2x2.Solve(k, slots, load)
+	if err != nil {
+		return "", err
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "buffer        %v\n", r.Kind)
+	fmt.Fprintf(&b, "slots/port    %d\n", r.Slots)
+	fmt.Fprintf(&b, "traffic       %.0f%%\n", r.Load*100)
+	fmt.Fprintf(&b, "chain states  %d\n", r.States)
+	fmt.Fprintf(&b, "P(discard)    %.6f\n", r.PDiscard)
+	fmt.Fprintf(&b, "throughput    %.6f packets/port/cycle\n", r.Throughput)
+	if sim > 0 {
+		mc, err := markov2x2.Simulate(k, slots, load, sim, rng.New(seed))
+		if err != nil {
+			return b.String(), err
+		}
+		fmt.Fprintf(&b, "monte-carlo   %.6f over %d cycles (seed %d)\n", mc.PDiscard(), sim, seed)
+	}
+	return b.String(), nil
+}
+
+// chipTrace runs the chip testbench for -exp chip and renders its event
+// schedule, the cut-through turn-around, the packets delivered at
+// output 1 and, under faults, the recovery counts. An interrupted run
+// renders the completed prefix.
+func chipTrace(ctx context.Context, nbytes int, busy bool, spec string) (string, error) {
+	if nbytes < 1 || nbytes > 32 {
+		return "", errors.New("-bytes must be 1..32")
+	}
+	faults, err := damq.ParseFaultSpec(spec)
+	if err != nil {
+		return "", err
+	}
+	r, err := experiments.RunChip(ctx, nbytes, busy, faults)
+	if r == nil {
+		return "", err
+	}
+	var b strings.Builder
+	busyNote := ""
+	if busy {
+		busyNote = ", destination output pre-occupied"
+	}
+	fmt.Fprintf(&b, "ComCoBB chip trace (%d payload bytes%s):\n\n", nbytes, busyNote)
+	for _, e := range r.Chip.Trace().Events {
+		fmt.Fprintln(&b, " ", e)
+	}
+	if ta, ok := r.TurnAround(); ok {
+		fmt.Fprintf(&b, "\nturn-around: %d clock cycles (paper Table 1: 4 for cut-through)\n", ta)
+	}
+	for _, p := range r.Chip.Delivered(1) {
+		fmt.Fprintf(&b, "delivered at output 1: header %#02x, %d bytes\n", p.Header, len(p.Data))
+	}
+	if faults.Enabled() {
+		st := r.Chip.FaultStats()
+		fmt.Fprintf(&b, "\nfault summary: %d bytes corrupted, %d NACKs, %d packets dropped at receiver, %d poisoned\n",
+			st.Corrupted, st.Nacks, st.Dropped, st.Poisoned)
+		fmt.Fprintf(&b, "driver recovery: %d retransmissions, %d given up\n", r.Driver.Retries(), r.Driver.GaveUp())
+	}
+	return b.String(), err
 }
 
 // faultRates reads -faults for -exp faults. The curve compares a

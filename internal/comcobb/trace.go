@@ -20,9 +20,10 @@ func (e Event) String() string {
 	return fmt.Sprintf("cycle %3d phase %d  %-12s %s", e.Cycle, e.Phase, e.Unit, e.Msg)
 }
 
-// Trace records chip events for timing assertions and the cmd/comcobb
-// demonstration. A nil *Trace discards events, so tracing costs nothing
-// when disabled — the nil-guard convention the obs layer generalizes.
+// Trace records chip events for timing assertions and the omegasim -exp
+// chip demonstration. A nil *Trace discards events, so tracing costs
+// nothing when disabled — the nil-guard convention the obs layer
+// generalizes.
 type Trace struct {
 	Events []Event
 	// Metrics, when non-nil, additionally counts each event under

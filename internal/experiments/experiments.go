@@ -5,8 +5,8 @@
 // variable-length extension the paper's conclusion motivates. Each
 // experiment returns a structured result with a Render method producing
 // the text table. Sections lists them in report order with their
-// renderers: cmd/experiments prints that list as an EXPERIMENTS-style
-// report, and omegasim runs its entries by name.
+// renderers: omegasim -exp report prints that list as an EXPERIMENTS-style
+// report, and omegasim -exp NAME runs one entry by name.
 package experiments
 
 import (
@@ -19,6 +19,7 @@ import (
 	"damq/internal/arbiter"
 	"damq/internal/buffer"
 	"damq/internal/comcobb"
+	"damq/internal/fault"
 	"damq/internal/markov2x2"
 	"damq/internal/netsim"
 	"damq/internal/parallel"
@@ -658,39 +659,89 @@ type Table1Result struct {
 	Trace      []string // rendered event schedule for the 8-byte packet
 }
 
-// Table1 runs the cycle-accurate chip model and measures the cut-through
+// Table1 runs the chip testbench and measures the cut-through
 // turn-around for several packet lengths.
 func Table1() (*Table1Result, error) {
 	res := &Table1Result{}
 	for _, n := range []int{1, 8, 16, 32} {
-		chip := comcobb.NewChip(comcobb.Config{Trace: &comcobb.Trace{}})
-		if err := chip.In(0).Router().Set(0x01, comcobb.Route{Out: 1, NewHeader: 0x02}); err != nil {
+		run, err := RunChip(context.Background(), n, false, fault.Config{})
+		if err != nil {
 			return nil, err
 		}
-		d := comcobb.NewDriver(chip.InLink(0))
-		data := make([]byte, n)
-		for i := range data {
-			data[i] = byte(i)
-		}
-		d.Queue(0x01, data, 0)
-		for i := 0; i < n+40; i++ {
-			d.Tick()
-			chip.Tick()
-		}
-		in, ok1 := chip.Trace().Find("in[0]", "start bit detected; synchronizer armed")
-		out, ok2 := chip.Trace().Find("out[1]", "start bit transmitted")
-		if !ok1 || !ok2 {
+		ta, ok := run.TurnAround()
+		if !ok {
 			return nil, fmt.Errorf("table1: missing trace events for n=%d", n)
 		}
 		res.Lengths = append(res.Lengths, n)
-		res.TurnAround = append(res.TurnAround, out.Cycle-in.Cycle)
+		res.TurnAround = append(res.TurnAround, ta)
 		if n == 8 {
-			for _, e := range chip.Trace().Events {
+			for _, e := range run.Chip.Trace().Events {
 				res.Trace = append(res.Trace, e.String())
 			}
 		}
 	}
 	return res, nil
+}
+
+// ChipRun is one run of the chip testbench.
+type ChipRun struct {
+	Chip   *comcobb.Chip
+	Driver *comcobb.Driver // the sender on input 0
+}
+
+// RunChip is the chip testbench of Table 1 and omegasim -exp chip. It
+// builds a traced chip whose input 0 routes header 0x01 to output 1
+// (new header 0x02) and has a driver send one nbytes packet over that
+// circuit. busy first lets a 32-byte packet on input 2 (header 0x05)
+// win output 1, so the packet is buffered, not cut through. faults arms
+// wire corruption on the chip and the driver's retry policy. The run
+// ticks until the driver has drained (at most 10,000 extra cycles),
+// then 8 more to flush the chip. ctx stops it at a clock boundary; the
+// run so far comes back with ctx.Err().
+func RunChip(ctx context.Context, nbytes int, busy bool, faults fault.Config) (*ChipRun, error) {
+	chip := comcobb.NewChip(comcobb.Config{Trace: &comcobb.Trace{}, Faults: faults})
+	if err := errors.Join(chip.In(0).Router().Set(0x01, comcobb.Route{Out: 1, NewHeader: 0x02}),
+		chip.In(2).Router().Set(0x05, comcobb.Route{Out: 1, NewHeader: 0x06})); err != nil {
+		return nil, err
+	}
+	r := &ChipRun{Chip: chip, Driver: comcobb.NewDriver(chip.InLink(0))}
+	if faults.RetryLimit > 0 {
+		r.Driver.SetRetryPolicy(faults.RetryLimit, faults.RetryBackoff)
+	}
+	run := func(n int, tick func()) {
+		for i := 0; i < n && ctx.Err() == nil; i++ {
+			tick()
+		}
+	}
+	step := func() { r.Driver.Tick(); chip.Tick() }
+	payload := make([]byte, nbytes)
+	for i := range payload {
+		payload[i] = byte(0xA0 + i)
+	}
+	if busy {
+		competing := comcobb.NewDriver(chip.InLink(2))
+		competing.Queue(0x05, make([]byte, 32), 0)
+		both := func() { competing.Tick(); step() }
+		run(6, both) // the competing packet wins output 1 first
+		r.Driver.Queue(0x01, payload, 0)
+		run(120, both)
+	} else {
+		r.Driver.Queue(0x01, payload, 0)
+		run(nbytes+40, step)
+	}
+	for i := 0; i < 10_000 && r.Driver.Pending() > 0 && ctx.Err() == nil; i++ {
+		run(1, step)
+	}
+	run(8, step)
+	return r, ctx.Err()
+}
+
+// TurnAround returns the clock cycles from the start bit reaching input
+// 0 to the start bit leaving output 1, and whether both were traced.
+func (r *ChipRun) TurnAround() (int64, bool) {
+	in, ok1 := r.Chip.Trace().Find("in[0]", "start bit detected; synchronizer armed")
+	out, ok2 := r.Chip.Trace().Find("out[1]", "start bit transmitted")
+	return out.Cycle - in.Cycle, ok1 && ok2
 }
 
 // Render formats the Table 1 reproduction.

@@ -10,7 +10,7 @@ import (
 // diff means the model, the arbitration rule, or the solver changed —
 // exactly the regressions this repo must catch. Regenerate with:
 //
-//	go run ./cmd/markov > internal/experiments/testdata/table2.golden
+//	go run ./cmd/omegasim -exp table2 > internal/experiments/testdata/table2.golden
 //
 // after convincing yourself the change is intentional.
 func TestTable2Golden(t *testing.T) {

@@ -1,9 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-	"strings"
-
 	"damq/internal/netsim"
 	"damq/internal/obs"
 	"damq/internal/stats"
@@ -59,27 +56,4 @@ func CurveFromIntervals(name string, inputs int, recs []obs.IntervalRecord) stat
 		series.Add(p)
 	}
 	return series
-}
-
-// RenderIntervals formats a recorded time series as a text table, the
-// cmd/experiments -metrics companion output.
-func RenderIntervals(recs []obs.IntervalRecord) string {
-	var b strings.Builder
-	b.WriteString("  cycle   generated   delivered   discarded   in-flight   backlog   latency\n")
-	for i := 1; i < len(recs); i++ {
-		prev, cur := recs[i-1], recs[i]
-		lat := 0.0
-		if dc := cur.LatencyCount - prev.LatencyCount; dc > 0 {
-			lat = float64(cur.LatencySum-prev.LatencySum) / float64(dc)
-		}
-		fmt.Fprintf(&b, "%7d %11d %11d %11d %11d %9d %9.1f\n",
-			cur.Cycle,
-			cur.Generated-prev.Generated,
-			cur.Delivered-prev.Delivered,
-			cur.Discarded-prev.Discarded,
-			cur.InFlight,
-			cur.Backlog,
-			lat)
-	}
-	return b.String()
 }

@@ -8,9 +8,9 @@ import (
 	"damq/internal/stats"
 )
 
-// Section is one entry of the experiment registry. cmd/experiments
-// prints Sections in order as the report; omegasim -exp runs any entry
-// of Sections or Extras by name.
+// Section is one entry of the experiment registry. omegasim -exp report
+// prints Sections in order as the report; omegasim -exp NAME runs any
+// entry of Sections or Extras by name.
 type Section struct {
 	Name string
 	// Title is the section's banner in the report; "" continues the

@@ -11,7 +11,6 @@ package markov
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Arc is one outgoing transition: with probability P the chain moves to
@@ -199,46 +198,6 @@ func (c *Chain) RewardRates(pi []float64) []float64 {
 		for r := 0; r < c.nr; r++ {
 			out[r] += w * c.reward[i][r]
 		}
-	}
-	return out
-}
-
-// StateProb returns the stationary probability of the state with the given
-// model key (0 if unreachable).
-func (c *Chain) StateProb(pi []float64, key uint64) float64 {
-	if i, ok := c.index[key]; ok {
-		return pi[i]
-	}
-	return 0
-}
-
-// TopStates returns the k most probable states (key, probability), for
-// diagnostics and tests.
-func (c *Chain) TopStates(pi []float64, k int) []struct {
-	Key uint64
-	P   float64
-} {
-	type kv struct {
-		Key uint64
-		P   float64
-	}
-	all := make([]kv, len(pi))
-	for i, p := range pi {
-		all[i] = kv{Key: c.keys[i], P: p}
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].P > all[j].P })
-	if k > len(all) {
-		k = len(all)
-	}
-	out := make([]struct {
-		Key uint64
-		P   float64
-	}, k)
-	for i := 0; i < k; i++ {
-		out[i] = struct {
-			Key uint64
-			P   float64
-		}{all[i].Key, all[i].P}
 	}
 	return out
 }

@@ -211,25 +211,6 @@ func TestDuplicateArcsMerged(t *testing.T) {
 	}
 }
 
-func TestStateProbAndTopStates(t *testing.T) {
-	m := twoState{a: 0.5, b: 0.5}
-	c, _ := Build(m, 0)
-	pi, _ := c.Steady(SolveOpts{})
-	if math.Abs(c.StateProb(pi, 0)-0.5) > 1e-9 {
-		t.Fatal("StateProb wrong")
-	}
-	if c.StateProb(pi, 1234) != 0 {
-		t.Fatal("unreachable state should have probability 0")
-	}
-	top := c.TopStates(pi, 5)
-	if len(top) != 2 {
-		t.Fatalf("TopStates returned %d entries", len(top))
-	}
-	if top[0].P < top[1].P {
-		t.Fatal("TopStates not sorted")
-	}
-}
-
 // modelFunc adapts closures to Model for error-path tests.
 type modelFunc struct {
 	nr   int

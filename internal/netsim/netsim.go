@@ -447,9 +447,9 @@ type shard struct {
 	lastArb [][]int64
 
 	grantScratch []arbiter.Grant
-	// popped lists the room-publishing buffers the route phase popped;
-	// the inject phase latches their room. Nil under discarding, where
-	// no buffer publishes room.
+	// popped lists the room-publishing buffers the route phase popped,
+	// each once per cycle; the inject phase latches their room. Nil
+	// under discarding, where no buffer publishes room.
 	popped []*buffer.Composed
 	// outbox[d] carries this shard's routed transfers into shard d's
 	// switches; d drains it in the inject phase, after the barrier.
@@ -826,9 +826,11 @@ func (sh *shard) phaseRouteRun() {
 				dv = &down[si]
 			}
 			sh.grantScratch = swc.Arbitrate(dv, sh.grantScratch[:0])
-			for _, g := range sh.grantScratch {
+			for k, g := range sh.grantScratch {
 				p := swc.PopGrant(g)
-				if latch {
+				// Arbitrate emits one input's grants back to back, so
+				// listing a buffer at its first grant latches it once.
+				if latch && (k == 0 || sh.grantScratch[k-1].In != g.In) {
 					sh.popped = append(sh.popped, swc.Buffer(g.In))
 				}
 				// A granted packet crosses the link leaving its switch; if
@@ -1125,21 +1127,13 @@ func (s *Sim) Collect() *Result {
 }
 
 // Run executes warmup then measurement and returns the collected
-// results. The loops are driven by the cycle counter and the measured-
-// step count rather than loop-local indices, so Run continues a
-// checkpoint-restored Sim from exactly where it stopped — including a
-// completed one, where it is a no-op returning the final Result.
+// results: RunCtxCheckpoint with no cancellation and no checkpoints. It
+// continues a checkpoint-restored Sim from exactly where it stopped —
+// including a completed one, where it is a no-op returning the final
+// Result.
 func (s *Sim) Run() *Result {
-	for s.cycle < s.cfg.WarmupCycles {
-		s.Step(false)
-	}
-	if s.measured == 0 {
-		s.warmupBoundary = s.cycle
-	}
-	for s.measured < s.cfg.MeasureCycles {
-		s.Step(true)
-	}
-	return s.Collect()
+	res, _ := s.RunCtxCheckpoint(context.Background(), 0, nil)
+	return res
 }
 
 // ctxCheckStride is how many cycles RunCtx simulates between context
@@ -1163,8 +1157,10 @@ func (s *Sim) RunCtx(ctx context.Context) (*Result, error) {
 // cancellation, so the final checkpoint captures the drained cycle the
 // partial Result describes). A non-nil save with every <= 0 is called
 // only on cancellation — the CLI's "checkpoint on interrupt, not
-// periodically" mode. Like Run, the loops continue a restored Sim from
-// its checkpointed position. A save error aborts the run.
+// periodically" mode. The loops are driven by the cycle counter and the
+// measured-step count rather than loop-local indices, so they continue a
+// restored Sim from its checkpointed position. A save error aborts the
+// run.
 func (s *Sim) RunCtxCheckpoint(ctx context.Context, every int64, save func() error) (*Result, error) {
 	final := func(err error) (*Result, error) {
 		res := s.Collect()

@@ -110,28 +110,6 @@ func (s *Summary) String() string {
 		s.n, s.mean, s.CI95(), s.StdDev(), s.min, s.max)
 }
 
-// Counter is a simple named event counter with a rate helper.
-type Counter struct {
-	count int64
-}
-
-// Inc adds one to the counter.
-func (c *Counter) Inc() { c.count++ }
-
-// Apply adds n to the counter.
-func (c *Counter) Apply(n int64) { c.count += n }
-
-// Count returns the current value.
-func (c *Counter) Count() int64 { return c.count }
-
-// RatePer returns count divided by the given denominator (0 if denom==0).
-func (c *Counter) RatePer(denom float64) float64 {
-	if denom == 0 {
-		return 0
-	}
-	return float64(c.count) / denom
-}
-
 // Histogram is a fixed-width bucket histogram over [0, width*buckets), with
 // an overflow bucket for larger values.
 type Histogram struct {
@@ -236,41 +214,6 @@ func (h *Histogram) Buckets() []int64 {
 // Overflow returns the overflow bucket count.
 func (h *Histogram) Overflow() int64 { return h.overflow }
 
-// BatchMeans estimates a confidence interval for the mean of a correlated
-// stationary sequence (e.g. per-cycle latencies from one simulation run) by
-// splitting it into batches and treating batch means as independent.
-type BatchMeans struct {
-	batchSize int
-	current   Summary
-	batches   Summary
-}
-
-// NewBatchMeans returns an estimator with the given batch size.
-func NewBatchMeans(batchSize int) *BatchMeans {
-	if batchSize <= 0 {
-		panic("stats: batch size must be positive")
-	}
-	return &BatchMeans{batchSize: batchSize}
-}
-
-// Add records one observation, closing a batch when it fills.
-func (b *BatchMeans) Add(x float64) {
-	b.current.Add(x)
-	if b.current.N() == int64(b.batchSize) {
-		b.batches.Add(b.current.Mean())
-		b.current = Summary{}
-	}
-}
-
-// Mean returns the mean over completed batches.
-func (b *BatchMeans) Mean() float64 { return b.batches.Mean() }
-
-// CI95 returns the 95% CI half-width computed over completed batches.
-func (b *BatchMeans) CI95() float64 { return b.batches.CI95() }
-
-// Batches returns the number of completed batches.
-func (b *BatchMeans) Batches() int64 { return b.batches.N() }
-
 // Point is one (throughput, latency) measurement on a load sweep.
 type Point struct {
 	Offered    float64 // offered load, fraction of link capacity
@@ -329,18 +272,6 @@ func (s *Series) LatencyAt(throughput float64) (latency float64, ok bool) {
 		}
 	}
 	return pts[len(pts)-1].Latency, true
-}
-
-// Mean computes the arithmetic mean of xs (0 if empty).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
 }
 
 // RelErr returns |a-b| / max(|a|,|b|, eps): a symmetric relative error used

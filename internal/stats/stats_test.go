@@ -140,15 +140,6 @@ func TestHistogramQuantileAllOverflow(t *testing.T) {
 	}
 }
 
-func TestNewBatchMeansPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewBatchMeans(0)
-}
-
 func TestSummaryMergeEmpty(t *testing.T) {
 	var a, b Summary
 	a.Add(1)
@@ -174,22 +165,6 @@ func TestCI95ShrinksWithN(t *testing.T) {
 	}
 	if large.CI95() >= small.CI95() {
 		t.Fatalf("CI did not shrink: %v vs %v", large.CI95(), small.CI95())
-	}
-}
-
-func TestCounter(t *testing.T) {
-	var c Counter
-	c.Inc()
-	c.Inc()
-	c.Apply(3)
-	if c.Count() != 5 {
-		t.Fatalf("count = %d", c.Count())
-	}
-	if c.RatePer(10) != 0.5 {
-		t.Fatalf("rate = %v", c.RatePer(10))
-	}
-	if c.RatePer(0) != 0 {
-		t.Fatal("rate with zero denominator should be 0")
 	}
 }
 
@@ -254,23 +229,6 @@ func TestNewHistogramPanics(t *testing.T) {
 	NewHistogram(0, 1)
 }
 
-func TestBatchMeans(t *testing.T) {
-	bm := NewBatchMeans(10)
-	src := rng.New(2)
-	for i := 0; i < 1000; i++ {
-		bm.Add(5 + src.Float64())
-	}
-	if bm.Batches() != 100 {
-		t.Fatalf("batches = %d", bm.Batches())
-	}
-	if !almostEq(bm.Mean(), 5.5, 0.05) {
-		t.Fatalf("mean = %v", bm.Mean())
-	}
-	if bm.CI95() <= 0 || bm.CI95() > 0.1 {
-		t.Fatalf("ci = %v", bm.CI95())
-	}
-}
-
 func TestSeriesSorted(t *testing.T) {
 	var s Series
 	s.Add(Point{Offered: 0.5, Latency: 50})
@@ -319,15 +277,6 @@ func TestLatencyAtEmpty(t *testing.T) {
 	var s Series
 	if _, ok := s.LatencyAt(0.5); ok {
 		t.Fatal("empty series should report !ok")
-	}
-}
-
-func TestMeanHelper(t *testing.T) {
-	if Mean(nil) != 0 {
-		t.Fatal("Mean(nil) != 0")
-	}
-	if Mean([]float64{1, 2, 3}) != 2 {
-		t.Fatal("Mean([1,2,3]) != 2")
 	}
 }
 

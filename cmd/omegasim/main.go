@@ -173,7 +173,7 @@ func main() {
 			return sweep(sc, *out, *kinds, *loads, *caps, *protocol, *policy, *trafficName, *hot, *burst)
 		case "report":
 			fmt.Printf("DAMQ reproduction report (scale=%s, seed=%d)\n", *scaleName, sc.Seed)
-			if err := printSections(os.Stdout, sc, rep, reportSections(*skipMarkov, *metricsPath, *reps), true); err != nil || *jsonPath == "" {
+			if err := printReport(os.Stdout, sc, rep, reportSections(*skipMarkov, *metricsPath, *reps)); err != nil || *jsonPath == "" {
 				return err
 			}
 			if err := cli.WriteFile(*jsonPath, rep.JSON); err != nil {
@@ -182,40 +182,36 @@ func main() {
 			fmt.Printf("\nJSON report written to %s\n", *jsonPath)
 			return nil
 		}
-		var run func(experiments.Scale, *experiments.Report) (string, error)
-		if i := slices.IndexFunc(sections, func(s experiments.Section) bool { return s.Name == *exp }); i >= 0 {
-			run = sections[i].Run
-		}
 		// -exp chip, -exp table2 -kind, -exp async -packets and -exp faults
 		// -faults take inputs the registry does not: they swap in a run
 		// with those parameters, printed the same way.
+		var text string
+		i := slices.IndexFunc(sections, func(s experiments.Section) bool { return s.Name == *exp })
 		switch {
 		case *exp == "chip":
-			run = func(sc experiments.Scale, _ *experiments.Report) (string, error) {
-				return chipTrace(sc.Ctx, *nbytes, *busy, *faultsSpec)
-			}
+			text, err = chipTrace(ctx, *nbytes, *busy, *faultsSpec)
 		case *exp == "table2" && set["kind"]:
-			run = func(sc experiments.Scale, _ *experiments.Report) (string, error) {
-				return table2Cell(*kind, *capacity, *load, *simCycles, sc.Seed)
-			}
+			text, err = table2Cell(*kind, *capacity, *load, *simCycles, sc.Seed)
 		case *exp == "async" && *packets > 0:
-			run = experiments.Entry(func(sc experiments.Scale) ([]experiments.AsyncRow, error) {
+			text, err = experiments.Entry(func(sc experiments.Scale) ([]experiments.AsyncRow, error) {
 				return experiments.AsyncPackets(sc, *packets)
-			}, experiments.RenderAsync, nil)
+			}, experiments.RenderAsync, nil)(sc, rep)
 		case *exp == "faults" && *faultsSpec != "":
-			rates, err := faultRates(*faultsSpec)
-			if err != nil {
+			var rates []float64
+			if rates, err = faultRates(*faultsSpec); err != nil {
 				return err
 			}
-			run = experiments.Entry(func(sc experiments.Scale) ([]experiments.FaultCurveRow, error) {
+			text, err = experiments.Entry(func(sc experiments.Scale) ([]experiments.FaultCurveRow, error) {
 				return experiments.FaultCurve(nil, rates, sc)
-			}, experiments.RenderFaultCurve, nil)
-		}
-		if run == nil {
+			}, experiments.RenderFaultCurve, nil)(sc, rep)
+		case i >= 0:
+			text, err = sections[i].Run(sc, rep)
+		default:
 			return fmt.Errorf("unknown experiment %q (want %s)", *exp, strings.Join(expNames, "|"))
 		}
-		if err := printSections(os.Stdout, sc, rep, []experiments.Section{{Name: *exp, Run: run}}, false); err != nil {
-			return err
+		fmt.Print(text)
+		if err != nil {
+			return cli.Interrupted(err, "interrupted before the experiment completed")
 		}
 		if title, ok := svgTitles[*exp]; ok && *svgPath != "" {
 			if err := os.WriteFile(*svgPath, []byte(damq.RenderFigure3SVG(rep.Curves, title)), 0o644); err != nil {
@@ -227,11 +223,11 @@ func main() {
 	})
 }
 
-// printSections runs entries in order and prints their text to w, a
-// cancelled entry's partial text included. With banners, the -exp report
-// layout, each titled entry opens under a ruled banner and an untitled
-// one continues the previous section after a blank line.
-func printSections(w io.Writer, sc experiments.Scale, rep *experiments.Report, entries []experiments.Section, banners bool) error {
+// printReport runs the report's entries in order and prints their text
+// to w, a cancelled entry's partial text included. Each titled entry
+// opens under a ruled banner; an untitled one continues the previous
+// section after a blank line.
+func printReport(w io.Writer, sc experiments.Scale, rep *experiments.Report, entries []experiments.Section) error {
 	total, done := 0, 0
 	for _, s := range entries {
 		if s.Title != "" {
@@ -240,19 +236,14 @@ func printSections(w io.Writer, sc experiments.Scale, rep *experiments.Report, e
 	}
 	rule := strings.Repeat("=", 78)
 	for _, s := range entries {
-		switch {
-		case !banners:
-		case s.Title == "":
+		if s.Title == "" {
 			fmt.Fprintln(w)
-		default:
+		} else {
 			done++
 			fmt.Fprintf(w, "\n%s\n%s\n%s\n", rule, s.Title, rule)
 		}
 		text, err := s.Run(sc, rep)
 		fmt.Fprint(w, text)
-		if err != nil && !banners {
-			return cli.Interrupted(err, "interrupted before the experiment completed")
-		}
 		if err != nil {
 			return cli.Interrupted(err, "interrupted at %d/%d sections; the report above covers the completed ones", done, total)
 		}

@@ -99,7 +99,7 @@ func TestReportSections(t *testing.T) {
 		{true, metrics, 3, 18},
 	} {
 		entries := reportSections(tc.skipMarkov, tc.metrics, tc.reps)
-		err := printSections(io.Discard, sc, &experiments.Report{}, entries, true)
+		err := printReport(io.Discard, sc, &experiments.Report{}, entries)
 		want := fmt.Sprintf("/%d sections", tc.total)
 		if !cli.Canceled(err) || !strings.Contains(fmt.Sprint(err), want) {
 			t.Errorf("skip-markov=%v metrics=%q reps=%d: %v; want an interrupt naming %q",

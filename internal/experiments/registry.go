@@ -31,10 +31,14 @@ func Sections(clock func() time.Time) []Section {
 			Entry(func(Scale) (*Table1Result, error) { return Table1() },
 				(*Table1Result).Render, func(r *Report, v *Table1Result) { r.Table1 = v })},
 		{"table2", "Experiment E2 — Table 2: Markov analysis, 2x2 discarding switches",
-			Entry(func(sc Scale) (*Table2Result, error) {
+			func(sc Scale, rep *Report) (string, error) {
+				// A cancelled solve still renders the rows it finished.
 				t, _, err := Table2Ctx(sc.ctx(), nil, sc.Workers)
-				return t, err
-			}, (*Table2Result).Render, func(r *Report, v *Table2Result) { r.Table2 = v })},
+				if rep.Table2 = t; t == nil {
+					return "", err
+				}
+				return t.Render(), err
+			}},
 		{"switch4", "Companion — 4x4 discarding switch, Monte-Carlo (Table 2 at real radix)",
 			Entry(func(sc Scale) ([]Switch4Row, error) { return Switch4x4(sc.Measure*20, sc.Seed, sc.Workers) }, RenderSwitch4, nil)},
 		{"table3", "Experiment E3 — Table 3: discarding network, uniform traffic",

@@ -447,9 +447,9 @@ type shard struct {
 	lastArb [][]int64
 
 	grantScratch []arbiter.Grant
-	// popped lists the room-publishing buffers the route phase popped,
-	// each once per cycle; the inject phase latches their room. Nil
-	// under discarding, where no buffer publishes room.
+	// popped lists the room-publishing buffers the route phase popped;
+	// the inject phase latches their room. Nil under discarding, where
+	// no buffer publishes room.
 	popped []*buffer.Composed
 	// outbox[d] carries this shard's routed transfers into shard d's
 	// switches; d drains it in the inject phase, after the barrier.
@@ -826,11 +826,9 @@ func (sh *shard) phaseRouteRun() {
 				dv = &down[si]
 			}
 			sh.grantScratch = swc.Arbitrate(dv, sh.grantScratch[:0])
-			for k, g := range sh.grantScratch {
+			for _, g := range sh.grantScratch {
 				p := swc.PopGrant(g)
-				// Arbitrate emits one input's grants back to back, so
-				// listing a buffer at its first grant latches it once.
-				if latch && (k == 0 || sh.grantScratch[k-1].In != g.In) {
+				if latch {
 					sh.popped = append(sh.popped, swc.Buffer(g.In))
 				}
 				// A granted packet crosses the link leaving its switch; if

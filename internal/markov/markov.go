@@ -29,7 +29,9 @@ type Model interface {
 	Initial() uint64
 	// Next appends state s's outgoing arcs to dst and returns it. The
 	// arcs' probabilities must sum to 1 (within tolerance); the engine
-	// validates this during enumeration.
+	// validates this during enumeration. The arcs' Rewards vectors may
+	// be scratch the model overwrites on its next call: the engine reads
+	// them before it calls Next again.
 	Next(s uint64, dst []Arc) []Arc
 	// NumRewards is the length of every arc's Rewards vector.
 	NumRewards() int

@@ -37,11 +37,22 @@ import (
 	"damq/internal/markov"
 )
 
-// Model is a markov.Model of one 2×2 discarding switch.
+// Model is a markov.Model of one 2×2 discarding switch. It is not safe
+// for concurrent use: Next and departureActions append into scratch kept
+// on the Model, so that neither allocates once the scratch has grown.
 type Model struct {
 	kind  buffer.Kind
 	slots int
 	load  float64
+
+	// departureActions' scratch: the candidate connections, the pairs
+	// of every action it enumerates (each action is a window of pairs),
+	// and the actions.
+	cands []pair
+	pairs []pair
+	acts  [][]pair
+	// rewards backs the Rewards vectors of the arcs Next returns.
+	rewards []float64
 }
 
 // Reward dimensions produced by the model.
@@ -205,10 +216,11 @@ type pair struct{ port, out int }
 // departureActions returns the set of equally likely departure actions
 // under the paper's arbitration rule, given the current port states. Each
 // action is a list of (port, out) connections, all actions returned have
-// the same probability 1/len(actions).
+// the same probability 1/len(actions). The result lives in the Model's
+// scratch and is valid until the next call.
 func (m *Model) departureActions(ps [2]port) [][]pair {
 	// Enumerate all candidate pairs.
-	var cands []pair
+	cands := m.cands[:0]
 	for pi := 0; pi < 2; pi++ {
 		for out := 0; out < 2; out++ {
 			if m.servable(ps[pi], out) {
@@ -218,10 +230,10 @@ func (m *Model) departureActions(ps [2]port) [][]pair {
 	}
 	// Enumerate valid subsets (at most 4 candidates -> at most 16 subsets).
 	reads := m.maxReads()
-	var best [][]pair
+	pairs, best := m.pairs[:0], m.acts[:0]
 	bestSize := 0
 	for mask := 0; mask < 1<<len(cands); mask++ {
-		var act []pair
+		start := len(pairs)
 		outUsed := [2]bool{}
 		portUsed := [2]int{}
 		valid := true
@@ -236,11 +248,13 @@ func (m *Model) departureActions(ps [2]port) [][]pair {
 			}
 			outUsed[c.out] = true
 			portUsed[c.port]++
-			act = append(act, c)
+			pairs = append(pairs, c)
 		}
 		if !valid {
+			pairs = pairs[:start]
 			continue
 		}
+		act := pairs[start:len(pairs):len(pairs)]
 		if len(act) > bestSize {
 			bestSize = len(act)
 			best = best[:0]
@@ -249,9 +263,7 @@ func (m *Model) departureActions(ps [2]port) [][]pair {
 			best = append(best, act)
 		}
 	}
-	if bestSize == 0 {
-		return [][]pair{nil}
-	}
+	m.cands, m.pairs, m.acts = cands, pairs, best
 	// Longest-queue rule: among maximum-cardinality actions keep those
 	// serving the greatest total queue length (for a single departure this
 	// is exactly "send a packet from the longest queue"; for double
@@ -263,13 +275,14 @@ func (m *Model) departureActions(ps [2]port) [][]pair {
 			maxLen = l
 		}
 	}
-	var filtered [][]pair
+	n := 0
 	for _, act := range best {
 		if m.servedLen(ps, act) == maxLen {
-			filtered = append(filtered, act)
+			best[n] = act
+			n++
 		}
 	}
-	return filtered
+	return best[:n]
 }
 
 // servedLen is the total length of the queues an action serves.
@@ -297,8 +310,8 @@ type arrival struct {
 }
 
 // arrivalEvents is the per-port arrival distribution.
-func (m *Model) arrivalEvents() []arrival {
-	return []arrival{
+func (m *Model) arrivalEvents() [3]arrival {
+	return [3]arrival{
 		{p: 1 - m.load, has: false},
 		{p: m.load / 2, has: true, dest: 0},
 		{p: m.load / 2, has: true, dest: 1},
@@ -311,6 +324,7 @@ func (m *Model) Next(s uint64, dst []markov.Arc) []markov.Arc {
 	actions := m.departureActions(ps)
 	actP := 1.0 / float64(len(actions))
 	events := m.arrivalEvents()
+	rewards := m.rewards[:0]
 
 	for _, act := range actions {
 		afterDep := m.applyAction(ps, act)
@@ -336,14 +350,17 @@ func (m *Model) Next(s uint64, dst []markov.Arc) []markov.Arc {
 						discards++
 					}
 				}
+				rewards = append(rewards, arrivals, discards, departures)
+				n := len(rewards)
 				dst = append(dst, markov.Arc{
 					To:      m.encode(next),
 					P:       actP * e0.p * e1.p,
-					Rewards: []float64{arrivals, discards, departures},
+					Rewards: rewards[n-numRewards : n : n],
 				})
 			}
 		}
 	}
+	m.rewards = rewards
 	return dst
 }
 

@@ -339,3 +339,25 @@ func BenchmarkSolveFIFO6(b *testing.B) {
 		}
 	}
 }
+
+// TestScratchReused: Next and Simulate append into scratch kept on the
+// Model, so once it has grown Next allocates nothing and Simulate's
+// allocations do not grow with the cycle count.
+func TestScratchReused(t *testing.T) {
+	m, _ := New(buffer.DAMQ, 4, 0.7)
+	key := m.encode([2]port{{n: [2]int{1, 2}}, {n: [2]int{2, 1}}})
+	arcs := m.Next(key, nil)
+	if a := testing.AllocsPerRun(100, func() { arcs = m.Next(key, arcs[:0]) }); a != 0 {
+		t.Errorf("Next allocates %v objects per call, want 0", a)
+	}
+	run := func(cycles int64) float64 {
+		return testing.AllocsPerRun(1, func() {
+			if _, err := Simulate(buffer.DAMQ, 4, 0.8, cycles, rng.New(1)); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if short, long := run(1_000), run(100_000); long > short+8 {
+		t.Errorf("Simulate allocates %v objects over 1,000 cycles and %v over 100,000", short, long)
+	}
+}

@@ -23,9 +23,10 @@ import (
 // while each switch kept a second slice of its buffers as interface
 // values 26,394 objects and 4.05 MB, and while each switch bound its
 // head-blocked test as the arbiter's callback and the arbiter kept
-// per-output scratch 25,114 objects and 3.95 MB, and while each shard
+// per-output scratch 25,114 objects and 3.95 MB, while each shard
 // recorded its grants in a pending list for a separate move phase
-// 23,738 objects and 3.89 MB.
+// 23,738 objects and 3.89 MB, and while each shard allocated an outbox
+// for every shard, wired to it or not, 23,738 objects and 3.80 MB.
 func TestNewAllocs(t *testing.T) {
 	cfg := Config{
 		Radix: 4, Inputs: 1024, BufferKind: buffer.DAMQ, Capacity: 4,
@@ -48,9 +49,9 @@ func TestNewAllocs(t *testing.T) {
 		objects = min(objects, after.Mallocs-before.Mallocs)
 		bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
 	}
-	// Race-detector builds allocate the same objects but about 10 KB more,
-	// so the byte pin allows 0.5%.
-	const maxObjects, maxBytes = 23_738, 3_796_368 + 3_796_368/200
+	// Race-detector builds allocate the same objects but a few hundred
+	// bytes more, so the byte pin allows 0.5%.
+	const maxObjects, maxBytes = 23_611, 3_787_392 + 3_787_392/200
 	if objects > maxObjects || bytes > maxBytes {
 		t.Errorf("New(1024 inputs) allocates %d objects, %d bytes; pinned at most %d, %d",
 			objects, bytes, maxObjects, maxBytes)

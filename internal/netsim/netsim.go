@@ -28,14 +28,23 @@
 //     dropped at entry. Pops happen before accepts, so a slot freed this
 //     cycle can hold a packet arriving this cycle.
 //
+// Packets are routed through the topology's wiring tables (omega.New
+// builds them once): a digit table per stage gives the output a
+// destination leaves each switch on, and one hop table gives the
+// (switch, port) every line is wired to, so no per-packet routing step
+// divides.
+//
 // The network is partitioned into shards — contiguous switch ranges
 // applied to every stage, plus the sources and deliveries wired to them.
 // Each shard owns its switches' buffers, arbiters, arbitration stamps,
 // RNG streams, and measurement partials; cross-shard traffic moves
 // through per-(writer, reader) outboxes handed over at the phase
-// barriers. The shard count is a pure function of the topology, so
-// results are byte-identical at any worker count (Config.Workers),
-// including 1.
+// barriers. The shuffle wires each shard to only a few others, so at New
+// every shard derives from the hop table the shards it writes to (its to
+// list) and the shards that write to it (its from list); only those
+// outboxes exist, and only those are reset and drained. The shard count
+// is a pure function of the topology, so results are byte-identical at
+// any worker count (Config.Workers), including 1.
 //
 // Latency accounting (DESIGN.md §4): a packet is born at clock
 // cycle*C + u with u uniform in [0, C); it is delivered at the end of the
@@ -139,7 +148,7 @@ func (c Config) Validate() error {
 		return fmt.Errorf("netsim: radix %d exceeds the arbiter's %d outputs: %w",
 			c.Radix, arbiter.MaxOutputs, cfgerr.ErrBadRadix)
 	}
-	if _, err := omega.New(c.Radix, c.Inputs); err != nil {
+	if _, err := omega.Stages(c.Radix, c.Inputs); err != nil {
 		return fmt.Errorf("netsim: %v: %w", err, cfgerr.ErrBadRadix)
 	}
 	bufCfg := buffer.Config{Kind: c.BufferKind, NumOutputs: c.Radix, Capacity: c.Capacity, Sharing: c.Sharing}
@@ -452,8 +461,15 @@ type shard struct {
 	// no buffer publishes room.
 	popped []*buffer.Composed
 	// outbox[d] carries this shard's routed transfers into shard d's
-	// switches; d drains it in the inject phase, after the barrier.
+	// switches; d drains it in the inject phase, after the barrier. Only
+	// the outboxes of the shards in to exist: the shuffle wires this
+	// shard's switch outputs to no other shard, so the rest stay nil.
 	outbox [][]xfer
+	// to lists, ascending, the shards this shard's switch outputs are
+	// wired to; from lists, ascending, the shards whose outputs are
+	// wired to this shard's switches. Both come from the topology's hop
+	// table at New (wireShards) and are empty in a one-stage network.
+	to, from []int32
 }
 
 // xfer is one routed inter-stage transfer: packet p enters input port in
@@ -557,12 +573,9 @@ func New(cfg Config) (*Sim, error) {
 		if blocking {
 			sh.popped = make([]*buffer.Composed, 0, own*(top.Stages()-1)*cfg.Radix)
 		}
-		sh.outbox = make([][]xfer, nShards)
-		for d := range sh.outbox {
-			sh.outbox[d] = make([]xfer, 0, own*cfg.Radix/nShards+cfg.Radix)
-		}
 		s.shards = append(s.shards, sh)
 	}
+	s.wireShards()
 	if blocking {
 		s.wireDownstream(rooms)
 	}
@@ -646,6 +659,37 @@ func (sh *shard) noteAccept(st, si int) {
 	sh.lastArb[st][si-sh.lo] = s.cycle
 }
 
+// wireShards derives every shard's to and from lists from the hop
+// table and allocates the outboxes the to lists name. Every stage is
+// wired by the same shuffle and owned by the same switch ranges, so one
+// pass over the switch outputs of a stage serves them all.
+func (s *Sim) wireShards() {
+	if s.top.Stages() < 2 {
+		return // no inter-stage links
+	}
+	k, n := s.cfg.Radix, len(s.shards)
+	feeds := make([]bool, n*n) // feeds[w*n+r]: shard w is wired to shard r
+	for si := range s.shardOfSw {
+		w := int(s.shardOfSw[si])
+		for out := 0; out < k; out++ {
+			nsw, _ := s.top.NextStage(si, out)
+			feeds[w*n+int(s.shardOfSw[nsw])] = true
+		}
+	}
+	for w, sh := range s.shards {
+		sh.outbox = make([][]xfer, n)
+		for r := 0; r < n; r++ {
+			if feeds[w*n+r] {
+				sh.to = append(sh.to, int32(r))
+				s.shards[r].from = append(s.shards[r].from, int32(w))
+			}
+		}
+		for _, r := range sh.to {
+			sh.outbox[r] = make([]xfer, 0, (sh.hi-sh.lo)*k/n+k)
+		}
+	}
+}
+
 // wireDownstream wires the blocking protocol's flow control. Every
 // buffer of stages 1..S-1 publishes its admission room into rooms[st],
 // one dense array per stage, and every switch of stages 0..S-2 reads the
@@ -665,8 +709,7 @@ func (s *Sim) wireDownstream(rooms [][]int32) {
 	// serves them all.
 	base := make([]int32, spp*k)
 	for i := range base {
-		nsw, nport := s.top.NextStage(i/k, i%k)
-		base[i] = int32(omega.Line(k, nsw, nport) * row)
+		base[i] = int32(s.top.Shuffle(i) * row)
 	}
 	s.down = make([][]sw.Downstream, len(s.stages)-1)
 	for st := 1; st < len(s.stages); st++ {
@@ -674,7 +717,7 @@ func (s *Sim) wireDownstream(rooms [][]int32) {
 		for si := range downs {
 			downs[si] = sw.Downstream{
 				Room: rooms[st], Base: base[si*k : (si+1)*k : (si+1)*k],
-				Div: s.top.RouteDivisor(st), Classes: classes,
+				Digit: s.top.Digits(st), Classes: classes,
 			}
 		}
 		s.down[st-1] = downs
@@ -805,13 +848,17 @@ func (sh *shard) phaseRouteRun() {
 	s := sh.sim
 	measuring := s.measuring
 	last := len(s.stages) - 1
-	for d := range sh.outbox {
+	for _, d := range sh.to {
 		sh.outbox[d] = sh.outbox[d][:0]
 	}
 	for st, row := range s.stages {
 		var down []sw.Downstream
 		if st < len(s.down) {
 			down = s.down[st]
+		}
+		var digits []uint8 // the next stage's, which rewrites OutPort
+		if st < last {
+			digits = s.top.Digits(st + 1)
 		}
 		latch := st > 0 && sh.popped != nil
 		stamps := sh.lastArb[st]
@@ -848,7 +895,7 @@ func (sh *shard) phaseRouteRun() {
 					continue
 				}
 				nsw, nport := s.top.NextStage(si, g.Out)
-				p.OutPort = s.top.RouteDigit(p.Dest, st+1)
+				p.OutPort = int(digits[p.Dest])
 				d := s.shardOfSw[nsw]
 				sh.outbox[d] = append(sh.outbox[d], xfer{p: p, st: int32(st + 1), si: int32(nsw), in: int32(nport)})
 			}
@@ -857,9 +904,9 @@ func (sh *shard) phaseRouteRun() {
 }
 
 // phaseInjectRun is phase 2 for one shard: latch the room of the buffers
-// it popped, accept the transfers addressed to its switches (inboxes are
-// drained in source-shard order, so the sequence is independent of the
-// worker count), then generate and inject
+// it popped, accept the transfers addressed to its switches (the inboxes
+// of its from list are drained in ascending source-shard order, so the
+// sequence is independent of the worker count), then generate and inject
 // at its sources, then sample its occupancy (and, observed, its
 // instrument tallies). Only this shard offers into
 // its switches, and the shuffle wiring delivers at most one packet per
@@ -874,7 +921,7 @@ func (sh *shard) phaseInjectRun() {
 		b.PublishRoom()
 	}
 	sh.popped = sh.popped[:0]
-	for j := range s.shards {
+	for _, j := range sh.from {
 		inbox := s.shards[j].outbox[sh.id]
 		for i := range inbox {
 			x := &inbox[i]

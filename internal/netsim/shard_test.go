@@ -16,9 +16,9 @@ import (
 	"damq/internal/sw"
 )
 
-// shardTestCases cover both protocols, the 2×2 fast-path radix, variable
-// lengths, and bursty traffic — every code path whose work the shards
-// split.
+// shardTestCases cover both protocols, the 2×2 fast-path radix, a radix
+// that is not a power of two, variable lengths, and bursty traffic —
+// every code path whose work the shards split.
 func shardTestCases() []struct {
 	name string
 	cfg  Config
@@ -41,6 +41,12 @@ func shardTestCases() []struct {
 			Radix: 2, Inputs: 64,
 			BufferKind: buffer.FIFO, Capacity: 4, Policy: arbiter.Smart, Protocol: sw.Blocking,
 			Traffic:      TrafficSpec{Kind: Uniform, Load: 0.4},
+			WarmupCycles: 200, MeasureCycles: 1200,
+		}},
+		{"radix-3 blocking DAMQ", Config{
+			Radix: 3, Inputs: 27,
+			BufferKind: buffer.DAMQ, Capacity: 3, Policy: arbiter.Smart, Protocol: sw.Blocking,
+			Traffic:      TrafficSpec{Kind: Uniform, Load: 0.6},
 			WarmupCycles: 200, MeasureCycles: 1200,
 		}},
 		{"hot-spot bursty varlen DAMQ", Config{
@@ -97,6 +103,67 @@ func TestShardedMatchesSerial(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestShardWiring checks the writer lists each shard derives from the
+// hop table: to names exactly the shards its switch outputs are wired
+// to, from is its transpose, both ascending, and after a run at radix 2,
+// 3, 4 and 8 no shard has written to an outbox outside its to list —
+// those outboxes are never allocated, so a stray write would leave one
+// non-nil.
+func TestShardWiring(t *testing.T) {
+	for _, shape := range []struct{ radix, inputs int }{{2, 64}, {3, 81}, {4, 256}, {8, 512}} {
+		t.Run(fmt.Sprintf("radix%d/%d", shape.radix, shape.inputs), func(t *testing.T) {
+			sim, err := New(Config{
+				Radix: shape.radix, Inputs: shape.inputs,
+				BufferKind: buffer.DAMQ, Capacity: 2 * shape.radix, Policy: arbiter.Smart, Protocol: sw.Blocking,
+				Traffic:      TrafficSpec{Kind: Uniform, Load: 0.7},
+				WarmupCycles: 50, MeasureCycles: 300, Seed: 9,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res := sim.Run(); res.Delivered == 0 {
+				t.Fatal("no packet crossed the network")
+			}
+			n := len(sim.shards)
+			for _, sh := range sim.shards {
+				wired := make([]bool, n)
+				for si := sh.lo; si < sh.hi; si++ {
+					for out := 0; out < shape.radix; out++ {
+						nsw, _ := sim.top.NextStage(si, out)
+						wired[sim.shardOfSw[nsw]] = true
+					}
+				}
+				var to []int32
+				for d, ok := range wired {
+					if ok {
+						to = append(to, int32(d))
+					}
+				}
+				if !reflect.DeepEqual(sh.to, to) {
+					t.Errorf("shard %d: to = %v, wiring gives %v", sh.id, sh.to, to)
+				}
+				for d := 0; d < n; d++ {
+					if !wired[d] && sh.outbox[d] != nil {
+						t.Errorf("shard %d wrote to the outbox of shard %d, outside its to list %v", sh.id, d, sh.to)
+					}
+					fed := false
+					for _, w := range sim.shards[d].from {
+						fed = fed || int(w) == sh.id
+					}
+					if fed != wired[d] {
+						t.Errorf("shard %d in shard %d's from list %v: %v, wired: %v", sh.id, d, sim.shards[d].from, fed, wired[d])
+					}
+				}
+				for i := 1; i < len(sh.from); i++ {
+					if sh.from[i-1] >= sh.from[i] {
+						t.Errorf("shard %d: from %v is not ascending", sh.id, sh.from)
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -5,45 +5,87 @@
 //
 // The paper simulates a 64×64 Omega network of 4×4 switches (3 stages of
 // 16 switches). This package provides topology construction, the shuffle
-// wiring, and destination-digit routing for arbitrary k and N = k^stages.
+// wiring, and destination-digit routing for k up to 256 and
+// N = k^stages. New computes the wiring once into two tables, a digit
+// table per stage and one hop table, and every route query after it is a
+// lookup; Shuffle and InverseShuffle stay arithmetic and define them.
 package omega
 
 import "fmt"
 
-// Topology describes one Omega network instance.
+// Topology describes one Omega network instance. Its wiring is built
+// once, as lookup tables, the way the ComCoBB router routes from tables
+// instead of computing each hop: simulators route every packet, every
+// hop, through the tables without a division.
 type Topology struct {
 	k        int // switch radix (ports per switch)
 	stages   int // number of switch stages
 	inputs   int // network inputs = k^stages
 	switches int // switches per stage = inputs / k
-	// div[s] is k^(stages-1-s): dividing a destination by it brings the
-	// digit stage s routes on into the least significant place.
-	div []int
+	// digits[s][dest] is the output port stage s routes dest to: the
+	// s-th most significant base-k digit of dest. One backing array
+	// holds every stage's row.
+	digits [][]uint8
+	// hop[line] is the (switch, port) the perfect shuffle wires line to
+	// at the next stage boundary; line is a network input or, as
+	// sw*k+out, an output of a switch.
+	hop []wire
+}
+
+// wire is one end of a shuffle link: input port port of switch sw.
+type wire struct{ sw, port int32 }
+
+// maxRadix is the largest switch radix a Topology routes: a route digit
+// is stored in one byte.
+const maxRadix = 256
+
+// Stages returns the stage count of an inputs-wide Omega network of k×k
+// switches, checking the shape without building any table: k must be in
+// [2, maxRadix] and inputs a positive power of k.
+func Stages(k, inputs int) (int, error) {
+	if k < 2 {
+		return 0, fmt.Errorf("omega: radix must be >= 2, got %d", k)
+	}
+	if k > maxRadix {
+		return 0, fmt.Errorf("omega: radix %d exceeds %d, the largest a byte route digit holds", k, maxRadix)
+	}
+	if inputs < k {
+		return 0, fmt.Errorf("omega: inputs %d smaller than radix %d", inputs, k)
+	}
+	stages := 0
+	for n := 1; n < inputs; n *= k {
+		if n > inputs/k { // n*k would step past inputs without meeting it
+			return 0, fmt.Errorf("omega: inputs %d is not a power of radix %d", inputs, k)
+		}
+		stages++
+	}
+	return stages, nil
 }
 
 // New returns the topology for an inputs-wide Omega network of k×k
-// switches. inputs must be a positive power of k.
+// switches and builds its digit and hop tables. inputs must be a
+// positive power of k (see Stages).
 func New(k, inputs int) (*Topology, error) {
-	if k < 2 {
-		return nil, fmt.Errorf("omega: radix must be >= 2, got %d", k)
+	stages, err := Stages(k, inputs)
+	if err != nil {
+		return nil, err
 	}
-	if inputs < k {
-		return nil, fmt.Errorf("omega: inputs %d smaller than radix %d", inputs, k)
+	t := &Topology{k: k, stages: stages, inputs: inputs, switches: inputs / k}
+	t.digits = make([][]uint8, stages)
+	all := make([]uint8, stages*inputs)
+	for s, div := stages-1, 1; s >= 0; s, div = s-1, div*k {
+		row := all[s*inputs : (s+1)*inputs : (s+1)*inputs]
+		for dest := range row {
+			row[dest] = uint8(dest / div % k)
+		}
+		t.digits[s] = row
 	}
-	stages := 0
-	n := 1
-	for n < inputs {
-		n *= k
-		stages++
+	t.hop = make([]wire, inputs)
+	for line := range t.hop {
+		sw, port := SwitchPort(k, t.Shuffle(line))
+		t.hop[line] = wire{int32(sw), int32(port)}
 	}
-	if n != inputs {
-		return nil, fmt.Errorf("omega: inputs %d is not a power of radix %d", inputs, k)
-	}
-	div := make([]int, stages)
-	for s, d := stages-1, 1; s >= 0; s, d = s-1, d*k {
-		div[s] = d
-	}
-	return &Topology{k: k, stages: stages, inputs: inputs, switches: inputs / k, div: div}, nil
+	return t, nil
 }
 
 // MustNew is New for known-good parameters.
@@ -94,54 +136,32 @@ func Line(k, sw, port int) int { return sw*k + port }
 // network input src: the shuffle is applied before the first stage, as in
 // Lawrie's definition.
 func (t *Topology) FirstStageSwitch(src int) (sw, port int) {
-	return SwitchPort(t.k, t.Shuffle(src))
+	w := t.hop[src]
+	return int(w.sw), int(w.port)
 }
 
 // NextStage returns the stage s+1 switch and input port wired to output
 // port out of switch sw in stage s. The inter-stage wiring is the same
 // perfect shuffle on line numbers.
 func (t *Topology) NextStage(sw, out int) (nsw, nport int) {
-	return SwitchPort(t.k, t.Shuffle(Line(t.k, sw, out)))
+	w := t.hop[sw*t.k+out]
+	return int(w.sw), int(w.port)
 }
 
 // RouteDigit returns the output port a packet for destination dest must
 // take at stage (0-based). Omega routing is destination-digit routing:
 // stage s consumes the s-th most significant base-k digit of dest.
 func (t *Topology) RouteDigit(dest, stage int) int {
-	return dest / t.div[stage] % t.k
+	return int(t.digits[stage][dest])
 }
 
-// RouteDivisor is k^(stages-1-stage), the divisor RouteDigit applies at
-// stage, for callers that route many packets through one stage.
-func (t *Topology) RouteDivisor(stage int) int { return t.div[stage] }
+// Digits returns stage's digit table: entry dest is RouteDigit(dest,
+// stage). Callers that route many packets through one stage index it
+// directly; it is shared, not copied, and must not be modified.
+func (t *Topology) Digits(stage int) []uint8 { return t.digits[stage] }
 
 // LastStageOutput returns the network output line reached from output
 // port out of switch sw in the last stage.
 func (t *Topology) LastStageOutput(sw, out int) int {
 	return Line(t.k, sw, out)
-}
-
-// Path traces the complete route from network input src to network output
-// dest: for each stage, the (switch, inPort, outPort) traversed. It is
-// used by tests to validate that shuffle wiring plus digit routing indeed
-// delivers every packet, and by examples that want to show a route.
-func (t *Topology) Path(src, dest int) []Hop {
-	hops := make([]Hop, 0, t.stages)
-	sw, port := t.FirstStageSwitch(src)
-	for s := 0; s < t.stages; s++ {
-		out := t.RouteDigit(dest, s)
-		hops = append(hops, Hop{Stage: s, Switch: sw, InPort: port, OutPort: out})
-		if s < t.stages-1 {
-			sw, port = t.NextStage(sw, out)
-		}
-	}
-	return hops
-}
-
-// Hop is one switch traversal on a path.
-type Hop struct {
-	Stage   int
-	Switch  int
-	InPort  int
-	OutPort int
 }

@@ -15,6 +15,20 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(4, 48); err == nil {
 		t.Error("accepted non-power inputs")
 	}
+	if _, err := New(maxRadix+1, maxRadix+1); err == nil {
+		t.Error("accepted a radix whose digits overflow a byte")
+	}
+	for _, bad := range [][2]int{{1, 4}, {4, 2}, {4, 48}, {4, 32}, {3, 24}, {2, 6}} {
+		if _, err := Stages(bad[0], bad[1]); err == nil {
+			t.Errorf("Stages(%d, %d) accepted a bad shape", bad[0], bad[1])
+		}
+	}
+	for _, cfg := range tableShapes {
+		stages, err := Stages(cfg.k, cfg.n)
+		if err != nil || stages != MustNew(cfg.k, cfg.n).Stages() {
+			t.Errorf("Stages(%d, %d) = %d, %v; New builds %d stages", cfg.k, cfg.n, stages, err, MustNew(cfg.k, cfg.n).Stages())
+		}
+	}
 	top, err := New(4, 64)
 	if err != nil {
 		t.Fatal(err)
@@ -80,21 +94,85 @@ func TestRouteDigit(t *testing.T) {
 	}
 }
 
+// hop is one switch traversal on a path.
+type hop struct{ stage, sw, in, out int }
+
+// path is the arithmetic reference route from network input src to
+// network output dest, built from the definitions the tables are
+// computed from: the shuffle (Shuffle, then SwitchPort) before every
+// stage, and stage s routing on digit dest / k^(S-1-s) % k.
+func path(t *Topology, src, dest int) []hop {
+	k, stages := t.Radix(), t.Stages()
+	div := 1
+	for s := 1; s < stages; s++ {
+		div *= k
+	}
+	hops := make([]hop, 0, stages)
+	sw, port := SwitchPort(k, t.Shuffle(src))
+	for s := 0; s < stages; s++ {
+		out := dest / div % k
+		hops = append(hops, hop{s, sw, port, out})
+		sw, port = SwitchPort(k, t.Shuffle(Line(k, sw, out)))
+		div /= k
+	}
+	return hops
+}
+
+// tableShapes are the topologies the table tests cover: radix 2, 3, 4
+// and 8, at one and several stages.
+var tableShapes = []struct{ k, n int }{
+	{2, 2}, {2, 8}, {2, 64}, {3, 3}, {3, 27}, {3, 81}, {4, 16}, {4, 64}, {4, 256}, {8, 64}, {8, 512},
+}
+
+// TestTablesMatchArithmetic compares every entry of the digit and hop
+// tables with the arithmetic definitions, for every line, destination
+// and stage.
+func TestTablesMatchArithmetic(t *testing.T) {
+	for _, cfg := range tableShapes {
+		top := MustNew(cfg.k, cfg.n)
+		k := cfg.k
+		for line := 0; line < cfg.n; line++ {
+			wsw, wport := SwitchPort(k, top.Shuffle(line))
+			if sw, port := top.FirstStageSwitch(line); sw != wsw || port != wport {
+				t.Fatalf("k=%d n=%d: FirstStageSwitch(%d) = (%d,%d), want (%d,%d)", k, cfg.n, line, sw, port, wsw, wport)
+			}
+			lsw, out := SwitchPort(k, line)
+			if sw, port := top.NextStage(lsw, out); sw != wsw || port != wport {
+				t.Fatalf("k=%d n=%d: NextStage(%d,%d) = (%d,%d), want (%d,%d)", k, cfg.n, lsw, out, sw, port, wsw, wport)
+			}
+		}
+		div := cfg.n
+		for s := 0; s < top.Stages(); s++ {
+			div /= k
+			digits := top.Digits(s)
+			if len(digits) != cfg.n {
+				t.Fatalf("k=%d n=%d: stage %d digit table has %d entries", k, cfg.n, s, len(digits))
+			}
+			for dest := 0; dest < cfg.n; dest++ {
+				want := dest / div % k
+				if got := top.RouteDigit(dest, s); got != want || int(digits[dest]) != want {
+					t.Fatalf("k=%d n=%d: stage %d digit of %d = %d (table %d), want %d",
+						k, cfg.n, s, dest, got, digits[dest], want)
+				}
+			}
+		}
+	}
+}
+
 // TestAllPathsDeliver is the key topology correctness check: for every
 // (src, dest) pair, following the shuffle wiring and digit routing must
 // arrive at exactly dest.
 func TestAllPathsDeliver(t *testing.T) {
-	for _, cfg := range []struct{ k, n int }{{2, 8}, {2, 16}, {4, 16}, {4, 64}} {
+	for _, cfg := range tableShapes {
 		top := MustNew(cfg.k, cfg.n)
 		for src := 0; src < cfg.n; src++ {
 			for dest := 0; dest < cfg.n; dest++ {
-				hops := top.Path(src, dest)
+				hops := path(top, src, dest)
 				if len(hops) != top.Stages() {
 					t.Fatalf("path %d->%d has %d hops", src, dest, len(hops))
 				}
 				last := hops[len(hops)-1]
-				got := top.LastStageOutput(last.Switch, last.OutPort)
-				if got != dest {
+				if got := top.LastStageOutput(last.sw, last.out); got != dest {
 					t.Fatalf("k=%d n=%d: path %d->%d delivers to %d (hops %v)",
 						cfg.k, cfg.n, src, dest, got, hops)
 				}
@@ -103,16 +181,22 @@ func TestAllPathsDeliver(t *testing.T) {
 	}
 }
 
-// TestStageWiringConsistent checks that NextStage agrees with Path.
+// TestStageWiringConsistent checks that the route the tables give
+// (FirstStageSwitch, RouteDigit, NextStage) is the reference path hop
+// for hop.
 func TestStageWiringConsistent(t *testing.T) {
-	top := MustNew(4, 64)
-	for src := 0; src < 64; src += 7 {
-		for dest := 0; dest < 64; dest += 5 {
-			hops := top.Path(src, dest)
-			for s := 0; s+1 < len(hops); s++ {
-				nsw, nport := top.NextStage(hops[s].Switch, hops[s].OutPort)
-				if nsw != hops[s+1].Switch || nport != hops[s+1].InPort {
-					t.Fatalf("wiring mismatch at stage %d of %d->%d", s, src, dest)
+	for _, cfg := range tableShapes {
+		top := MustNew(cfg.k, cfg.n)
+		for src := 0; src < cfg.n; src++ {
+			for dest := 0; dest < cfg.n; dest++ {
+				sw, port := top.FirstStageSwitch(src)
+				for s, want := range path(top, src, dest) {
+					got := hop{s, sw, port, top.RouteDigit(dest, s)}
+					if got != want {
+						t.Fatalf("k=%d n=%d: %d->%d stage %d: tables give %v, reference %v",
+							cfg.k, cfg.n, src, dest, s, got, want)
+					}
+					sw, port = top.NextStage(sw, got.out)
 				}
 			}
 		}

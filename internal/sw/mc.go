@@ -30,7 +30,9 @@ func (r MCResult) DiscardFraction() float64 {
 // with probability load, addressed to a uniformly random output. The
 // cycle order matches the Markov models: departures first (arbitration on
 // the pre-arrival state), then arrivals, which are discarded if they do
-// not fit. Packets leaving the switch exit the system.
+// not fit. Packets leaving the switch exit the system; they and the
+// discarded ones go back to the run's allocator, so a steady-state cycle
+// allocates nothing.
 func (s *Switch) RunDiscarding(load float64, cycles int64, src *rng.Source) MCResult {
 	n := s.cfg.Ports
 	var alloc packet.Alloc
@@ -42,7 +44,7 @@ func (s *Switch) RunDiscarding(load float64, cycles int64, src *rng.Source) MCRe
 		// Departures.
 		grants = s.Arbitrate(nil, grants[:0])
 		for _, g := range grants {
-			s.PopGrant(g)
+			alloc.Recycle(s.PopGrant(g))
 			res.Delivered++
 		}
 		// Arrivals.
@@ -56,6 +58,7 @@ func (s *Switch) RunDiscarding(load float64, cycles int64, src *rng.Source) MCRe
 			p.OutPort = dest
 			if !s.Offer(in, p) {
 				res.Discarded++
+				alloc.Recycle(p)
 			}
 		}
 		occupancySum += float64(s.Len())

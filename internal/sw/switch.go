@@ -272,9 +272,9 @@ type Downstream struct {
 	// Base[out] is the offset in Room of the row of the buffer that this
 	// switch's output out feeds.
 	Base []int32
-	// Div is the next stage's route divisor: a packet for Dest leaves the
-	// next switch on output Dest/Div%Ports.
-	Div int
+	// Digit is the next stage's digit table (omega.Topology.Digits): a
+	// packet for Dest leaves the next switch on output Digit[Dest].
+	Digit []uint8
 	// Classes is the room registers per output of the next stage's
 	// buffers (buffer.Composed.RoomClasses).
 	Classes int
@@ -286,7 +286,7 @@ type Downstream struct {
 // damqvet:hotpath
 func (s *Switch) headBlocked(b *buffer.Composed, out int, d *Downstream) bool {
 	p := b.Head(out)
-	k := int(d.Base[out]) + p.Dest/d.Div%s.cfg.Ports*d.Classes + buffer.Class(p, d.Classes)
+	k := int(d.Base[out]) + int(d.Digit[p.Dest])*d.Classes + buffer.Class(p, d.Classes)
 	return p.Slots > int(d.Room[k])
 }
 

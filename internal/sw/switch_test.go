@@ -73,7 +73,7 @@ func TestOfferFullDiscards(t *testing.T) {
 func TestDownstreamRoomStopsTransmission(t *testing.T) {
 	s := MustNew(cfg(buffer.DAMQ))
 	// One downstream row of 4 registers per output, next hop = Dest.
-	down := &Downstream{Room: make([]int32, 16), Base: []int32{0, 4, 8, 12}, Div: 1, Classes: 1}
+	down := &Downstream{Room: make([]int32, 16), Base: []int32{0, 4, 8, 12}, Digit: []uint8{0, 1, 2, 3}, Classes: 1}
 	s.Offer(0, routed(1, 2))
 	if grants := s.Arbitrate(down, nil); len(grants) != 0 {
 		t.Fatalf("grants into zero room: %v", grants)
@@ -95,7 +95,7 @@ func TestDownstreamAsksNextHop(t *testing.T) {
 	room := make([]int32, 4)
 	next.AttachRoom(room)
 	// Output o of s feeds input o of next; next routes on Dest%2.
-	down := &Downstream{Room: room, Base: []int32{0, 2}, Div: 1, Classes: next.RoomClasses()}
+	down := &Downstream{Room: room, Base: []int32{0, 2}, Digit: []uint8{0, 1}, Classes: next.RoomClasses()}
 	s := MustNew(Config{Ports: 2, BufferKind: buffer.SAMQ, Capacity: 2, Policy: arbiter.Dumb})
 
 	next.Offer(0, routed(1, 0)) // next's input 0 queue 0 is now full
@@ -158,6 +158,20 @@ func TestMCDeterminism(t *testing.T) {
 	b := MustNew(cfg(buffer.DAMQ)).RunDiscarding(0.7, 2000, rng.New(5))
 	if a != b {
 		t.Fatalf("same seed, different results:\n%+v\n%+v", a, b)
+	}
+}
+
+// TestMCRecyclesPackets: RunDiscarding hands delivered and discarded
+// packets back to its allocator, so its allocations stay bounded by the
+// packets inside the switch instead of growing with the cycle count.
+func TestMCRecyclesPackets(t *testing.T) {
+	for _, kind := range buffer.Kinds() {
+		allocs := testing.AllocsPerRun(1, func() {
+			MustNew(cfg(kind)).RunDiscarding(0.9, 20000, rng.New(3))
+		})
+		if allocs > 200 {
+			t.Errorf("%v: RunDiscarding over 20000 cycles allocates %.0f objects, want <= 200", kind, allocs)
+		}
 	}
 }
 

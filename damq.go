@@ -703,7 +703,7 @@ func RenderFigure3(series []Figure3Series) string { return experiments.RenderFig
 
 // RenderFigure3SVG renders series as a standalone SVG figure.
 func RenderFigure3SVG(series []Figure3Series, title string) string {
-	return plot.SVG(series, plot.Options{Title: title})
+	return plot.SVG(series, title)
 }
 
 // BurstyTraffic generates multi-packet messages (geometric length, one

@@ -410,12 +410,12 @@ func TestNewChipPanicsOnTinyBuffer(t *testing.T) {
 }
 
 func TestWireRoundTrip(t *testing.T) {
-	syms := Wire(0x09, payload(13))
+	syms := AppendWire(nil, 0x09, payload(13))
 	// Prepend idle noise and append another packet.
 	var capture []wireSymbol
 	capture = append(capture, wireSymbol{}, wireSymbol{})
 	capture = append(capture, syms...)
-	capture = append(capture, Wire(0x0a, payload(1))...)
+	capture = AppendWire(capture, 0x0a, payload(1))
 	pkts := DecodeWire(capture)
 	if len(pkts) != 2 {
 		t.Fatalf("decoded %d packets", len(pkts))
@@ -433,10 +433,10 @@ func TestWirePanicsOnBadLength(t *testing.T) {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("Wire accepted %d-byte payload", n)
+					t.Errorf("AppendWire accepted %d-byte payload", n)
 				}
 			}()
-			Wire(0x01, make([]byte, n))
+			AppendWire(nil, 0x01, make([]byte, n))
 		}()
 	}
 }

@@ -100,11 +100,11 @@ func FuzzWireRoundTrip(f *testing.F) {
 		if len(data) == 0 || len(data) > MaxDataBytes {
 			return
 		}
-		pkts := DecodeWire(Wire(header, data))
+		pkts := DecodeWire(AppendWire(nil, header, data))
 		if len(pkts) != 1 || pkts[0].Header != header || !bytes.Equal(pkts[0].Data, data) {
 			t.Fatalf("round trip failed: %+v", pkts)
 		}
-		cont := DecodeWireWith(WireCont(header, data), map[byte]int{header: len(data)})
+		cont := DecodeWireWith(AppendWireCont(nil, header, data), map[byte]int{header: len(data)})
 		if len(cont) != 1 || !bytes.Equal(cont[0].Data, data) {
 			t.Fatalf("continuation round trip failed: %+v", cont)
 		}

@@ -97,12 +97,6 @@ func AppendWire(dst []wireSymbol, header byte, data []byte) []wireSymbol {
 	return dst
 }
 
-// Wire encodes a first-of-message packet into a fresh symbol slice.
-// Tests and testbench drivers use it.
-func Wire(header byte, data []byte) []wireSymbol {
-	return AppendWire(nil, header, data)
-}
-
 // AppendWireCont appends a continuation packet's symbols to dst: start
 // bit, header byte, then data with no length byte — the receiving
 // router's circuit table must carry ContLength == len(data).
@@ -118,14 +112,9 @@ func AppendWireCont(dst []wireSymbol, header byte, data []byte) []wireSymbol {
 	return dst
 }
 
-// WireCont encodes a continuation packet into a fresh symbol slice.
-func WireCont(header byte, data []byte) []wireSymbol {
-	return AppendWireCont(nil, header, data)
-}
-
 // DecodeWire parses a sink's collected symbols back into packets,
-// returning (header, data) pairs. It is the inverse of Wire (all packets
-// carry length bytes) and tolerates idle gaps between packets.
+// returning (header, data) pairs. It is the inverse of AppendWire (all
+// packets carry length bytes) and tolerates idle gaps between packets.
 func DecodeWire(syms []wireSymbol) []DecodedPacket {
 	return DecodeWireWith(syms, nil)
 }

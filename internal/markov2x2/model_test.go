@@ -7,7 +7,6 @@ import (
 	"damq/internal/buffer"
 	"damq/internal/markov"
 	"damq/internal/rng"
-	"damq/internal/stats"
 )
 
 func TestNewValidation(t *testing.T) {
@@ -292,7 +291,10 @@ func TestMarkovMatchesMonteCarlo(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if re := stats.RelErr(exact.PDiscard, sim.PDiscard()); re > 0.05 {
+		// Symmetric relative error: both discard probabilities are far
+		// from zero at this load.
+		re := math.Abs(exact.PDiscard-sim.PDiscard()) / math.Max(exact.PDiscard, sim.PDiscard())
+		if re > 0.05 {
 			t.Errorf("%v: Markov %v vs MC %v (rel err %.3f)", kind, exact.PDiscard, sim.PDiscard(), re)
 		}
 	}

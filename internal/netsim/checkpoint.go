@@ -26,6 +26,8 @@ package netsim
 import (
 	"fmt"
 	"io"
+	"math"
+	"slices"
 
 	"damq/internal/buffer"
 	"damq/internal/cfgerr"
@@ -323,9 +325,9 @@ func (s *Sim) walkSwitches(c *checkpoint.Codec) error {
 // otherwise. Packet bodies ride inside the pool state, each exactly once
 // (multi-slot packets occupy several slots but serialize once).
 func (s *Sim) walkPools(c *checkpoint.Codec, stage, si int, swc *sw.Switch) error {
-	pools, maxSlots := swc.Ports(), s.cfg.Capacity
+	pools, maxSlots := swc.Ports(), s.poolCap()
 	if s.cfg.SharedPool {
-		pools, maxSlots = 1, s.cfg.Capacity*s.cfg.Radix
+		pools = 1
 	}
 	for in := 0; in < pools; in++ {
 		sp := swc.Buffer(in).Pool()
@@ -500,16 +502,27 @@ func walkPartial(c *checkpoint.Codec, r *Result, shardID int) error {
 			return ckptErr("shard %d summary: %v", shardID, err)
 		}
 	}
-	h := r.LatencyHist.Save()
-	c.F64(&h.Width)
-	c.I64s(&h.Counts)
-	c.I64(&h.Overflow)
-	c.I64(&h.Total)
-	c.F64(&h.Sum)
+	// The format stores width and sum as float64s. Decoding admits only
+	// this run's width and a whole-number sum within ±2^62 (NaN fails the
+	// range test) before converting them back.
+	h := r.LatencyHist
+	width, sum := float64(h.Width()), float64(h.Sum())
+	buckets, overflow, total := h.Buckets(), h.Overflow(), h.Total()
+	c.F64(&width)
+	c.I64s(&buckets)
+	c.I64(&overflow)
+	c.I64(&total)
+	c.F64(&sum)
 	if !c.Decoding() || c.Err() != nil {
 		return c.Err()
 	}
-	if err := r.LatencyHist.Load(h); err != nil {
+	if width != float64(h.Width()) {
+		return ckptErr("shard %d latency histogram has bucket width %g, this run uses %d", shardID, width, h.Width())
+	}
+	if !(math.Abs(sum) <= 1<<62) || sum != math.Trunc(sum) {
+		return ckptErr("shard %d latency histogram sum %g is not a sum of clock counts", shardID, sum)
+	}
+	if err := h.Restore(buckets, overflow, total, int64(sum)); err != nil {
 		return ckptErr("shard %d latency histogram: %v", shardID, err)
 	}
 	return nil
@@ -667,45 +680,16 @@ func (s *Sim) walkObsState(c *checkpoint.Codec, st *obsState) error {
 	return nil
 }
 
-// validateObsState checks a decoded observer section against the
-// instrument set this simulation registers: unknown names, mismatched
-// histogram shapes, or inconsistent totals are corruption. Passing means
-// obsState.apply cannot fail, whichever observer later attaches.
+// validateObsState checks a decoded observer section against a scratch
+// registration of this simulation's instrument set: unknown names,
+// mismatched histogram shapes, and contents the scratch histograms'
+// Restore refuses are corruption. Passing means obsState.apply cannot
+// fail, whichever observer later attaches.
 func (s *Sim) validateObsState(st *obsState) error {
-	counters := map[string]bool{
-		MetricGenerated: true, MetricInjected: true, MetricDelivered: true,
-		MetricDiscardedEntry: true, MetricDiscardedNet: true,
-		MetricGrants: true, MetricConflicts: true,
-		MetricBlockedHeads: true, MetricOfferRefused: true,
-	}
-	gauges := map[string]bool{MetricInFlight: true, MetricSourceBacklog: true}
-	for stage := range s.stages {
-		gauges[StageOccupancyMetric(stage)] = true
-	}
-	type shape struct {
-		buckets int
-		width   int64
-	}
-	c := int64(s.cfg.ClocksPerCycle)
-	hists := map[string]shape{
-		MetricQueueDepth:      {s.cfg.Capacity + 1, 1},
-		MetricLatencyBorn:     {4096, c},
-		MetricLatencyInjected: {4096, c},
-	}
-	if buffer.KindModern(s.cfg.BufferKind) || s.cfg.SharedPool {
-		poolCap := s.cfg.Capacity
-		if s.cfg.SharedPool {
-			poolCap *= s.cfg.Radix
-		}
-		hists[MetricPoolSlotsUsed] = shape{poolCap + 1, 1}
-		counters[MetricPolicyRefused] = true
-	}
-	if s.flt != nil {
-		counters[fault.MetricLinkDrops] = true
-		counters[fault.MetricSlotsQuarantined] = true
-	}
+	r := s.register(obs.NewObserver()).observer.Registry()
+	counters, gauges := r.CounterNames(), r.GaugeNames()
 	for _, cv := range st.counters {
-		if !counters[cv.name] {
+		if _, ok := slices.BinarySearch(counters, cv.name); !ok {
 			return ckptErr("checkpointed counter %q is not one this simulation registers", cv.name)
 		}
 		if cv.val < 0 {
@@ -713,20 +697,20 @@ func (s *Sim) validateObsState(st *obsState) error {
 		}
 	}
 	for _, gv := range st.gauges {
-		if !gauges[gv.name] {
+		if _, ok := slices.BinarySearch(gauges, gv.name); !ok {
 			return ckptErr("checkpointed gauge %q is not one this simulation registers", gv.name)
 		}
 	}
 	for _, hv := range st.hists {
-		want, ok := hists[hv.name]
+		h, ok := r.LookupHistogram(hv.name)
 		if !ok {
 			return ckptErr("checkpointed histogram %q is not one this simulation registers", hv.name)
 		}
-		if len(hv.buckets) != want.buckets || hv.width != want.width {
+		if n := len(h.Buckets()); len(hv.buckets) != n || hv.width != h.Width() {
 			return ckptErr("checkpointed histogram %q has shape %dx%d, this simulation registers %dx%d",
-				hv.name, len(hv.buckets), hv.width, want.buckets, want.width)
+				hv.name, len(hv.buckets), hv.width, n, h.Width())
 		}
-		if err := obs.CheckContents(hv.width, hv.buckets, hv.overflow, hv.total, hv.sum); err != nil {
+		if err := h.Restore(hv.buckets, hv.overflow, hv.total, hv.sum); err != nil {
 			return ckptErr("checkpointed histogram %q: %v", hv.name, err)
 		}
 	}

@@ -3,11 +3,13 @@ package netsim
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"flag"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"path/filepath"
 	"reflect"
 	"sync"
@@ -510,6 +512,75 @@ func TestCheckpointStructuralCorruption(t *testing.T) {
 		}},
 	} {
 		wantCheckpointError(t, tamperedObsCheckpoint(t, tc.tamper), tc.what)
+	}
+}
+
+// TestCheckpointRejectsBadLatencyHist: a shard's latency histogram
+// travels with its width and sum as float64s. A width other than the
+// run's ClocksPerCycle, or a sum no run of whole clock counts reaches,
+// must fail the restore — accepted, the resumed run's mean latency would
+// read NaN or garbage. Each case patches shard 0's field in place and
+// re-seals the CRC, so only the histogram check can tell.
+func TestCheckpointRejectsBadLatencyHist(t *testing.T) {
+	s, err := New(Config{Radix: 4, Inputs: 64, Capacity: 4, WarmupCycles: 20, MeasureCycles: 60,
+		Seed: 5, BufferKind: buffer.DAMQ, Traffic: TrafficSpec{Kind: Uniform, Load: 0.6}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for s.cycle < 20 {
+		s.Step(false)
+	}
+	s.warmupBoundary = s.cycle
+	for i := 0; i < 40; i++ {
+		s.Step(true)
+	}
+	h := s.shards[0].partial.LatencyHist
+	if h.Total() == 0 || h.Overflow() != 0 {
+		t.Fatalf("shard 0 histogram has %d samples, %d in overflow; want some, none", h.Total(), h.Overflow())
+	}
+	var buf bytes.Buffer
+	if err := s.Checkpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()
+	le := func(vs ...uint64) []byte {
+		var b []byte
+		for _, v := range vs {
+			b = binary.LittleEndian.AppendUint64(b, v)
+		}
+		return b
+	}
+	// In stream order the histogram is width, bucket count, buckets,
+	// overflow, total, sum; shard 0's comes first.
+	widthAt := bytes.Index(raw, le(math.Float64bits(float64(h.Width())), uint64(len(h.Buckets()))))
+	sumAt := bytes.Index(raw, le(uint64(h.Total()), math.Float64bits(float64(h.Sum())))) + 8
+	if widthAt < 0 || sumAt < 8 {
+		t.Fatalf("shard 0 histogram not found in the stream (width at %d, sum at %d)", widthAt, sumAt)
+	}
+	patched := func(at int, v float64) []byte {
+		mut := append([]byte(nil), raw...)
+		binary.LittleEndian.PutUint64(mut[at:], math.Float64bits(v))
+		patchCRC(mut)
+		return mut
+	}
+	if r, err := RestoreSim(bytes.NewReader(patched(sumAt, float64(h.Sum())))); err != nil {
+		t.Fatalf("unpatched histogram rejected: %v", err)
+	} else {
+		r.Close()
+	}
+	for _, tc := range []struct {
+		what string
+		at   int
+		v    float64
+	}{
+		{"NaN sum", sumAt, math.NaN()},
+		{"negative sum", sumAt, -1e9},
+		{"sum beyond the buckets", sumAt, 1e18},
+		{"fractional sum", sumAt, float64(h.Sum()) + 0.5},
+		{"width other than ClocksPerCycle", widthAt, float64(h.Width()) / 2},
+	} {
+		wantCheckpointError(t, patched(tc.at, tc.v), tc.what)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 
 	"damq/internal/buffer"
 	"damq/internal/fault"
-	"damq/internal/obs"
 )
 
 // slotEvent is one precomputed slot failure: at cycle, slot slot of the
@@ -27,27 +26,6 @@ type netFaults struct {
 	events    []slotEvent
 	next      int
 	quarSlots int64 // slots scheduled out of service
-	m         *netFaultMetrics
-}
-
-// netFaultMetrics are the fault.* instruments, registered only when both
-// faults and an observer are attached — a faults-off snapshot stays
-// byte-identical to pre-fault builds.
-type netFaultMetrics struct {
-	linkDrops   *obs.Counter
-	quarantined *obs.Counter
-}
-
-func (f *netFaults) register(o *obs.Observer) {
-	if o == nil {
-		f.m = nil
-		return
-	}
-	r := o.Registry()
-	f.m = &netFaultMetrics{
-		linkDrops:   r.Counter(fault.MetricLinkDrops),
-		quarantined: r.Counter(fault.MetricSlotsQuarantined),
-	}
 }
 
 // SetFaults arms deterministic fault injection: transiently or
@@ -95,7 +73,7 @@ func (s *Sim) armFaults(fc fault.Config) error {
 	}
 	s.flt = f
 	if s.metrics != nil {
-		f.register(s.metrics.observer)
+		s.metrics.registerFaults()
 	}
 	return nil
 }
@@ -155,8 +133,8 @@ func (s *Sim) applyDueSlotFaults() {
 		f.next++
 		if s.stages[ev.st][ev.si].Buffer(int(ev.in)).QuarantineSlot(int(ev.sl)) {
 			f.quarSlots++
-			if f.m != nil {
-				f.m.quarantined.Inc()
+			if m := s.metrics; m != nil {
+				m.quarantined.Inc()
 			}
 		}
 	}

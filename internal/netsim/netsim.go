@@ -260,8 +260,8 @@ type Result struct {
 	// switch; under hot-spot traffic it shows tree saturation filling the
 	// stages closest to the hot module first.
 	StageOccupancy []stats.Summary
-	// LatencyHist buckets LatencyFromBorn (12-clock buckets, 4096-clock
-	// span) for percentile reporting.
+	// LatencyHist buckets LatencyFromBorn in clocks (4096 buckets, each
+	// ClocksPerCycle clocks wide) for percentile reporting.
 	LatencyHist *stats.Histogram
 	// SourceBacklog is the time-average total source-queue length
 	// (blocking protocol only).
@@ -560,7 +560,7 @@ func New(cfg Config) (*Sim, error) {
 		for si := sh.lo; si < sh.hi; si++ {
 			s.shardOfSw[si] = int32(k)
 		}
-		sh.partial.LatencyHist = stats.NewHistogram(4096, float64(cfg.ClocksPerCycle))
+		sh.partial.LatencyHist = stats.NewHistogram(4096, int64(cfg.ClocksPerCycle))
 		sh.partial.StageOccupancy = make([]stats.Summary, top.Stages())
 		sh.lastArb = make([][]int64, top.Stages())
 		for st := 0; st < top.Stages(); st++ {
@@ -1108,7 +1108,7 @@ func (sh *shard) deliver(p *packet.Packet, measuring bool) {
 	bornClock := p.Born*c + int64(sh.phase.Intn(int(c)))
 	deliveryClock := (s.cycle + 1) * c
 	injectClock := (p.Injected + 1) * c
-	res.LatencyHist.Add(float64(deliveryClock - bornClock))
+	res.LatencyHist.Observe(deliveryClock - bornClock)
 	res.LatencyFromBorn.Add(float64(deliveryClock - bornClock))
 	res.LatencyFromInjection.Add(float64(deliveryClock - injectClock))
 	if sh.m != nil {
@@ -1134,7 +1134,7 @@ func (s *Sim) NewResult() *Result {
 	cfg.Workers = 0
 	return &Result{
 		Config:         cfg,
-		LatencyHist:    stats.NewHistogram(4096, float64(s.cfg.ClocksPerCycle)),
+		LatencyHist:    stats.NewHistogram(4096, int64(s.cfg.ClocksPerCycle)),
 		StageOccupancy: make([]stats.Summary, len(s.stages)),
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"damq/internal/buffer"
+	"damq/internal/fault"
 	"damq/internal/obs"
 	"damq/internal/sw"
 )
@@ -59,7 +60,7 @@ func StageOccupancyMetric(st int) string {
 }
 
 // netMetrics bundles the instruments an observed Sim updates. All
-// instruments are registered once in SetObserver; the shards write only
+// instruments are registered once, by register; the shards write only
 // their own shardMetrics partials, and the coordinator folds those into
 // these registered instruments in the serial epilogue of every Step, so
 // the registry is exact at every Step boundary and the observed hot path
@@ -91,6 +92,11 @@ type netMetrics struct {
 	// policy or a shared pool (see MetricPoolSlotsUsed).
 	poolSlots     *obs.Histogram
 	policyRefused *obs.Counter
+
+	// linkDrops/quarantined are the fault.* counters, nil unless faults
+	// are armed.
+	linkDrops   *obs.Counter
+	quarantined *obs.Counter
 
 	// lastSample is the cycle of the last time-series record (-1 = none
 	// yet); used only when the observer's interval is enabled.
@@ -142,9 +148,6 @@ type shardCounts struct {
 func (s *Sim) SetObserver(o *obs.Observer) {
 	if o == nil {
 		s.metrics = nil
-		if s.flt != nil {
-			s.flt.m = nil
-		}
 		for _, sh := range s.shards {
 			sh.m = nil
 		}
@@ -155,41 +158,8 @@ func (s *Sim) SetObserver(o *obs.Observer) {
 		}
 		return
 	}
-	r := o.Registry()
-	m := &netMetrics{
-		observer:       o,
-		generated:      r.Counter(MetricGenerated),
-		injected:       r.Counter(MetricInjected),
-		delivered:      r.Counter(MetricDelivered),
-		discardedEntry: r.Counter(MetricDiscardedEntry),
-		discardedNet:   r.Counter(MetricDiscardedNet),
-		grants:         r.Counter(MetricGrants),
-		conflicts:      r.Counter(MetricConflicts),
-		blockedHeads:   r.Counter(MetricBlockedHeads),
-		offerRefused:   r.Counter(MetricOfferRefused),
-		inFlight:       r.Gauge(MetricInFlight),
-		backlog:        r.Gauge(MetricSourceBacklog),
-		lastSample:     -1,
-	}
-	m.stageOcc = make([]*obs.Gauge, len(s.stages))
-	for st := range s.stages {
-		m.stageOcc[st] = r.Gauge(StageOccupancyMetric(st))
-	}
-	c := int64(s.cfg.ClocksPerCycle)
-	m.queueDepth = r.Histogram(MetricQueueDepth, s.cfg.Capacity+1, 1)
-	m.latBorn = r.Histogram(MetricLatencyBorn, 4096, c)
-	m.latInjected = r.Histogram(MetricLatencyInjected, 4096, c)
-	// A queue holds at most as many packets as its storage pool has
-	// slots: one buffer's, or the whole switch's under SharedPool.
-	poolCap := s.cfg.Capacity
-	if s.cfg.SharedPool {
-		poolCap *= s.cfg.Radix
-	}
-	if buffer.KindModern(s.cfg.BufferKind) || s.cfg.SharedPool {
-		m.poolSlots = r.Histogram(MetricPoolSlotsUsed, poolCap+1, 1)
-		m.policyRefused = r.Counter(MetricPolicyRefused)
-	}
-
+	m := s.register(o)
+	poolCap := s.poolCap()
 	for _, sh := range s.shards {
 		sm := &shardMetrics{
 			depth:    make([]int64, poolCap+1),
@@ -213,11 +183,6 @@ func (s *Sim) SetObserver(o *obs.Observer) {
 		sh.m = sm
 	}
 	s.metrics = m
-	// Fault instruments ride on the same observer, but only when faults
-	// are armed: a fault-free snapshot must not grow fault.* keys.
-	if s.flt != nil {
-		s.flt.register(o)
-	}
 	// A restored Sim carries the checkpointed instrument values until the
 	// first observer attaches; applying them after registration makes the
 	// resumed run's final snapshot byte-identical to the uninterrupted
@@ -227,6 +192,64 @@ func (s *Sim) SetObserver(o *obs.Observer) {
 		s.pendingObs.apply(s)
 		s.pendingObs = nil
 	}
+}
+
+// register registers this simulation's instrument set in o's registry
+// and returns the handles: the packet, switch and level instruments, the
+// sharing-policy pair when a modern policy or a shared pool is in use,
+// and the fault counters when faults are armed (a fault-free snapshot
+// must not grow fault.* keys). SetObserver attaches what it returns;
+// restore validates a checkpoint's observer section against a scratch
+// registration, so the instrument set is written down here alone.
+func (s *Sim) register(o *obs.Observer) *netMetrics {
+	r := o.Registry()
+	c := int64(s.cfg.ClocksPerCycle)
+	m := &netMetrics{
+		observer:       o,
+		generated:      r.Counter(MetricGenerated),
+		injected:       r.Counter(MetricInjected),
+		delivered:      r.Counter(MetricDelivered),
+		discardedEntry: r.Counter(MetricDiscardedEntry),
+		discardedNet:   r.Counter(MetricDiscardedNet),
+		grants:         r.Counter(MetricGrants),
+		conflicts:      r.Counter(MetricConflicts),
+		blockedHeads:   r.Counter(MetricBlockedHeads),
+		offerRefused:   r.Counter(MetricOfferRefused),
+		inFlight:       r.Gauge(MetricInFlight),
+		backlog:        r.Gauge(MetricSourceBacklog),
+		stageOcc:       make([]*obs.Gauge, len(s.stages)),
+		queueDepth:     r.Histogram(MetricQueueDepth, s.cfg.Capacity+1, 1),
+		latBorn:        r.Histogram(MetricLatencyBorn, 4096, c),
+		latInjected:    r.Histogram(MetricLatencyInjected, 4096, c),
+		lastSample:     -1,
+	}
+	for st := range s.stages {
+		m.stageOcc[st] = r.Gauge(StageOccupancyMetric(st))
+	}
+	if buffer.KindModern(s.cfg.BufferKind) || s.cfg.SharedPool {
+		m.poolSlots = r.Histogram(MetricPoolSlotsUsed, s.poolCap()+1, 1)
+		m.policyRefused = r.Counter(MetricPolicyRefused)
+	}
+	if s.flt != nil {
+		m.registerFaults()
+	}
+	return m
+}
+
+// registerFaults registers the fault.* counters.
+func (m *netMetrics) registerFaults() {
+	r := m.observer.Registry()
+	m.linkDrops = r.Counter(fault.MetricLinkDrops)
+	m.quarantined = r.Counter(fault.MetricSlotsQuarantined)
+}
+
+// poolCap is the slot count of one storage pool: one buffer's, or the
+// whole switch's under SharedPool. No queue holds more packets.
+func (s *Sim) poolCap() int {
+	if s.cfg.SharedPool {
+		return s.cfg.Capacity * s.cfg.Radix
+	}
+	return s.cfg.Capacity
 }
 
 // sampleMetrics is the shard's measured-cycle instrument sweep, run in
@@ -306,8 +329,8 @@ func (s *Sim) foldMetrics(measuring bool, backlog int64) {
 			foldTally(m.poolSlots, sm.slots)
 		}
 	}
-	if f := s.flt; f != nil && f.m != nil {
-		f.m.linkDrops.Add(linkDrops)
+	if m.linkDrops != nil {
+		m.linkDrops.Add(linkDrops)
 	}
 	if !measuring {
 		return

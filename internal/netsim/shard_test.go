@@ -192,6 +192,12 @@ func TestShardedObservedMatchesSerial(t *testing.T) {
 			Traffic:      TrafficSpec{Kind: Uniform, Load: 0.95},
 			WarmupCycles: 200, MeasureCycles: 1200,
 		}},
+		cell{name: "discarding DT shared pool", cfg: Config{
+			BufferKind: buffer.DT, Capacity: 4, Policy: arbiter.Smart, Protocol: sw.Discarding,
+			SharedPool:   true,
+			Traffic:      TrafficSpec{Kind: Uniform, Load: 0.9},
+			WarmupCycles: 200, MeasureCycles: 1200,
+		}},
 		cell{name: "blocking DAMQ link and slot faults", cfg: Config{
 			BufferKind: buffer.DAMQ, Capacity: 4, Policy: arbiter.Smart, Protocol: sw.Blocking,
 			Traffic:      TrafficSpec{Kind: Uniform, Load: 0.6},

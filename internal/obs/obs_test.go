@@ -33,11 +33,11 @@ func TestHistogram(t *testing.T) {
 	if h.Sum() != 0+9+10+35+400+0 {
 		t.Errorf("sum = %d", h.Sum())
 	}
-	if got := h.buckets[0]; got != 3 { // 0, 9, clamped -5
+	if got := h.Buckets()[0]; got != 3 { // 0, 9, clamped -5
 		t.Errorf("bucket0 = %d, want 3", got)
 	}
-	if h.overflow != 1 {
-		t.Errorf("overflow = %d, want 1", h.overflow)
+	if h.Overflow() != 1 {
+		t.Errorf("overflow = %d, want 1", h.Overflow())
 	}
 	if h.Mean() != float64(h.Sum())/6 {
 		t.Errorf("mean = %v", h.Mean())
@@ -61,9 +61,11 @@ func TestObserveNMatchesObserve(t *testing.T) {
 	}
 }
 
-// TestCheckContents pins which captured contents Restore accepts: the
-// counts must add up, and the sum must lie within what the buckets hold
-// (bounded above only without overflow).
+// TestCheckContents pins which captured contents a registered
+// histogram's Restore accepts: the bucket count must be the registered
+// one, the counts must add up, and the sum must lie within what the
+// buckets hold (bounded above only without overflow). A rejected
+// Restore leaves the histogram as it was.
 func TestCheckContents(t *testing.T) {
 	// Width 10: 2 samples in [0,10), 1 in [20,30) → sum within [20, 47].
 	buckets := []int64{2, 0, 1}
@@ -81,15 +83,26 @@ func TestCheckContents(t *testing.T) {
 		{"overflow sum below its floor", 1, 4, 49, false},
 		{"total disagrees", 0, 4, 20, false},
 	} {
-		err := CheckContents(10, buckets, c.overflow, c.total, c.sum)
+		h := NewRegistry().Histogram("h", len(buckets), 10)
+		err := h.Restore(buckets, c.overflow, c.total, c.sum)
 		if (err == nil) != c.ok {
-			t.Errorf("%s: CheckContents = %v, want ok=%v", c.name, err, c.ok)
+			t.Errorf("%s: Restore = %v, want ok=%v", c.name, err, c.ok)
+		}
+		if c.ok && (h.Total() != c.total || h.Sum() != c.sum || !reflect.DeepEqual(h.Buckets(), buckets)) {
+			t.Errorf("%s: restored %+v", c.name, h)
+		}
+		if !c.ok && h.Total() != 0 {
+			t.Errorf("%s: rejected Restore changed the histogram: %+v", c.name, h)
 		}
 	}
-	if err := CheckContents(1, []int64{-1, 1}, 0, 0, 1); err == nil {
+	h := NewRegistry().Histogram("h", 2, 1)
+	if err := h.Restore([]int64{2, 0, 1}, 0, 3, 20); err == nil {
+		t.Error("Restore accepted 3 buckets into a 2-bucket histogram")
+	}
+	if err := h.Restore([]int64{-1, 1}, 0, 0, 1); err == nil {
 		t.Error("negative bucket accepted")
 	}
-	if err := CheckContents(1, []int64{1 << 62, 1 << 62}, 0, -1<<63, 0); err == nil {
+	if err := h.Restore([]int64{1 << 62, 1 << 62}, 0, -1<<63, 0); err == nil {
 		t.Error("bucket counts that wrap int64 accepted")
 	}
 }

@@ -106,18 +106,17 @@ func (o *Observer) Snapshot() *Snapshot {
 		s.Gauges[name] = g.v
 	}
 	for name, h := range o.reg.hists {
-		n := len(h.buckets)
-		for n > 0 && h.buckets[n-1] == 0 {
+		buckets := h.Buckets()
+		n := len(buckets)
+		for n > 0 && buckets[n-1] == 0 {
 			n--
 		}
-		buckets := make([]int64, n)
-		copy(buckets, h.buckets[:n])
 		s.Histograms[name] = HistogramSnapshot{
-			Width:    h.width,
-			Buckets:  buckets,
-			Overflow: h.overflow,
-			Total:    h.total,
-			Sum:      h.sum,
+			Width:    h.Width(),
+			Buckets:  buckets[:n:n],
+			Overflow: h.Overflow(),
+			Total:    h.Total(),
+			Sum:      h.Sum(),
 		}
 	}
 	if len(o.series) > 0 {

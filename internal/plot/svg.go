@@ -13,36 +13,15 @@ import (
 	"damq/internal/stats"
 )
 
-// Options controls figure geometry and scaling.
-type Options struct {
-	Width, Height int     // pixel dimensions (default 720x480)
-	LatencyCap    float64 // clip latencies above this (default 300)
-	Title         string
-	XLabel        string
-	YLabel        string
-}
-
-func (o Options) withDefaults() Options {
-	if o.Width <= 0 {
-		o.Width = 720
-	}
-	if o.Height <= 0 {
-		o.Height = 480
-	}
-	if o.LatencyCap <= 0 {
-		o.LatencyCap = 300
-	}
-	if o.Title == "" {
-		o.Title = "Latency vs throughput"
-	}
-	if o.XLabel == "" {
-		o.XLabel = "throughput (packets/input/cycle)"
-	}
-	if o.YLabel == "" {
-		o.YLabel = "latency (clock cycles)"
-	}
-	return o
-}
+// Figure geometry and scaling. Latencies above latencyCap clip to the
+// top of the plot area, so a saturated curve's blow-up stays on the page.
+const (
+	width, height = 720, 480
+	latencyCap    = 300.0
+	defaultTitle  = "Latency vs throughput"
+	xLabel        = "throughput (packets/input/cycle)"
+	yLabel        = "latency (clock cycles)"
+)
 
 // palette holds distinguishable stroke colors for up to eight series.
 var palette = []string{
@@ -52,10 +31,13 @@ var palette = []string{
 
 const margin = 56.0
 
-// SVG renders the series into one SVG document.
-func SVG(series []stats.Series, opts Options) string {
-	opts = opts.withDefaults()
-	w, h := float64(opts.Width), float64(opts.Height)
+// SVG renders the series into one SVG document headed by title ("Latency
+// vs throughput" when empty).
+func SVG(series []stats.Series, title string) string {
+	if title == "" {
+		title = defaultTitle
+	}
+	w, h := float64(width), float64(height)
 	plotW, plotH := w-2*margin, h-2*margin
 
 	maxThr := 0.0
@@ -76,7 +58,7 @@ func SVG(series []stats.Series, opts Options) string {
 	if math.IsInf(minLat, 1) {
 		minLat = 0
 	}
-	maxLat := opts.LatencyCap
+	maxLat := latencyCap
 
 	// Round the x-axis up to a tidy 0.1 boundary.
 	maxThr = math.Ceil(maxThr*10) / 10
@@ -94,7 +76,7 @@ func SVG(series []stats.Series, opts Options) string {
 
 	var b strings.Builder
 	fmt.Fprintf(&b, `<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" viewBox="0 0 %d %d">`,
-		opts.Width, opts.Height, opts.Width, opts.Height)
+		width, height, width, height)
 	b.WriteString(`<rect width="100%" height="100%" fill="white"/>`)
 
 	// Axes.
@@ -123,11 +105,11 @@ func SVG(series []stats.Series, opts Options) string {
 
 	// Labels and title.
 	fmt.Fprintf(&b, `<text x="%.1f" y="%.1f" font-size="13" text-anchor="middle">%s</text>`,
-		margin+plotW/2, h-10, escape(opts.XLabel))
+		margin+plotW/2, h-10, escape(xLabel))
 	fmt.Fprintf(&b, `<text x="14" y="%.1f" font-size="13" text-anchor="middle" transform="rotate(-90 14 %.1f)">%s</text>`,
-		margin+plotH/2, margin+plotH/2, escape(opts.YLabel))
+		margin+plotH/2, margin+plotH/2, escape(yLabel))
 	fmt.Fprintf(&b, `<text x="%.1f" y="24" font-size="15" text-anchor="middle" font-weight="bold">%s</text>`,
-		w/2, escape(opts.Title))
+		w/2, escape(title))
 
 	// Series: sort points by throughput for a sane polyline, draw line +
 	// markers.

@@ -2,6 +2,7 @@ package plot
 
 import (
 	"encoding/xml"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -29,7 +30,7 @@ func sample() []stats.Series {
 }
 
 func TestSVGWellFormedXML(t *testing.T) {
-	out := SVG(sample(), Options{Title: "Figure 3 <test> & co"})
+	out := SVG(sample(), "Figure 3 <test> & co")
 	dec := xml.NewDecoder(strings.NewReader(out))
 	for {
 		_, err := dec.Token()
@@ -43,7 +44,7 @@ func TestSVGWellFormedXML(t *testing.T) {
 }
 
 func TestSVGContainsSeries(t *testing.T) {
-	out := SVG(sample(), Options{})
+	out := SVG(sample(), "")
 	for _, want := range []string{"FIFO/4", "DAMQ/4", "<polyline", "<circle"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("SVG missing %q", want)
@@ -56,7 +57,7 @@ func TestSVGContainsSeries(t *testing.T) {
 }
 
 func TestSVGDefaults(t *testing.T) {
-	out := SVG(nil, Options{})
+	out := SVG(nil, "")
 	if !strings.Contains(out, `width="720"`) || !strings.Contains(out, `height="480"`) {
 		t.Fatal("default dimensions not applied")
 	}
@@ -68,9 +69,12 @@ func TestSVGDefaults(t *testing.T) {
 func TestSVGLatencyClipped(t *testing.T) {
 	// The 5000-latency point must be clipped to the cap, i.e. plotted at
 	// the top of the plot area (y == margin), not off-canvas.
-	out := SVG(sample(), Options{LatencyCap: 300})
+	out := SVG(sample(), "")
 	if strings.Contains(out, "cy=\"-") {
 		t.Fatal("point drawn above the canvas")
+	}
+	if !strings.Contains(out, fmt.Sprintf(`cy="%.1f"`, margin)) {
+		t.Fatal("clipped point not drawn at the top of the plot area")
 	}
 }
 

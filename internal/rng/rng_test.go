@@ -188,51 +188,6 @@ func TestBoolProbabilities(t *testing.T) {
 	}
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	s := New(23)
-	for n := 0; n <= 20; n++ {
-		p := s.Perm(n)
-		if len(p) != n {
-			t.Fatalf("Perm(%d) has length %d", n, len(p))
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				t.Fatalf("Perm(%d) = %v is not a permutation", n, p)
-			}
-			seen[v] = true
-		}
-	}
-}
-
-func TestPermUniformFirstElement(t *testing.T) {
-	s := New(29)
-	const n, draws = 5, 50000
-	counts := make([]int, n)
-	for i := 0; i < draws; i++ {
-		counts[s.Perm(n)[0]]++
-	}
-	want := float64(draws) / n
-	for v, c := range counts {
-		if math.Abs(float64(c)-want) > 5*math.Sqrt(want) {
-			t.Fatalf("Perm first element %d appeared %d times, want ~%.0f", v, c, want)
-		}
-	}
-}
-
-func TestShuffle(t *testing.T) {
-	s := New(31)
-	xs := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	s.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	seen := make(map[int]bool)
-	for _, v := range xs {
-		seen[v] = true
-	}
-	if len(seen) != 8 {
-		t.Fatalf("Shuffle lost elements: %v", xs)
-	}
-}
-
 func TestGeometricMean(t *testing.T) {
 	s := New(37)
 	const p, n = 0.25, 100000

@@ -28,50 +28,3 @@ func (s *Summary) Load(st SummaryState) error {
 	s.n, s.mean, s.m2, s.min, s.max = st.N, st.Mean, st.M2, st.Min, st.Max
 	return nil
 }
-
-// HistogramState is the serializable state of a Histogram. The bucket
-// layout (count and width) is carried so Load can verify it matches the
-// histogram it restores into: shapes are derived from the simulation
-// config, and a checkpointed histogram from a different shape is corrupt.
-type HistogramState struct {
-	Width    float64
-	Counts   []int64
-	Overflow int64
-	Total    int64
-	Sum      float64
-}
-
-// Save captures the histogram state; Counts is a copy.
-func (h *Histogram) Save() HistogramState {
-	return HistogramState{
-		Width:    h.width,
-		Counts:   h.Buckets(),
-		Overflow: h.overflow,
-		Total:    h.total,
-		Sum:      h.sum,
-	}
-}
-
-// Load overwrites the histogram with a previously saved state. The
-// stored shape must match the receiver's, and the counts must be
-// non-negative and consistent with the stored total.
-func (h *Histogram) Load(st HistogramState) error {
-	if len(st.Counts) != len(h.counts) || st.Width != h.width {
-		return fmt.Errorf("stats: histogram shape mismatch: stored %d×%g, have %d×%g",
-			len(st.Counts), st.Width, len(h.counts), h.width)
-	}
-	var total int64
-	for _, c := range st.Counts {
-		if c < 0 {
-			return fmt.Errorf("stats: histogram with negative bucket count %d", c)
-		}
-		total += c
-	}
-	if st.Overflow < 0 || total+st.Overflow != st.Total {
-		return fmt.Errorf("stats: histogram total %d does not match bucket sum %d",
-			st.Total, total+st.Overflow)
-	}
-	copy(h.counts, st.Counts)
-	h.overflow, h.total, h.sum = st.Overflow, st.Total, st.Sum
-	return nil
-}

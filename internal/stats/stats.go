@@ -1,7 +1,9 @@
 // Package stats provides the statistical machinery used by the simulators:
-// streaming summaries (Welford), histograms, batch-means confidence
-// intervals, latency-vs-throughput series, and saturation detection for
-// reproducing the paper's "saturation throughput" columns.
+// streaming summaries (Welford) with normal-approximation confidence
+// intervals, latency-vs-throughput series, saturation detection for
+// reproducing the paper's "saturation throughput" columns, and Histogram,
+// the fixed-width integer histogram behind both netsim's latency
+// quantiles and every obs instrument histogram.
 package stats
 
 import (
@@ -110,76 +112,114 @@ func (s *Summary) String() string {
 		s.n, s.mean, s.CI95(), s.StdDev(), s.min, s.max)
 }
 
-// Histogram is a fixed-width bucket histogram over [0, width*buckets), with
-// an overflow bucket for larger values.
+// Histogram is a fixed-width integer bucket histogram: bucket b counts
+// samples in [b*width, (b+1)*width), and samples past the last bucket are
+// counted in Overflow, so Total always equals the number of samples
+// observed. It is the simulators' one histogram: netsim's
+// Result.LatencyHist is one, and so is every obs registry histogram.
+// Buckets are allocated once by NewHistogram; Observe and ObserveN never
+// allocate.
 type Histogram struct {
-	width    float64
-	counts   []int64
+	width    int64
+	buckets  []int64
 	overflow int64
 	total    int64
-	sum      float64
+	sum      int64
 }
 
 // NewHistogram returns a histogram with the given number of buckets each
 // covering width units.
-func NewHistogram(buckets int, width float64) *Histogram {
+func NewHistogram(buckets int, width int64) *Histogram {
 	if buckets <= 0 || width <= 0 {
-		panic("stats: NewHistogram needs positive buckets and width")
+		panic(fmt.Sprintf("stats: histogram needs positive buckets and width (got %d, %d)", buckets, width))
 	}
-	return &Histogram{width: width, counts: make([]int64, buckets)}
+	return &Histogram{width: width, buckets: make([]int64, buckets)}
 }
 
-// Add records one observation. Negative values clamp into bucket 0.
-func (h *Histogram) Add(x float64) {
-	h.total++
-	h.sum += x
-	if x < 0 {
-		h.counts[0]++
-		return
+// Observe records one sample. Negative samples clamp to zero (they
+// indicate a caller bug but must not corrupt bucket indexing).
+//
+// damqvet:hotpath
+func (h *Histogram) Observe(v int64) {
+	if v < 0 {
+		v = 0
 	}
-	i := int(x / h.width)
-	if i >= len(h.counts) {
+	h.total++
+	h.sum += v
+	b := v / h.width
+	if b >= int64(len(h.buckets)) {
 		h.overflow++
 		return
 	}
-	h.counts[i]++
+	h.buckets[b]++
+}
+
+// ObserveN records n samples of value v: exactly what n Observe(v) calls
+// would record, in one step. Shard-local tallies (value → count) fold
+// into a histogram with it.
+//
+// damqvet:hotpath
+func (h *Histogram) ObserveN(v, n int64) {
+	if v < 0 {
+		v = 0
+	}
+	h.total += n
+	h.sum += v * n
+	b := v / h.width
+	if b >= int64(len(h.buckets)) {
+		h.overflow += n
+		return
+	}
+	h.buckets[b] += n
 }
 
 // Merge folds other into h bucket by bucket, as if all of other's
-// observations had been added to h directly. The combination is exact
-// (integer counts, one float sum), so merging per-shard histograms in any
-// fixed order reproduces the serial histogram byte for byte. Both
-// histograms must share the same bucket count and width.
+// samples had been observed by h directly. The combination is exact
+// integer addition, so merging per-shard histograms in any fixed order
+// reproduces the serial histogram. Both histograms must share the same
+// bucket count and width.
 func (h *Histogram) Merge(other *Histogram) {
 	if other == nil || other.total == 0 {
 		return
 	}
-	if len(h.counts) != len(other.counts) || h.width != other.width {
-		panic(fmt.Sprintf("stats: merging histogram %dx%v into %dx%v",
-			len(other.counts), other.width, len(h.counts), h.width))
+	if len(h.buckets) != len(other.buckets) || h.width != other.width {
+		panic(fmt.Sprintf("stats: merging histogram %dx%d into %dx%d",
+			len(other.buckets), other.width, len(h.buckets), h.width))
 	}
-	for i, c := range other.counts {
-		h.counts[i] += c
+	for i, c := range other.buckets {
+		h.buckets[i] += c
 	}
 	h.overflow += other.overflow
 	h.total += other.total
 	h.sum += other.sum
 }
 
-// Total returns the number of observations.
+// Total returns the number of samples observed.
 func (h *Histogram) Total() int64 { return h.total }
 
-// Mean returns the exact mean of all added observations.
+// Sum returns the sum of all observed samples.
+func (h *Histogram) Sum() int64 { return h.sum }
+
+// Mean returns the exact sample mean, or 0 with no samples.
 func (h *Histogram) Mean() float64 {
 	if h.total == 0 {
 		return 0
 	}
-	return h.sum / float64(h.total)
+	return float64(h.sum) / float64(h.total)
 }
 
+// Width returns the bucket width.
+func (h *Histogram) Width() int64 { return h.width }
+
+// Buckets returns a copy of the bucket counts (excluding overflow).
+func (h *Histogram) Buckets() []int64 { return append([]int64(nil), h.buckets...) }
+
+// Overflow returns the overflow bucket count.
+func (h *Histogram) Overflow() int64 { return h.overflow }
+
 // Quantile returns an approximation of the q-quantile (0<=q<=1) assuming
-// observations sit at their bucket midpoints. Overflow observations are
-// treated as lying at the overflow boundary.
+// samples sit at their bucket midpoints. Overflow samples are treated as
+// lying at the overflow boundary.
 func (h *Histogram) Quantile(q float64) float64 {
 	if h.total == 0 {
 		return 0
@@ -195,24 +235,67 @@ func (h *Histogram) Quantile(q float64) float64 {
 		target = h.total - 1
 	}
 	var cum int64
-	for i, c := range h.counts {
+	for i, c := range h.buckets {
 		cum += c
 		if cum > target {
-			return (float64(i) + 0.5) * h.width
+			return (float64(i) + 0.5) * float64(h.width)
 		}
 	}
-	return float64(len(h.counts)) * h.width
+	return float64(len(h.buckets)) * float64(h.width)
 }
 
-// Buckets returns a copy of the bucket counts (excluding overflow).
-func (h *Histogram) Buckets() []int64 {
-	out := make([]int64, len(h.counts))
-	copy(out, h.counts)
-	return out
+// Restore overwrites the histogram's contents with previously captured
+// values, for checkpoint restore. The bucket count must match the
+// histogram's, and the contents must pass CheckContents — a stream that
+// disagrees is corrupt.
+func (h *Histogram) Restore(buckets []int64, overflow, total, sum int64) error {
+	if len(buckets) != len(h.buckets) {
+		return fmt.Errorf("stats: %d restored buckets for a %d-bucket histogram", len(buckets), len(h.buckets))
+	}
+	if err := CheckContents(h.width, buckets, overflow, total, sum); err != nil {
+		return err
+	}
+	copy(h.buckets, buckets)
+	h.overflow, h.total, h.sum = overflow, total, sum
+	return nil
 }
 
-// Overflow returns the overflow bucket count.
-func (h *Histogram) Overflow() int64 { return h.overflow }
+// CheckContents reports whether Observe calls on a histogram of the
+// given bucket width could have produced these contents: non-negative
+// counts that add up (with overflow) to total, and a sum each sample's
+// bucket can account for. Bucket b holds samples in [b*width,
+// (b+1)*width), and overflow samples are at least len(buckets)*width,
+// so the sum is bounded below always and above when overflow is 0.
+func CheckContents(width int64, buckets []int64, overflow, total, sum int64) error {
+	var n int64
+	for _, c := range buckets {
+		if c < 0 {
+			return fmt.Errorf("stats: negative bucket count %d", c)
+		}
+		if n += c; n < 0 {
+			return fmt.Errorf("stats: bucket counts overflow")
+		}
+	}
+	if overflow < 0 || n+overflow != total {
+		return fmt.Errorf("stats: histogram total %d does not match bucket sum %d", total, n+overflow)
+	}
+	// The bounds are summed in float64: exact for every reachable sum
+	// (counts and values far below 2^53) and immune to int64 wrap on
+	// hostile counts.
+	var lo, hi float64
+	for b, c := range buckets {
+		lo += float64(c) * float64(int64(b)*width)
+		hi += float64(c) * float64(int64(b+1)*width-1)
+	}
+	lo += float64(overflow) * float64(int64(len(buckets))*width)
+	if float64(sum) < lo {
+		return fmt.Errorf("stats: histogram sum %d below the %.0f its buckets hold", sum, lo)
+	}
+	if overflow == 0 && float64(sum) > hi {
+		return fmt.Errorf("stats: histogram sum %d above the %.0f its buckets can hold", sum, hi)
+	}
+	return nil
+}
 
 // Point is one (throughput, latency) measurement on a load sweep.
 type Point struct {
@@ -272,15 +355,4 @@ func (s *Series) LatencyAt(throughput float64) (latency float64, ok bool) {
 		}
 	}
 	return pts[len(pts)-1].Latency, true
-}
-
-// RelErr returns |a-b| / max(|a|,|b|, eps): a symmetric relative error used
-// by cross-validation tests (Markov vs Monte-Carlo).
-func RelErr(a, b float64) float64 {
-	d := math.Abs(a - b)
-	m := math.Max(math.Abs(a), math.Abs(b))
-	if m < 1e-12 {
-		return d
-	}
-	return d / m
 }

@@ -1,7 +1,9 @@
 package stats
 
 import (
+	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -121,8 +123,8 @@ func TestHistogramMeanEmpty(t *testing.T) {
 
 func TestHistogramQuantileClamps(t *testing.T) {
 	h := NewHistogram(4, 1)
-	h.Add(0.5)
-	h.Add(1.5)
+	h.Observe(0)
+	h.Observe(1)
 	if q := h.Quantile(-1); q != h.Quantile(0) {
 		t.Fatalf("negative q not clamped: %v", q)
 	}
@@ -133,7 +135,7 @@ func TestHistogramQuantileClamps(t *testing.T) {
 
 func TestHistogramQuantileAllOverflow(t *testing.T) {
 	h := NewHistogram(2, 1)
-	h.Add(100)
+	h.Observe(100)
 	// All mass in overflow: quantile reports the overflow boundary.
 	if q := h.Quantile(0.5); q != 2 {
 		t.Fatalf("overflow quantile = %v, want 2", q)
@@ -169,9 +171,9 @@ func TestCI95ShrinksWithN(t *testing.T) {
 }
 
 func TestHistogram(t *testing.T) {
-	h := NewHistogram(10, 1.0)
-	for _, x := range []float64{0.5, 1.5, 1.7, 9.9, 100} {
-		h.Add(x)
+	h := NewHistogram(10, 10)
+	for _, x := range []int64{5, 15, 17, 99, 1000} {
+		h.Observe(x)
 	}
 	if h.Total() != 5 {
 		t.Fatalf("total = %d", h.Total())
@@ -183,23 +185,23 @@ func TestHistogram(t *testing.T) {
 	if h.Overflow() != 1 {
 		t.Fatalf("overflow = %d", h.Overflow())
 	}
-	if !almostEq(h.Mean(), (0.5+1.5+1.7+9.9+100)/5, 1e-12) {
-		t.Fatalf("mean = %v", h.Mean())
+	if h.Sum() != 5+15+17+99+1000 || h.Mean() != float64(5+15+17+99+1000)/5 {
+		t.Fatalf("sum = %d, mean = %v", h.Sum(), h.Mean())
 	}
 }
 
 func TestHistogramNegativeClamps(t *testing.T) {
 	h := NewHistogram(4, 1)
-	h.Add(-3)
-	if h.Buckets()[0] != 1 {
-		t.Fatal("negative value did not clamp to bucket 0")
+	h.Observe(-3)
+	if h.Buckets()[0] != 1 || h.Sum() != 0 {
+		t.Fatalf("negative value did not clamp to 0: buckets %v, sum %d", h.Buckets(), h.Sum())
 	}
 }
 
 func TestHistogramQuantile(t *testing.T) {
-	h := NewHistogram(100, 1.0)
-	for i := 0; i < 100; i++ {
-		h.Add(float64(i))
+	h := NewHistogram(100, 1)
+	for i := int64(0); i < 100; i++ {
+		h.Observe(i)
 	}
 	med := h.Quantile(0.5)
 	if med < 45 || med > 55 {
@@ -221,12 +223,49 @@ func TestHistogramQuantileEmpty(t *testing.T) {
 }
 
 func TestNewHistogramPanics(t *testing.T) {
+	for _, shape := range []struct {
+		buckets int
+		width   int64
+	}{{0, 1}, {4, 0}, {-1, 1}, {4, -2}} {
+		mustPanic(t, fmt.Sprintf("NewHistogram(%d, %d)", shape.buckets, shape.width), func() {
+			NewHistogram(shape.buckets, shape.width)
+		})
+	}
+}
+
+// TestHistogramMerge: merging per-part histograms equals observing every
+// sample in one, and histograms of different shapes refuse to merge.
+func TestHistogramMerge(t *testing.T) {
+	whole, a, b := NewHistogram(4, 10), NewHistogram(4, 10), NewHistogram(4, 10)
+	for i, v := range []int64{0, 7, 13, 39, 40, 500, -2} {
+		whole.Observe(v)
+		if i%2 == 0 {
+			a.Observe(v)
+		} else {
+			b.Observe(v)
+		}
+	}
+	a.Merge(b)
+	a.Merge(NewHistogram(4, 10)) // empty: no-op
+	a.Merge(nil)
+	if !reflect.DeepEqual(a, whole) {
+		t.Errorf("merged %+v, observed together %+v", a, whole)
+	}
+	for _, other := range []*Histogram{NewHistogram(5, 10), NewHistogram(4, 12)} {
+		other.Observe(1)
+		mustPanic(t, fmt.Sprintf("merging %dx%d into 4x10", len(other.Buckets()), other.Width()),
+			func() { a.Merge(other) })
+	}
+}
+
+func mustPanic(t *testing.T, name string, f func()) {
+	t.Helper()
 	defer func() {
 		if recover() == nil {
-			t.Fatal("expected panic")
+			t.Errorf("%s: expected panic", name)
 		}
 	}()
-	NewHistogram(0, 1)
+	f()
 }
 
 func TestSeriesSorted(t *testing.T) {
@@ -277,17 +316,5 @@ func TestLatencyAtEmpty(t *testing.T) {
 	var s Series
 	if _, ok := s.LatencyAt(0.5); ok {
 		t.Fatal("empty series should report !ok")
-	}
-}
-
-func TestRelErr(t *testing.T) {
-	if RelErr(0, 0) != 0 {
-		t.Fatal("RelErr(0,0) != 0")
-	}
-	if !almostEq(RelErr(1.0, 1.1), 0.1/1.1, 1e-12) {
-		t.Fatalf("RelErr(1,1.1) = %v", RelErr(1.0, 1.1))
-	}
-	if RelErr(1, 1) != 0 {
-		t.Fatal("RelErr(1,1) != 0")
 	}
 }

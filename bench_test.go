@@ -11,6 +11,12 @@ import (
 	"damq"
 )
 
+// freshSeed gives iteration i of a network benchmark its own seed. The
+// experiments keep every completed network run for the life of the
+// process, so repeating one seed would time memo lookups after the first
+// iteration instead of simulations.
+func freshSeed(i int) damq.Option { return damq.WithSeed(damq.QuickScale.Seed + uint64(i)) }
+
 // BenchmarkTable1CutThrough regenerates Table 1: chip-level virtual
 // cut-through turn-around measurement across packet lengths.
 func BenchmarkTable1CutThrough(b *testing.B) {
@@ -41,7 +47,7 @@ func BenchmarkTable2Markov(b *testing.B) {
 // network, uniform traffic, smart vs dumb arbitration.
 func BenchmarkTable3Discarding(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := damq.ReproduceTable3(damq.QuickScale); err != nil {
+		if _, err := damq.ReproduceTable3(damq.QuickScale, freshSeed(i)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -51,7 +57,7 @@ func BenchmarkTable3Discarding(b *testing.B) {
 // and saturation throughput for all four buffer kinds at 4 slots.
 func BenchmarkTable4Latency(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := damq.ReproduceTable4(damq.QuickScale); err != nil {
+		if _, err := damq.ReproduceTable4(damq.QuickScale, freshSeed(i)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -61,7 +67,7 @@ func BenchmarkTable4Latency(b *testing.B) {
 // slots per buffer.
 func BenchmarkTable5Slots(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := damq.ReproduceTable5(damq.QuickScale); err != nil {
+		if _, err := damq.ReproduceTable5(damq.QuickScale, freshSeed(i)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -71,7 +77,7 @@ func BenchmarkTable5Slots(b *testing.B) {
 // tree-saturating every buffer kind at the same throughput.
 func BenchmarkTable6HotSpot(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := damq.ReproduceTable6(damq.QuickScale); err != nil {
+		if _, err := damq.ReproduceTable6(damq.QuickScale, freshSeed(i)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -81,7 +87,7 @@ func BenchmarkTable6HotSpot(b *testing.B) {
 // sweep for FIFO and DAMQ.
 func BenchmarkFigure3Curve(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		_, err := damq.ReproduceFigure3([]damq.BufferKind{damq.FIFO, damq.DAMQ}, 4, damq.QuickScale)
+		_, err := damq.ReproduceFigure3([]damq.BufferKind{damq.FIFO, damq.DAMQ}, 4, damq.QuickScale, freshSeed(i))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -92,7 +98,7 @@ func BenchmarkFigure3Curve(b *testing.B) {
 // paper's conclusion motivates.
 func BenchmarkVarLenExtension(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := damq.ReproduceVarLen(damq.QuickScale); err != nil {
+		if _, err := damq.ReproduceVarLen(damq.QuickScale, freshSeed(i)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -102,7 +108,7 @@ func BenchmarkVarLenExtension(b *testing.B) {
 // ablation (A1).
 func BenchmarkAblationConnectivity(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := damq.AblateConnectivity(damq.QuickScale); err != nil {
+		if _, err := damq.AblateConnectivity(damq.QuickScale, freshSeed(i)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -112,7 +118,7 @@ func BenchmarkAblationConnectivity(b *testing.B) {
 // ablation (A2).
 func BenchmarkAblationArbitration(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := damq.AblateArbitration(damq.QuickScale); err != nil {
+		if _, err := damq.AblateArbitration(damq.QuickScale, freshSeed(i)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -122,7 +128,7 @@ func BenchmarkAblationArbitration(b *testing.B) {
 // (A3).
 func BenchmarkAblationBurstiness(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := damq.AblateBurstiness(damq.QuickScale); err != nil {
+		if _, err := damq.AblateBurstiness(damq.QuickScale, freshSeed(i)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -195,9 +195,29 @@ func (t *Table2Result) Render() string {
 // ---------------------------------------------------------------------------
 // Network experiment plumbing shared by Tables 3-6 and Figure 3.
 
-// netRun executes one network simulation.
+// netRun returns the Result of one network simulation, from the run memo
+// when the same call completed before in this process (see memo.go).
 func netRun(kind buffer.Kind, proto sw.Protocol, policy arbiter.Policy,
 	capacity int, spec netsim.TrafficSpec, sc Scale) (*netsim.Result, error) {
+	runs.calls.Add(1)
+	run := func() (*netsim.Result, error) { return simulate(kind, proto, policy, capacity, spec, sc) }
+	if spec.Perm != nil {
+		return run()
+	}
+	return runs.do(sc.ctx(), runKey{
+		kind: kind, proto: proto, policy: policy, capacity: capacity,
+		traffic: trafficKey{
+			kind: spec.Kind, load: spec.Load, hotFraction: spec.HotFraction, hotDest: spec.HotDest,
+			meanBurst: spec.MeanBurst, minSlots: spec.MinSlots, maxSlots: spec.MaxSlots,
+		},
+		warmup: sc.Warmup, measure: sc.Measure, seed: sc.Seed, workers: sc.Workers, hasCtx: sc.Ctx != nil,
+	}, run)
+}
+
+// simulate executes one network simulation.
+func simulate(kind buffer.Kind, proto sw.Protocol, policy arbiter.Policy,
+	capacity int, spec netsim.TrafficSpec, sc Scale) (*netsim.Result, error) {
+	runs.sims.Add(1)
 	sim, err := netsim.New(netsim.Config{
 		BufferKind:    kind,
 		Capacity:      capacity,
@@ -228,7 +248,8 @@ type runSpec struct {
 
 // runAll fans the given simulation points out over sc.Workers goroutines
 // and returns their results in spec order. Every point builds its own
-// simulator from its own seed, so points share no mutable state; ordered
+// simulator from its own seed, or reads the run memo's read-only Result
+// of an earlier identical call, so points share no mutable state; ordered
 // results keep every table byte-identical to the serial rendering.
 func runAll(specs []runSpec, sc Scale) ([]*netsim.Result, error) {
 	results, _, err := runAllPartial(specs, sc)

@@ -19,8 +19,8 @@ import (
 // Seeds run concurrently on up to workers goroutines (<=0 means
 // GOMAXPROCS); measure must therefore be safe to call from multiple
 // goroutines, which every netRun-style measurement is because each run
-// builds its own simulator. Values enter the summary in seed order, so
-// the result is identical at any worker count.
+// builds its own simulator and the run memo is locked. Values enter the
+// summary in seed order, so the result is identical at any worker count.
 func Replicate(seeds []uint64, workers int, measure func(seed uint64) (float64, error)) (stats.Summary, error) {
 	vals, err := parallel.Map(len(seeds), workers, func(i int) (float64, error) {
 		return measure(seeds[i])

@@ -53,6 +53,9 @@ func (s *Sim) armFaults(fc fault.Config) error {
 		return err
 	}
 	if !fc.Enabled() {
+		if s.flt != nil && s.metrics != nil {
+			s.metrics.unregisterFaults()
+		}
 		s.flt = nil
 		return nil
 	}

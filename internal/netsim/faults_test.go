@@ -194,6 +194,59 @@ func TestFaultsOffDoesNotChangeResults(t *testing.T) {
 	}
 }
 
+// TestDisarmedFaultsCheckpointRestores: faults armed and then disarmed
+// at cycle 0 leave no fault.* counter in the observer, whichever of
+// SetFaults and SetObserver came first, so the Sim's checkpoint restores
+// and the restored snapshot equals the original's.
+func TestDisarmedFaultsCheckpointRestores(t *testing.T) {
+	for _, observeFirst := range []bool{true, false} {
+		s, err := New(chaosConfig(buffer.DAMQ, sw.Blocking, 7))
+		if err != nil {
+			t.Fatal(err)
+		}
+		o := obs.NewObserver()
+		if observeFirst {
+			s.SetObserver(o)
+		}
+		if err := s.SetFaults(chaosFaults); err != nil {
+			t.Fatal(err)
+		}
+		if !observeFirst {
+			s.SetObserver(o)
+		}
+		if err := s.SetFaults(fault.Config{}); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 100; i++ {
+			s.Step(true)
+		}
+		var ckpt bytes.Buffer
+		if err := s.Checkpoint(&ckpt); err != nil {
+			t.Fatal(err)
+		}
+		r, err := RestoreSim(&ckpt)
+		if err != nil {
+			t.Fatalf("observeFirst=%v: restore of a disarmed Sim's checkpoint: %v", observeFirst, err)
+		}
+		ro := obs.NewObserver()
+		r.SetObserver(ro)
+		want, err := o.Snapshot().Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := ro.Snapshot().Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("observeFirst=%v: restored snapshot differs:\n%s\nvs\n%s", observeFirst, got, want)
+		}
+		if bytes.Contains(want, []byte("fault.")) {
+			t.Fatalf("observeFirst=%v: disarmed snapshot lists fault.* metrics", observeFirst)
+		}
+	}
+}
+
 // TestFaultedSnapshotDeterministicAcrossWorkers pins the acceptance
 // criterion "same fault seed ⇒ byte-identical metrics snapshot at any
 // -workers count": a batch of faulted, observed simulations produces the

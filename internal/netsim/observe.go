@@ -243,6 +243,16 @@ func (m *netMetrics) registerFaults() {
 	m.quarantined = r.Counter(fault.MetricSlotsQuarantined)
 }
 
+// unregisterFaults drops the fault.* counters when faults are disarmed,
+// so the registry, and any checkpoint of it, lists only what a
+// fault-free Sim registers.
+func (m *netMetrics) unregisterFaults() {
+	r := m.observer.Registry()
+	r.RemoveCounter(fault.MetricLinkDrops)
+	r.RemoveCounter(fault.MetricSlotsQuarantined)
+	m.linkDrops, m.quarantined = nil, nil
+}
+
 // poolCap is the slot count of one storage pool: one buffer's, or the
 // whole switch's under SharedPool. No queue holds more packets.
 func (s *Sim) poolCap() int {

@@ -128,6 +128,10 @@ func (r *Registry) Histogram(name string, buckets int, width int64) *Histogram {
 	return h
 }
 
+// RemoveCounter unregisters the counter named name, for an instrument
+// whose source has gone away; a later Counter(name) starts a new one.
+func (r *Registry) RemoveCounter(name string) { delete(r.counters, name) }
+
 // Set overwrites the count, for checkpoint restore.
 func (c *Counter) Set(v int64) { c.v = v }
 

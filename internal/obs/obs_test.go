@@ -112,6 +112,15 @@ func TestRegistryIdentityAndShapeChecks(t *testing.T) {
 	if r.Counter("a") != r.Counter("a") {
 		t.Error("same name must return the same counter")
 	}
+	old := r.Counter("a")
+	old.Inc()
+	r.RemoveCounter("a")
+	if names := r.CounterNames(); len(names) != 0 {
+		t.Errorf("removed counter still registered: %v", names)
+	}
+	if c := r.Counter("a"); c == old || c.Value() != 0 {
+		t.Error("a counter registered after removal must start afresh")
+	}
 	if r.Gauge("g") != r.Gauge("g") {
 		t.Error("same name must return the same gauge")
 	}

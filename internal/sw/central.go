@@ -45,15 +45,6 @@ func NewCentral(ports, capacity int) (*CentralSwitch, error) {
 // Free reports unused shared slots.
 func (c *CentralSwitch) Free() int { return c.capacity - c.used }
 
-// Len reports buffered packets.
-func (c *CentralSwitch) Len() int {
-	n := 0
-	for _, q := range c.queues {
-		n += len(q)
-	}
-	return n
-}
-
 // Offer stores p (routed: OutPort set) if the shared pool has room.
 func (c *CentralSwitch) Offer(p *packet.Packet) bool {
 	if p.OutPort < 0 || p.OutPort >= c.ports {

@@ -29,8 +29,12 @@ func TestCentralOfferDepart(t *testing.T) {
 			t.Fatalf("offer %d rejected with %d free", i, cs.Free())
 		}
 	}
-	if cs.Free() != 0 || cs.Len() != 4 {
-		t.Fatalf("free=%d len=%d", cs.Free(), cs.Len())
+	held := 0
+	for _, q := range cs.queues {
+		held += len(q)
+	}
+	if cs.Free() != 0 || held != 4 {
+		t.Fatalf("free=%d held=%d", cs.Free(), held)
 	}
 	if cs.Offer(&packet.Packet{OutPort: 3, Slots: 1}) {
 		t.Fatal("offer into full pool accepted")

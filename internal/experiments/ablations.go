@@ -36,11 +36,11 @@ type ConnectivityRow struct {
 // single read port is not the bottleneck once allocation is dynamic.
 func AblationConnectivity(sc Scale) ([]ConnectivityRow, error) {
 	kinds := []buffer.Kind{buffer.SAMQ, buffer.SAFC, buffer.DAMQ, buffer.DAFC}
-	var specs []runSpec
+	var specs []point
 	for _, kind := range kinds {
 		specs = append(specs,
-			runSpec{kind, sw.Blocking, arbiter.Smart, 4, uniform(1.0)},
-			runSpec{kind, sw.Blocking, arbiter.Smart, 4, uniform(0.5)},
+			spec(kind, sw.Blocking, arbiter.Smart, 4, uniform(1.0)),
+			spec(kind, sw.Blocking, arbiter.Smart, 4, uniform(0.5)),
 		)
 	}
 	results, err := runAll(specs, sc)
@@ -94,13 +94,13 @@ type ArbitrationRow struct {
 // AblationArbitration quantifies Table 3's "smart ≈ dumb" observation on
 // the blocking network across all four paper designs.
 func AblationArbitration(sc Scale) ([]ArbitrationRow, error) {
-	var specs []runSpec
+	var specs []point
 	for _, kind := range KindOrder {
 		specs = append(specs,
-			runSpec{kind, sw.Blocking, arbiter.Smart, 4, uniform(1.0)},
-			runSpec{kind, sw.Blocking, arbiter.Dumb, 4, uniform(1.0)},
-			runSpec{kind, sw.Blocking, arbiter.Smart, 4, uniform(0.4)},
-			runSpec{kind, sw.Blocking, arbiter.Dumb, 4, uniform(0.4)},
+			spec(kind, sw.Blocking, arbiter.Smart, 4, uniform(1.0)),
+			spec(kind, sw.Blocking, arbiter.Dumb, 4, uniform(1.0)),
+			spec(kind, sw.Blocking, arbiter.Smart, 4, uniform(0.4)),
+			spec(kind, sw.Blocking, arbiter.Dumb, 4, uniform(0.4)),
 		)
 	}
 	results, err := runAll(specs, sc)
@@ -157,13 +157,13 @@ func AblationBurstiness(sc Scale) ([]BurstRow, error) {
 	burst := func(load float64) netsim.TrafficSpec {
 		return netsim.TrafficSpec{Kind: netsim.Bursty, Load: load, MeanBurst: meanBurst}
 	}
-	var specs []runSpec
+	var specs []point
 	for _, kind := range KindOrder {
 		specs = append(specs,
-			runSpec{kind, sw.Blocking, arbiter.Smart, 4, uniform(0.4)},
-			runSpec{kind, sw.Blocking, arbiter.Smart, 4, burst(0.4)},
-			runSpec{kind, sw.Blocking, arbiter.Smart, 4, uniform(1.0)},
-			runSpec{kind, sw.Blocking, arbiter.Smart, 4, burst(1.0)},
+			spec(kind, sw.Blocking, arbiter.Smart, 4, uniform(0.4)),
+			spec(kind, sw.Blocking, arbiter.Smart, 4, burst(0.4)),
+			spec(kind, sw.Blocking, arbiter.Smart, 4, uniform(1.0)),
+			spec(kind, sw.Blocking, arbiter.Smart, 4, burst(1.0)),
 		)
 	}
 	results, err := runAll(specs, sc)

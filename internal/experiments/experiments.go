@@ -18,6 +18,7 @@ import (
 
 	"damq/internal/arbiter"
 	"damq/internal/buffer"
+	"damq/internal/cfgerr"
 	"damq/internal/comcobb"
 	"damq/internal/fault"
 	"damq/internal/markov2x2"
@@ -193,66 +194,58 @@ func (t *Table2Result) Render() string {
 }
 
 // ---------------------------------------------------------------------------
-// Network experiment plumbing shared by Tables 3-6 and Figure 3.
+// Network experiment plumbing shared by every Omega-network experiment.
 
-// netRun returns the Result of one network simulation, from the run memo
-// when the same call completed before in this process (see memo.go).
-func netRun(kind buffer.Kind, proto sw.Protocol, policy arbiter.Policy,
-	capacity int, spec netsim.TrafficSpec, sc Scale) (*netsim.Result, error) {
+// point is one network simulation of a sweep: the simulator's Config
+// and the faults armed on it. netRun sets the Config's run length from
+// the Scale and adds the Scale's seed to its Seed, which is 0 in every
+// sweep but the seed replicas of SaturationCI. No field of a point is a
+// pointer, so its %#v text names it completely.
+type point struct {
+	cfg    netsim.Config
+	faults fault.Config
+}
+
+// spec builds a fault-free point of the paper's network: a 64-input
+// Omega network of 4x4 switches.
+func spec(kind buffer.Kind, proto sw.Protocol, policy arbiter.Policy, capacity int, traffic netsim.TrafficSpec) point {
+	return point{cfg: netsim.Config{
+		Radix: 4, Inputs: 64, BufferKind: kind, Capacity: capacity,
+		Policy: policy, Protocol: proto, Traffic: traffic,
+	}}
+}
+
+// netRun runs point p at scale sc, or returns its Result from the run
+// memo when the same point at the same scale completed before in this
+// process (see memo.go).
+func netRun(p point, sc Scale) (*netsim.Result, error) {
 	runs.calls.Add(1)
-	run := func() (*netsim.Result, error) { return simulate(kind, proto, policy, capacity, spec, sc) }
-	if spec.Perm != nil {
-		return run()
-	}
-	return runs.do(sc.ctx(), runKey{
-		kind: kind, proto: proto, policy: policy, capacity: capacity,
-		traffic: trafficKey{
-			kind: spec.Kind, load: spec.Load, hotFraction: spec.HotFraction, hotDest: spec.HotDest,
-			meanBurst: spec.MeanBurst, minSlots: spec.MinSlots, maxSlots: spec.MaxSlots,
-		},
-		warmup: sc.Warmup, measure: sc.Measure, seed: sc.Seed, workers: sc.Workers, hasCtx: sc.Ctx != nil,
-	}, run)
-}
-
-// simulate executes one network simulation.
-func simulate(kind buffer.Kind, proto sw.Protocol, policy arbiter.Policy,
-	capacity int, spec netsim.TrafficSpec, sc Scale) (*netsim.Result, error) {
-	runs.sims.Add(1)
-	sim, err := netsim.New(netsim.Config{
-		BufferKind:    kind,
-		Capacity:      capacity,
-		Policy:        policy,
-		Protocol:      proto,
-		Traffic:       spec,
-		WarmupCycles:  sc.Warmup,
-		MeasureCycles: sc.Measure,
-		Seed:          sc.Seed,
+	p.cfg.WarmupCycles, p.cfg.MeasureCycles = sc.Warmup, sc.Measure
+	p.cfg.Seed += sc.Seed
+	key := runKey{point: fmt.Sprintf("%#v", p), workers: sc.Workers, hasCtx: sc.Ctx != nil}
+	return runs.do(sc.ctx(), key, func() (*netsim.Result, error) {
+		runs.sims.Add(1)
+		sim, err := netsim.New(p.cfg)
+		if err != nil {
+			return nil, err
+		}
+		if err := sim.SetFaults(p.faults); err != nil {
+			return nil, err
+		}
+		if sc.Ctx != nil {
+			return sim.RunCtx(sc.Ctx)
+		}
+		return sim.Run(), nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	if sc.Ctx != nil {
-		return sim.RunCtx(sc.Ctx)
-	}
-	return sim.Run(), nil
 }
 
-// runSpec names one independent simulation point of a sweep.
-type runSpec struct {
-	kind     buffer.Kind
-	proto    sw.Protocol
-	policy   arbiter.Policy
-	capacity int
-	traffic  netsim.TrafficSpec
-}
-
-// runAll fans the given simulation points out over sc.Workers goroutines
-// and returns their results in spec order. Every point builds its own
+// runAll fans the given points out over sc.Workers goroutines and
+// returns their results in point order. Every point builds its own
 // simulator from its own seed, or reads the run memo's read-only Result
 // of an earlier identical call, so points share no mutable state; ordered
 // results keep every table byte-identical to the serial rendering.
-func runAll(specs []runSpec, sc Scale) ([]*netsim.Result, error) {
-	results, _, err := runAllPartial(specs, sc)
+func runAll(pts []point, sc Scale) ([]*netsim.Result, error) {
+	results, _, err := runAllPartial(pts, sc)
 	if err != nil {
 		return nil, err
 	}
@@ -263,11 +256,17 @@ func runAll(specs []runSpec, sc Scale) ([]*netsim.Result, error) {
 // cancellation (sc.Ctx) it returns whatever points completed — nil
 // entries mark the rest — together with the completed count, so sweeps
 // can flush partial output with an "interrupted at done/total" footer.
-func runAllPartial(specs []runSpec, sc Scale) ([]*netsim.Result, int, error) {
-	return parallel.MapCtx(sc.ctx(), len(specs), sc.Workers, func(i int) (*netsim.Result, error) {
-		s := specs[i]
-		return netRun(s.kind, s.proto, s.policy, s.capacity, s.traffic, sc)
+func runAllPartial(pts []point, sc Scale) ([]*netsim.Result, int, error) {
+	return parallel.MapCtx(sc.ctx(), len(pts), sc.Workers, func(i int) (*netsim.Result, error) {
+		return netRun(pts[i], sc)
 	})
+}
+
+// skipCell reports whether a sweep leaves p out because its buffer kind
+// cannot divide p's capacity among its queues: the static designs need a
+// multiple of the radix, FB a multiple of its class count.
+func skipCell(p point) bool {
+	return errors.Is(p.cfg.Validate(), cfgerr.ErrBadCapacity)
 }
 
 // uniform builds a uniform-traffic spec at the given load.
@@ -301,13 +300,13 @@ type Table3Result struct {
 // Table3 runs the discarding-network experiment: four independent
 // simulation points per buffer kind, all fanned out through the pool.
 func Table3(sc Scale) (*Table3Result, error) {
-	var specs []runSpec
+	var specs []point
 	for _, kind := range KindOrder {
 		specs = append(specs,
-			runSpec{kind, sw.Discarding, arbiter.Smart, 4, uniform(0.25)},
-			runSpec{kind, sw.Discarding, arbiter.Smart, 4, uniform(0.50)},
-			runSpec{kind, sw.Discarding, arbiter.Dumb, 4, uniform(0.50)},
-			runSpec{kind, sw.Discarding, arbiter.Smart, 4, uniform(1.0)},
+			spec(kind, sw.Discarding, arbiter.Smart, 4, uniform(0.25)),
+			spec(kind, sw.Discarding, arbiter.Smart, 4, uniform(0.50)),
+			spec(kind, sw.Discarding, arbiter.Dumb, 4, uniform(0.50)),
+			spec(kind, sw.Discarding, arbiter.Smart, 4, uniform(1.0)),
 		)
 	}
 	results, err := runAll(specs, sc)
@@ -359,35 +358,29 @@ type LatencyRow struct {
 // (row, load) cell plus each row's saturation point is an independent
 // simulation, so the whole table fans out through the pool at once.
 func LatencyTable(kinds []buffer.Kind, slotSizes []int, loads []float64, sc Scale) ([]LatencyRow, error) {
-	type rowSpec struct {
-		kind  buffer.Kind
-		slots int
-	}
-	var rowSpecs []rowSpec
+	var sats, specs []point // each row's saturation point; every point of the table
 	for _, kind := range kinds {
 		for _, slots := range slotSizes {
-			if (kind == buffer.SAMQ || kind == buffer.SAFC) && slots%4 != 0 {
-				continue // static designs need slots divisible by the radix
+			sat := spec(kind, sw.Blocking, arbiter.Smart, slots, uniform(1.0))
+			if skipCell(sat) {
+				continue
 			}
-			rowSpecs = append(rowSpecs, rowSpec{kind, slots})
+			sats = append(sats, sat)
+			for _, load := range loads {
+				specs = append(specs, spec(kind, sw.Blocking, arbiter.Smart, slots, uniform(load)))
+			}
+			specs = append(specs, sat)
 		}
 	}
 	perRow := len(loads) + 1 // measured loads plus the saturation point
-	var specs []runSpec
-	for _, rs := range rowSpecs {
-		for _, load := range loads {
-			specs = append(specs, runSpec{rs.kind, sw.Blocking, arbiter.Smart, rs.slots, uniform(load)})
-		}
-		specs = append(specs, runSpec{rs.kind, sw.Blocking, arbiter.Smart, rs.slots, uniform(1.0)})
-	}
 	results, err := runAll(specs, sc)
 	if err != nil {
 		return nil, err
 	}
 	var rows []LatencyRow
-	for i, rs := range rowSpecs {
+	for i, p := range sats {
 		cells := results[perRow*i : perRow*(i+1)]
-		row := LatencyRow{Kind: rs.kind, Slots: rs.slots, Loads: loads}
+		row := LatencyRow{Kind: p.cfg.BufferKind, Slots: p.cfg.Capacity, Loads: loads}
 		for _, r := range cells[:len(loads)] {
 			row.Latency = append(row.Latency, r.LatencyFromBorn.Mean())
 		}
@@ -447,12 +440,12 @@ type Table6Row struct {
 // Table6 runs the hot-spot experiment: three independent points per
 // buffer kind, fanned out through the pool.
 func Table6(sc Scale) ([]Table6Row, error) {
-	var specs []runSpec
+	var specs []point
 	for _, kind := range KindOrder {
 		specs = append(specs,
-			runSpec{kind, sw.Blocking, arbiter.Smart, 4, hotspot(0.125)},
-			runSpec{kind, sw.Blocking, arbiter.Smart, 4, hotspot(0.20)},
-			runSpec{kind, sw.Blocking, arbiter.Smart, 4, hotspot(1.0)},
+			spec(kind, sw.Blocking, arbiter.Smart, 4, hotspot(0.125)),
+			spec(kind, sw.Blocking, arbiter.Smart, 4, hotspot(0.20)),
+			spec(kind, sw.Blocking, arbiter.Smart, 4, hotspot(1.0)),
 		)
 	}
 	results, err := runAll(specs, sc)
@@ -499,10 +492,10 @@ func Figure3(kinds []buffer.Kind, capacity int, loads []float64, sc Scale) ([]st
 	if loads == nil {
 		loads = Figure3Loads
 	}
-	var specs []runSpec
+	var specs []point
 	for _, kind := range kinds {
 		for _, load := range loads {
-			specs = append(specs, runSpec{kind, sw.Blocking, arbiter.Smart, capacity, uniform(load)})
+			specs = append(specs, spec(kind, sw.Blocking, arbiter.Smart, capacity, uniform(load)))
 		}
 	}
 	results, err := runAll(specs, sc)
@@ -632,13 +625,13 @@ func VarLen(sc Scale) ([]VarLenRow, error) {
 		t.MinSlots, t.MaxSlots = 1, 4
 		return t
 	}
-	var specs []runSpec
+	var specs []point
 	for _, kind := range kinds {
 		specs = append(specs,
-			runSpec{kind, sw.Blocking, arbiter.Smart, 8, uniform(1.0)},
-			runSpec{kind, sw.Blocking, arbiter.Smart, 8, varOf(1.0)},
-			runSpec{kind, sw.Blocking, arbiter.Smart, 8, uniform(0.5)},
-			runSpec{kind, sw.Blocking, arbiter.Smart, 8, varOf(0.5)},
+			spec(kind, sw.Blocking, arbiter.Smart, 8, uniform(1.0)),
+			spec(kind, sw.Blocking, arbiter.Smart, 8, varOf(1.0)),
+			spec(kind, sw.Blocking, arbiter.Smart, 8, uniform(0.5)),
+			spec(kind, sw.Blocking, arbiter.Smart, 8, varOf(0.5)),
 		)
 	}
 	results, err := runAll(specs, sc)

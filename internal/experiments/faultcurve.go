@@ -7,8 +7,6 @@ import (
 	"damq/internal/arbiter"
 	"damq/internal/buffer"
 	"damq/internal/fault"
-	"damq/internal/netsim"
-	"damq/internal/parallel"
 	"damq/internal/sw"
 )
 
@@ -54,50 +52,21 @@ func FaultCurve(kinds []buffer.Kind, rates []float64, sc Scale) ([]FaultCurveRow
 	if rates == nil {
 		rates = FaultCurveRates
 	}
-	type pointSpec struct {
-		kind buffer.Kind
-		rate float64
-	}
-	var specs []pointSpec
+	var specs []point
 	for _, kind := range kinds {
 		for _, rate := range rates {
-			specs = append(specs, pointSpec{kind, rate})
-		}
-	}
-	type pointResult struct {
-		res  *netsim.Result
-		quar int64
-	}
-	results, _, err := parallel.MapCtx(sc.ctx(), len(specs), sc.Workers, func(i int) (pointResult, error) {
-		s := specs[i]
-		sim, err := netsim.New(netsim.Config{
-			BufferKind:    s.kind,
-			Capacity:      4,
-			Policy:        arbiter.Smart,
-			Protocol:      sw.Discarding,
-			Traffic:       netsim.TrafficSpec{Kind: netsim.Uniform, Load: 0.5},
-			WarmupCycles:  sc.Warmup,
-			MeasureCycles: sc.Measure,
-			Seed:          sc.Seed,
-		})
-		if err != nil {
-			return pointResult{}, err
-		}
-		if s.rate > 0 {
-			if err := sim.SetFaults(fault.Config{
-				Seed:              sc.Seed + uint64(i+1),
-				LinkTransientRate: s.rate,
-				SlotStuckRate:     s.rate / 10,
-			}); err != nil {
-				return pointResult{}, err
+			p := spec(kind, sw.Discarding, arbiter.Smart, 4, uniform(0.5))
+			if rate > 0 {
+				p.faults = fault.Config{
+					Seed:              sc.Seed + uint64(len(specs)+1),
+					LinkTransientRate: rate,
+					SlotStuckRate:     rate / 10,
+				}
 			}
+			specs = append(specs, p)
 		}
-		res, err := sim.RunCtx(sc.ctx())
-		if err != nil {
-			return pointResult{}, err
-		}
-		return pointResult{res: res, quar: sim.QuarantinedSlots()}, nil
-	})
+	}
+	results, err := runAll(specs, sc)
 	if err != nil {
 		return nil, err
 	}
@@ -105,13 +74,13 @@ func FaultCurve(kinds []buffer.Kind, rates []float64, sc Scale) ([]FaultCurveRow
 	for ki, kind := range kinds {
 		row := FaultCurveRow{Kind: kind}
 		for ri, rate := range rates {
-			pr := results[ki*len(rates)+ri]
+			r := results[ki*len(rates)+ri]
 			row.Points = append(row.Points, FaultPoint{
 				Rate:        rate,
-				Throughput:  pr.res.Throughput(),
-				FaultedPct:  100 * pr.res.FaultFraction(),
-				DiscardPct:  100 * pr.res.DiscardFraction(),
-				Quarantined: pr.quar,
+				Throughput:  r.Throughput(),
+				FaultedPct:  100 * r.FaultFraction(),
+				DiscardPct:  100 * r.DiscardFraction(),
+				Quarantined: r.QuarantinedSlots,
 			})
 		}
 		out = append(out, row)

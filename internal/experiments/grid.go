@@ -10,6 +10,7 @@ import (
 
 	"damq/internal/arbiter"
 	"damq/internal/buffer"
+	"damq/internal/cfgerr"
 	"damq/internal/netsim"
 	"damq/internal/sw"
 )
@@ -44,14 +45,20 @@ type GridPoint struct {
 }
 
 // Run executes every (kind, capacity, load) combination, fanning the
-// valid cells through the worker pool. Invalid combinations (static
-// buffers whose capacity is not divisible by the radix) are skipped
-// rather than failing the sweep.
+// valid cells through the worker pool. A cell whose buffer kind cannot
+// divide the capacity among its queues (a static buffer whose capacity
+// is not a multiple of the radix, FB at an odd capacity) is skipped
+// rather than failing the sweep; a non-positive capacity fails it.
 //
 // When sc.Ctx is cancelled mid-sweep, Run returns the completed points
 // (in spec order, incomplete cells omitted) together with ctx's error,
 // so callers can flush partial output instead of discarding the work.
 func (g Grid) Run(sc Scale) ([]GridPoint, error) {
+	for _, c := range g.Capacities {
+		if c <= 0 {
+			return nil, fmt.Errorf("grid sweep: capacity %d is not positive: %w", c, cfgerr.ErrBadCapacity)
+		}
+	}
 	specs := g.specs()
 	results, _, err := runAllPartial(specs, sc)
 	if err != nil && !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
@@ -64,9 +71,9 @@ func (g Grid) Run(sc Scale) ([]GridPoint, error) {
 			continue // cancelled before this cell completed
 		}
 		out = append(out, GridPoint{
-			Kind:       s.kind,
-			Capacity:   s.capacity,
-			Load:       s.traffic.Load,
+			Kind:       s.cfg.BufferKind,
+			Capacity:   s.cfg.Capacity,
+			Load:       s.cfg.Traffic.Load,
 			Throughput: r.Throughput(),
 			Latency:    r.LatencyFromBorn.Mean(),
 			LatencyP99: r.LatencyP(0.99),
@@ -80,21 +87,23 @@ func (g Grid) Run(sc Scale) ([]GridPoint, error) {
 }
 
 // specs enumerates the sweep's valid cells in output order.
-func (g Grid) specs() []runSpec {
-	var specs []runSpec
+func (g Grid) specs() []point {
+	var specs []point
 	for _, kind := range g.Kinds {
 		for _, cap := range g.Capacities {
-			if (kind == buffer.SAMQ || kind == buffer.SAFC) && cap%4 != 0 {
+			cell := spec(kind, g.Protocol, g.Policy, cap, netsim.TrafficSpec{
+				Kind:        g.Traffic,
+				HotFraction: g.HotFraction,
+				HotDest:     g.HotDest,
+				MeanBurst:   g.MeanBurst,
+			})
+			if skipCell(cell) {
 				continue
 			}
 			for _, load := range g.Loads {
-				specs = append(specs, runSpec{kind, g.Protocol, g.Policy, cap, netsim.TrafficSpec{
-					Kind:        g.Traffic,
-					Load:        load,
-					HotFraction: g.HotFraction,
-					HotDest:     g.HotDest,
-					MeanBurst:   g.MeanBurst,
-				}})
+				p := cell
+				p.cfg.Traffic.Load = load
+				specs = append(specs, p)
 			}
 		}
 	}

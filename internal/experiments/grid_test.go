@@ -2,11 +2,13 @@ package experiments
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 
 	"damq/internal/arbiter"
 	"damq/internal/buffer"
+	"damq/internal/cfgerr"
 	"damq/internal/netsim"
 	"damq/internal/sw"
 )
@@ -70,5 +72,38 @@ func TestGridBurstyAndHotspot(t *testing.T) {
 	g.HotFraction = 0.05
 	if _, err := g.Run(tiny); err != nil {
 		t.Fatalf("hotspot grid: %v", err)
+	}
+}
+
+// TestGridSkipsIndivisibleCapacities: a cell whose buffer kind cannot
+// divide its capacity among its queues is skipped, whatever the reason
+// (SAMQ needs a multiple of the radix, FB of its two classes), while a
+// non-positive capacity fails the sweep.
+func TestGridSkipsIndivisibleCapacities(t *testing.T) {
+	g := Grid{
+		Kinds:      []buffer.Kind{buffer.SAMQ, buffer.FB},
+		Loads:      []float64{0.1},
+		Capacities: []int{3, 4},
+		Protocol:   sw.Discarding,
+		Policy:     arbiter.Smart,
+		Traffic:    netsim.Uniform,
+	}
+	points, err := g.Run(tiny)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(points) != 2 || g.Points() != 2 {
+		t.Fatalf("%d points (Points() = %d), want the two 4-slot cells: %+v", len(points), g.Points(), points)
+	}
+	for i, kind := range g.Kinds {
+		if p := points[i]; p.Kind != kind || p.Capacity != 4 {
+			t.Errorf("point %d is %v at %d slots, want %v at 4", i, p.Kind, p.Capacity, kind)
+		}
+	}
+	for _, c := range []int{0, -4} {
+		g.Capacities = []int{c, 4}
+		if _, err := g.Run(tiny); !errors.Is(err, cfgerr.ErrBadCapacity) {
+			t.Errorf("capacity %d: err = %v, want ErrBadCapacity", c, err)
+		}
 	}
 }

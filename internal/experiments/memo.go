@@ -5,44 +5,28 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"damq/internal/arbiter"
-	"damq/internal/buffer"
 	"damq/internal/netsim"
-	"damq/internal/sw"
 )
 
 // The paper report measures the same 64x64 network in many sections:
-// Table 4, Figure 3, Table 5, the tail rows, Table 6, E8 and the
-// ablations all revisit points another section already ran, the costly
-// saturated ones most of all. A simulation is a pure function of its
-// configuration and seed, so netRun keeps every completed Result in a
-// process-wide memo and simulates each distinct point once per process.
+// Table 4, Figure 3, Table 5, the tail rows, Table 6, E8, the fault
+// curve, the radix sweep and the ablations all revisit points another
+// section already ran, the costly saturated ones most of all. A
+// simulation is a pure function of its configuration and seed, so netRun
+// keeps every completed Result in a process-wide memo and simulates each
+// distinct point once per process.
 
-// runKey identifies one netRun call. Equal keys build the same simulator
-// from the same seed. The Scale's Workers and whether its Ctx is set are
-// part of the key although neither changes a Result: a comparison of two
-// ways of computing a point (serial against fanned out, a live context
-// against none) therefore still computes both sides.
+// runKey identifies one netRun call: the %#v text of its point with the
+// run length and seed filled in, so two calls share a key exactly when
+// they build the same simulator from the same seed. The Scale's Workers
+// and whether its Ctx is set are part of the key although neither
+// changes a Result: a comparison of two ways of computing a point
+// (serial against fanned out, a live context against none) therefore
+// still computes both sides.
 type runKey struct {
-	kind            buffer.Kind
-	proto           sw.Protocol
-	policy          arbiter.Policy
-	capacity        int
-	traffic         trafficKey
-	warmup, measure int64
-	seed            uint64
-	workers         int
-	hasCtx          bool
-}
-
-// trafficKey is netsim.TrafficSpec without Perm, whose slice would make
-// the key incomparable; a spec with a Perm bypasses the memo.
-type trafficKey struct {
-	kind               netsim.TrafficKind
-	load, hotFraction  float64
-	hotDest            int
-	meanBurst          float64
-	minSlots, maxSlots int
+	point   string
+	workers int
+	hasCtx  bool
 }
 
 // memoEntry is one point. done closes when the point's first computation

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"unicode"
 
 	"damq/internal/arbiter"
 	"damq/internal/buffer"
@@ -48,17 +47,17 @@ func reportText(t *testing.T, sc Scale, isolated bool) string {
 }
 
 // TestRunMemoReport pins what the memo saves on the paper report: its
-// sections make 162 netRun calls, of which 114 are distinct points, and
+// sections make 180 netRun calls, of which 128 are distinct points, and
 // the memo simulates each distinct point once without changing a byte
 // of the report.
 func TestRunMemoReport(t *testing.T) {
 	resetRunMemo()
 	shared := reportText(t, memoScale, false)
-	if calls, sims := runs.calls.Load(), runs.sims.Load(); calls != 162 || sims != 114 {
-		t.Errorf("report: %d netRun calls, %d simulations; want 162 and 114", calls, sims)
+	if calls, sims := runs.calls.Load(), runs.sims.Load(); calls != 180 || sims != 128 {
+		t.Errorf("report: %d netRun calls, %d simulations; want 180 and 128", calls, sims)
 	}
-	if n := memoEntries(); n != 114 {
-		t.Errorf("memo holds %d points, want 114", n)
+	if n := memoEntries(); n != 128 {
+		t.Errorf("memo holds %d points, want 128", n)
 	}
 	if isolated := reportText(t, memoScale, true); isolated != shared {
 		t.Errorf("report differs when each section simulates afresh:\n--- memo ---\n%s\n--- fresh ---\n%s", shared, isolated)
@@ -85,7 +84,7 @@ func (c *cancelAfter) Err() error {
 
 // memoRun is one saturated DAMQ point, the report's most repeated run.
 func memoRun(sc Scale) (*netsim.Result, error) {
-	return netRun(buffer.DAMQ, sw.Blocking, arbiter.Smart, 4, uniform(1.0), sc)
+	return netRun(spec(buffer.DAMQ, sw.Blocking, arbiter.Smart, 4, uniform(1.0)), sc)
 }
 
 // TestRunMemoCancelledPointNotKept: a run cut short by its context
@@ -118,8 +117,8 @@ func TestRunMemoCancelledPointNotKept(t *testing.T) {
 }
 
 // TestRunMemoKey: a repeat of a call is a hit that returns the first
-// call's Result; another worker count, setting a context or another
-// seed each compute the point again.
+// call's Result; a call that differs in any field of its point or in
+// its scale's seed, worker count or context computes the point again.
 func TestRunMemoKey(t *testing.T) {
 	resetRunMemo()
 	base := Scale{Warmup: 50, Measure: 200, Seed: 9}
@@ -129,42 +128,55 @@ func TestRunMemoKey(t *testing.T) {
 	withCtx.Ctx = context.Background()
 	reseeded := base
 	reseeded.Seed++
-	scales := []Scale{base, workers, withCtx, reseeded}
-	first := make([]*netsim.Result, len(scales))
-	for i, sc := range scales {
-		r, err := memoRun(sc)
+	perm := func(shift int) netsim.TrafficSpec {
+		tr := netsim.TrafficSpec{Kind: netsim.Permutation, Load: 0.5, Perm: make([]int, 64)}
+		for i := range tr.Perm {
+			tr.Perm[i] = (i + shift) % 64
+		}
+		return tr
+	}
+	dt := spec(buffer.DT, sw.Discarding, arbiter.Smart, 4, uniform(0.5))
+	radix2, pooled, alpha, faulted := dt, dt, dt, dt
+	radix2.cfg.Radix = 2
+	pooled.cfg.SharedPool = true
+	alpha.cfg.Sharing.Alpha = 2
+	faulted.faults.LinkTransientRate = 1e-3
+	damq := spec(buffer.DAMQ, sw.Blocking, arbiter.Smart, 4, uniform(1.0))
+	calls := []struct {
+		p  point
+		sc Scale
+	}{
+		{damq, base}, {damq, workers}, {damq, withCtx}, {damq, reseeded},
+		{dt, base}, {radix2, base}, {pooled, base}, {alpha, base}, {faulted, base},
+		{spec(buffer.DAMQ, sw.Blocking, arbiter.Smart, 4, perm(1)), base},
+		{spec(buffer.DAMQ, sw.Blocking, arbiter.Smart, 4, perm(2)), base},
+	}
+	first := make([]*netsim.Result, len(calls))
+	for i, c := range calls {
+		r, err := netRun(c.p, c.sc)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("call %d: %v", i, err)
 		}
 		first[i] = r
 	}
-	if sims := runs.sims.Load(); sims != int64(len(scales)) {
-		t.Fatalf("%d distinct calls ran %d simulations", len(scales), sims)
+	if sims := runs.sims.Load(); sims != int64(len(calls)) {
+		t.Fatalf("%d distinct calls ran %d simulations", len(calls), sims)
 	}
-	for i, sc := range scales {
-		r, err := memoRun(sc)
+	for i, c := range calls {
+		// A fresh Perm slice with the same contents is the same point.
+		if c.p.cfg.Traffic.Kind == netsim.Permutation {
+			c.p.cfg.Traffic = perm(c.p.cfg.Traffic.Perm[0])
+		}
+		r, err := netRun(c.p, c.sc)
 		if err != nil || r != first[i] {
 			t.Fatalf("repeat of call %d: %v, got a Result other than the first call's", i, err)
 		}
 	}
-	if sims := runs.sims.Load(); sims != int64(len(scales)) {
+	if sims := runs.sims.Load(); sims != int64(len(calls)) {
 		t.Fatalf("repeated calls simulated again: %d simulations", sims)
 	}
 	if !reflect.DeepEqual(first[0], first[1]) || !reflect.DeepEqual(first[0], first[2]) {
 		t.Fatal("worker count or context changed a Result")
-	}
-	// A permutation spec bypasses the memo.
-	perm := netsim.TrafficSpec{Kind: netsim.Permutation, Load: 0.5, Perm: make([]int, 64)}
-	for i := range perm.Perm {
-		perm.Perm[i] = 63 - i
-	}
-	for range 2 {
-		if _, err := netRun(buffer.DAMQ, sw.Blocking, arbiter.Smart, 4, perm, base); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if sims := runs.sims.Load(); sims != int64(len(scales))+2 {
-		t.Fatalf("permutation runs: %d simulations, want %d", sims, len(scales)+2)
 	}
 }
 
@@ -207,7 +219,7 @@ func TestRunMemoConcurrent(t *testing.T) {
 func TestRunMemoFailedComputation(t *testing.T) {
 	for _, panics := range []bool{false, true} {
 		var m memo
-		key := runKey{seed: 1}
+		key := runKey{point: "p"}
 		ctx := context.Background()
 		started, release := make(chan struct{}), make(chan struct{})
 		firstDone := make(chan error, 1)
@@ -248,30 +260,5 @@ func TestRunMemoFailedComputation(t *testing.T) {
 		if err != nil || r != want {
 			t.Fatalf("panics=%v: the waiter's Result was not kept: %v", panics, err)
 		}
-	}
-}
-
-// TestRunKeyCoversTrafficSpec fails when netsim.TrafficSpec gains a field
-// the memo key does not mirror, which would let two different runs share
-// an entry.
-func TestRunKeyCoversTrafficSpec(t *testing.T) {
-	spec, key := reflect.TypeOf(netsim.TrafficSpec{}), reflect.TypeOf(trafficKey{})
-	covered := map[string]bool{}
-	for i := range key.NumField() {
-		covered[key.Field(i).Name] = true
-	}
-	for i := range spec.NumField() {
-		name := spec.Field(i).Name
-		if name == "Perm" {
-			continue
-		}
-		lower := string(unicode.ToLower(rune(name[0]))) + name[1:]
-		if !covered[lower] {
-			t.Errorf("trafficKey has no field %s for TrafficSpec.%s", lower, name)
-		}
-		delete(covered, lower)
-	}
-	for name := range covered {
-		t.Errorf("trafficKey.%s mirrors no TrafficSpec field", name)
 	}
 }

@@ -6,8 +6,6 @@ import (
 
 	"damq/internal/arbiter"
 	"damq/internal/buffer"
-	"damq/internal/netsim"
-	"damq/internal/parallel"
 	"damq/internal/stats"
 	"damq/internal/sw"
 )
@@ -66,38 +64,18 @@ func Modern(variants []ModernVariant, capacity int, loads []float64, sc Scale) (
 	if loads == nil {
 		loads = ModernLoads
 	}
-	type point struct {
-		v    ModernVariant
-		load float64
-	}
-	var pts []point
+	var specs []point
 	for _, v := range variants {
 		for _, load := range loads {
-			pts = append(pts, point{v, load})
+			p := spec(v.Kind, sw.Discarding, arbiter.Smart, capacity, uniform(load))
+			p.cfg.SharedPool, p.cfg.Sharing = v.SharedPool, v.Sharing
+			if err := p.cfg.Validate(); err != nil {
+				return nil, fmt.Errorf("%s: %w", v.Name, err)
+			}
+			specs = append(specs, p)
 		}
 	}
-	results, _, err := parallel.MapCtx(sc.ctx(), len(pts), sc.Workers, func(i int) (*netsim.Result, error) {
-		p := pts[i]
-		sim, err := netsim.New(netsim.Config{
-			BufferKind:    p.v.Kind,
-			Capacity:      capacity,
-			Policy:        arbiter.Smart,
-			Protocol:      sw.Discarding,
-			Traffic:       uniform(p.load),
-			WarmupCycles:  sc.Warmup,
-			MeasureCycles: sc.Measure,
-			Seed:          sc.Seed,
-			SharedPool:    p.v.SharedPool,
-			Sharing:       p.v.Sharing,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", p.v.Name, err)
-		}
-		if sc.Ctx != nil {
-			return sim.RunCtx(sc.Ctx)
-		}
-		return sim.Run(), nil
-	})
+	results, err := runAll(specs, sc)
 	if err != nil {
 		return nil, err
 	}

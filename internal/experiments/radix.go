@@ -6,8 +6,7 @@ import (
 
 	"damq/internal/arbiter"
 	"damq/internal/buffer"
-	"damq/internal/netsim"
-	"damq/internal/parallel"
+	"damq/internal/omega"
 	"damq/internal/sw"
 )
 
@@ -30,48 +29,26 @@ type RadixRow struct {
 // every radix (capacity = radix) so per-port storage scales identically.
 func RadixSweep(sc Scale) ([]RadixRow, error) {
 	radixes := []int{2, 4, 8}
-	kinds := []buffer.Kind{buffer.FIFO, buffer.DAMQ}
-	// Radix is a netsim.Config field runSpec cannot express, so this sweep
-	// fans out through parallel.MapCtx directly.
-	type satResult struct {
-		stages float64
-		thr    float64
+	var specs []point
+	for _, radix := range radixes {
+		for _, kind := range []buffer.Kind{buffer.FIFO, buffer.DAMQ} {
+			p := spec(kind, sw.Blocking, arbiter.Smart, radix, uniform(1.0))
+			p.cfg.Radix = radix
+			specs = append(specs, p)
+		}
 	}
-	results, _, err := parallel.MapCtx(sc.ctx(), len(radixes)*len(kinds), sc.Workers, func(i int) (satResult, error) {
-		sim, err := netsim.New(netsim.Config{
-			Radix:         radixes[i/len(kinds)],
-			Inputs:        64,
-			BufferKind:    kinds[i%len(kinds)],
-			Capacity:      radixes[i/len(kinds)],
-			Policy:        arbiter.Smart,
-			Protocol:      sw.Blocking,
-			Traffic:       netsim.TrafficSpec{Kind: netsim.Uniform, Load: 1.0},
-			WarmupCycles:  sc.Warmup,
-			MeasureCycles: sc.Measure,
-			Seed:          sc.Seed,
-		})
-		if err != nil {
-			return satResult{}, err
-		}
-		res, err := sim.RunCtx(sc.ctx())
-		if err != nil {
-			return satResult{}, err
-		}
-		return satResult{stages: float64(sim.Topology().Stages()), thr: res.Throughput()}, nil
-	})
+	results, err := runAll(specs, sc)
 	if err != nil {
 		return nil, err
 	}
 	var rows []RadixRow
 	for ri, radix := range radixes {
-		fifo, damq := results[ri*len(kinds)], results[ri*len(kinds)+1]
-		rows = append(rows, RadixRow{
-			Radix:   radix,
-			Stages:  int(fifo.stages),
-			FIFOSat: fifo.thr,
-			DAMQSat: damq.thr,
-			Ratio:   damq.thr / fifo.thr,
-		})
+		stages, err := omega.Stages(radix, 64)
+		if err != nil {
+			return nil, err
+		}
+		fifo, damq := results[2*ri].Throughput(), results[2*ri+1].Throughput()
+		rows = append(rows, RadixRow{Radix: radix, Stages: stages, FIFOSat: fifo, DAMQSat: damq, Ratio: damq / fifo})
 	}
 	return rows, nil
 }

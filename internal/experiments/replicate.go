@@ -6,34 +6,9 @@ import (
 
 	"damq/internal/arbiter"
 	"damq/internal/buffer"
-	"damq/internal/parallel"
 	"damq/internal/stats"
 	"damq/internal/sw"
 )
-
-// Replicate runs a measurement across independent seeds and summarizes
-// it. The recorded tables are single-seed (deterministic, regenerable);
-// this utility quantifies how much the published cells would wobble under
-// reseeding — the error bars the original paper never printed.
-//
-// Seeds run concurrently on up to workers goroutines (<=0 means
-// GOMAXPROCS); measure must therefore be safe to call from multiple
-// goroutines, which every netRun-style measurement is because each run
-// builds its own simulator and the run memo is locked. Values enter the
-// summary in seed order, so the result is identical at any worker count.
-func Replicate(seeds []uint64, workers int, measure func(seed uint64) (float64, error)) (stats.Summary, error) {
-	vals, err := parallel.Map(len(seeds), workers, func(i int) (float64, error) {
-		return measure(seeds[i])
-	})
-	if err != nil {
-		return stats.Summary{}, err
-	}
-	var sum stats.Summary
-	for _, v := range vals {
-		sum.Add(v)
-	}
-	return sum, nil
-}
 
 // Seeds generates n distinct seeds from a base.
 func Seeds(base uint64, n int) []uint64 {
@@ -51,23 +26,29 @@ type CIRow struct {
 }
 
 // SaturationCI replicates the Table 4 saturation-throughput measurement
-// across reps seeds for every buffer kind.
+// across reps seeds for every buffer kind: the error bars the original
+// paper never printed. Every (kind, seed) point fans out through the
+// pool, and values enter each summary in seed order, so the table is
+// identical at any worker count.
 func SaturationCI(reps int, sc Scale) ([]CIRow, error) {
-	var rows []CIRow
+	var specs []point
 	for _, kind := range KindOrder {
-		sum, err := Replicate(Seeds(sc.Seed, reps), sc.Workers, func(seed uint64) (float64, error) {
-			s := sc
-			s.Seed = seed
-			r, err := netRun(kind, sw.Blocking, arbiter.Smart, 4, uniform(1.0), s)
-			if err != nil {
-				return 0, err
-			}
-			return r.Throughput(), nil
-		})
-		if err != nil {
-			return nil, err
+		for _, offset := range Seeds(0, reps) {
+			p := spec(kind, sw.Blocking, arbiter.Smart, 4, uniform(1.0))
+			p.cfg.Seed = offset // netRun adds sc.Seed: the seeds are Seeds(sc.Seed, reps)
+			specs = append(specs, p)
 		}
-		rows = append(rows, CIRow{Kind: kind, Summary: sum})
+	}
+	results, err := runAll(specs, sc)
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]CIRow, len(KindOrder))
+	for ki, kind := range KindOrder {
+		rows[ki].Kind = kind
+		for _, r := range results[ki*reps : (ki+1)*reps] {
+			rows[ki].Summary.Add(r.Throughput())
+		}
 	}
 	return rows, nil
 }

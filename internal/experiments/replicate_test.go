@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"errors"
 	"strings"
 	"testing"
 
@@ -22,14 +21,6 @@ func TestSeeds(t *testing.T) {
 	}
 	if s[0] != 10 {
 		t.Fatalf("base seed not first: %v", s)
-	}
-}
-
-func TestReplicatePropagatesErrors(t *testing.T) {
-	wantErr := errors.New("boom")
-	_, err := Replicate(Seeds(1, 3), 0, func(uint64) (float64, error) { return 0, wantErr })
-	if !errors.Is(err, wantErr) {
-		t.Fatalf("err = %v", err)
 	}
 }
 

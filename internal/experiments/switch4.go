@@ -105,9 +105,9 @@ type TailRow struct {
 // TailLatency measures the latency distribution at the given load
 // (blocking, uniform, 4 slots).
 func TailLatency(load float64, sc Scale) ([]TailRow, error) {
-	var specs []runSpec
+	var specs []point
 	for _, kind := range KindOrder {
-		specs = append(specs, runSpec{kind, sw.Blocking, arbiter.Smart, 4, uniform(load)})
+		specs = append(specs, spec(kind, sw.Blocking, arbiter.Smart, 4, uniform(load)))
 	}
 	results, err := runAll(specs, sc)
 	if err != nil {

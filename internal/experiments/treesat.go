@@ -24,11 +24,11 @@ type TreeSatRow struct {
 
 // TreeSaturation measures the gradient for every buffer kind.
 func TreeSaturation(sc Scale) ([]TreeSatRow, error) {
-	var specs []runSpec
+	var specs []point
 	for _, kind := range KindOrder {
 		specs = append(specs,
-			runSpec{kind, sw.Blocking, arbiter.Smart, 4, hotspot(1.0)},
-			runSpec{kind, sw.Blocking, arbiter.Smart, 4, uniform(0.24)},
+			spec(kind, sw.Blocking, arbiter.Smart, 4, hotspot(1.0)),
+			spec(kind, sw.Blocking, arbiter.Smart, 4, uniform(0.24)),
 		)
 	}
 	results, err := runAll(specs, sc)

@@ -87,6 +87,9 @@ func TestChaosSoakConservation(t *testing.T) {
 					if res.FaultedInNet != s.Faulted() {
 						t.Fatalf("faulted mismatch: window %d, total %d (warmup was 0)", res.FaultedInNet, s.Faulted())
 					}
+					if res.QuarantinedSlots != s.QuarantinedSlots() {
+						t.Fatalf("Result reports %d quarantined slots, the Sim %d", res.QuarantinedSlots, s.QuarantinedSlots())
+					}
 					if proto == sw.Blocking && res.DiscardedInNet != 0 {
 						t.Fatalf("blocking protocol discarded %d in-net (only faults may drop)", res.DiscardedInNet)
 					}

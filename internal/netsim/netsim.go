@@ -246,6 +246,10 @@ type Result struct {
 	// losses and injected-fault losses never blur; zero (and absent from
 	// JSON) on fault-free runs.
 	FaultedInNet int64 `json:",omitempty"`
+	// QuarantinedSlots counts the buffer slots the fault schedule has
+	// taken out of service since the start of the run (SetFaults); zero
+	// (and absent from JSON) on fault-free runs.
+	QuarantinedSlots int64 `json:",omitempty"`
 
 	// LatencyFromBorn includes source-queue wait (clock cycles).
 	LatencyFromBorn stats.Summary
@@ -1168,6 +1172,7 @@ func (s *Sim) Collect() *Result {
 		res.LatencyHist.Merge(p.LatencyHist)
 	}
 	res.SourceBacklog = s.backlog
+	res.QuarantinedSlots = s.QuarantinedSlots()
 	return res
 }
 

@@ -28,6 +28,7 @@ import (
 	"math/bits"
 
 	"damq/internal/cfgerr"
+	"damq/internal/checkpoint"
 	"damq/internal/names"
 	"damq/internal/obs"
 )
@@ -314,35 +315,29 @@ func (a *Arbiter) pick(qlen []int, stale []int64, best int, rest uint64) int {
 	return best
 }
 
-// State is the arbiter's cross-cycle state — the round-robin priority
-// pointer and the stale (age) counters — exposed for the simulator
-// checkpoint codec. Everything else in an Arbiter is per-cycle scratch
-// that Arbitrate rewrites before reading.
-type State struct {
-	Prio  int
-	Stale []int64 // [in*outputs + out], row-major
-}
-
-// SaveState captures the cross-cycle state.
-func (a *Arbiter) SaveState() State {
-	return State{Prio: a.prio, Stale: append([]int64(nil), a.stale...)}
-}
-
-// LoadState overwrites the cross-cycle state with a previously saved
-// one, validating its shape against the arbiter's port counts.
-func (a *Arbiter) LoadState(st State) error {
-	if st.Prio < 0 || st.Prio >= a.inputs {
-		return fmt.Errorf("arbiter: priority %d out of range [0, %d)", st.Prio, a.inputs)
+// Walk walks the arbiter's cross-cycle state through a checkpoint codec
+// (DESIGN.md §13): the round-robin priority pointer, then the stale
+// counters row by row. Everything else in an Arbiter is per-cycle
+// scratch that Arbitrate rewrites before reading. Decoding validates
+// both against the arbiter's port counts; a stream error stays on c.
+func (a *Arbiter) Walk(c *checkpoint.Codec) error {
+	c.Int(&a.prio)
+	if n := c.FixedLen(len(a.stale)); n != len(a.stale) {
+		return fmt.Errorf("arbiter: %d stale counters for a %d×%d switch", n, a.inputs, a.outputs)
 	}
-	if len(st.Stale) != a.inputs*a.outputs {
-		return fmt.Errorf("arbiter: %d stale counters for a %d×%d switch", len(st.Stale), a.inputs, a.outputs)
+	for i := range a.stale {
+		c.I64(&a.stale[i])
 	}
-	for _, v := range st.Stale {
+	if !c.Decoding() {
+		return nil
+	}
+	if a.prio < 0 || a.prio >= a.inputs {
+		return fmt.Errorf("arbiter: priority %d out of range [0, %d)", a.prio, a.inputs)
+	}
+	for _, v := range a.stale {
 		if v < 0 {
 			return fmt.Errorf("arbiter: negative stale count %d", v)
 		}
 	}
-	a.prio = st.Prio
-	copy(a.stale, st.Stale)
 	return nil
 }

@@ -1,8 +1,10 @@
 package buffer
 
 import (
+	"bytes"
 	"fmt"
 
+	"damq/internal/checkpoint"
 	"damq/internal/packet"
 )
 
@@ -16,175 +18,161 @@ import (
 // the composed buffers are not serialized; ResyncAfterRestore audits the
 // loaded pool with CheckInvariants and then recomputes them.
 
-// SlotPoolState is the serializable state of one SlotPool. Owner maps
-// each slot to an index into Packets (-1 for none), so the caller
-// serializes packet bodies once each, in slot order of their first
-// slots.
-type SlotPoolState struct {
-	Next      []int32
-	Owner     []int32
-	FreeHead  int32
-	FreeTail  int32
-	FreeCount int
-	QHead     []int32
-	QTail     []int32
-	QPkts     []int
-	QSlots    []int
-	Quar      []uint8 // nil when no quarantine state exists
-	QuarCount int
-	HasClock  bool
-	Stamp     []int64
-	Now       int64
-	Packets   []*packet.Packet
-}
-
-// SaveState captures the pool's register state. All slices are copies;
-// the packet pointers are shared (checkpointing serializes their fields,
-// it does not mutate them).
-func (sp *SlotPool) SaveState() *SlotPoolState {
-	nq := sp.NumQueues()
-	st := &SlotPoolState{
-		Next:      append([]int32(nil), sp.next...),
-		Owner:     make([]int32, len(sp.next)),
-		FreeHead:  sp.freeHead,
-		FreeTail:  sp.freeTail,
-		FreeCount: int(sp.freeCount),
-		QHead:     make([]int32, nq),
-		QTail:     make([]int32, nq),
-		QPkts:     make([]int, nq),
-		QSlots:    make([]int, nq),
-		QuarCount: int(sp.quarCount),
-		HasClock:  sp.stamp != nil,
-		Now:       sp.now,
-	}
-	for q := 0; q < nq; q++ {
-		r := sp.queue(q)
-		st.QHead[q], st.QTail[q] = r[regHead], r[regTail]
-		st.QPkts[q], st.QSlots[q] = int(r[regPkts]), int(r[regSlots])
-	}
-	if sp.quar != nil {
-		st.Quar = append([]uint8(nil), sp.quar...)
-	}
-	if sp.stamp != nil {
-		st.Stamp = append([]int64(nil), sp.stamp...)
-	}
-	for s, p := range sp.owner {
-		if p == nil {
-			st.Owner[s] = -1
-			continue
-		}
-		st.Owner[s] = int32(len(st.Packets))
-		st.Packets = append(st.Packets, p)
-	}
-	return st
-}
-
-// LoadState overwrites the pool's registers with a previously saved
-// state. It validates every index against the pool's construction-time
-// geometry (which the caller has already rebuilt from the simulation
-// config) so that the structural audit that follows — CheckInvariants,
-// via ResyncAfterRestore — cannot be driven out of bounds by a corrupted
-// stream. Any mismatch is an error; the pool is unchanged on failure
-// only in the sense that the caller must treat it as dead.
-func (sp *SlotPool) LoadState(st *SlotPoolState) error {
+// Walk walks the pool's registers through a checkpoint codec, in stream
+// order: the next pointers; the owner map (per slot, -1 or the index of
+// the packet whose first slot it is, counted in slot order); the free
+// list's head, tail and count; each queue's head, tail, packet and slot
+// registers, one array per register; the quarantine bytes and count;
+// the enqueue stamps and tick of the BShare clock; and last the packets,
+// each once, in slot order of their first slots.
+//
+// Decoding reads into the registers, then validates every index against
+// the pool's construction-time geometry, which the caller has rebuilt
+// from its config, and runs check on each packet. The structural audit
+// that follows — CheckInvariants, via ResyncAfterRestore — therefore
+// cannot be driven out of bounds by a corrupted stream. After an error
+// the pool is dead and the caller discards it. A stream error stays on
+// c.
+func (sp *SlotPool) Walk(c *checkpoint.Codec, check func(*packet.Packet) error) error {
 	capacity, nq := len(sp.next), sp.NumQueues()
-	if len(st.Next) != capacity || len(st.Owner) != capacity {
-		return fmt.Errorf("slotpool: state for %d slots loaded into %d-slot pool", len(st.Next), capacity)
+	// count walks a count register at the stream's int64 width. No count
+	// a pool holds can exceed its capacity, and the bound keeps it exact
+	// in int32; the first one out of range is reported with the other
+	// checks.
+	var bad error
+	count := func(r *int32, what string) {
+		v := int64(*r)
+		if c.I64(&v); (v < 0 || v > int64(capacity)) && bad == nil {
+			bad = fmt.Errorf("slotpool: %s %d out of range [0, %d]", what, v, capacity)
+		}
+		*r = int32(v)
 	}
-	if len(st.QHead) != nq || len(st.QTail) != nq || len(st.QPkts) != nq || len(st.QSlots) != nq {
-		return fmt.Errorf("slotpool: state for %d queues loaded into %d-queue pool", len(st.QHead), nq)
+	if n := c.FixedLen(capacity); n != capacity {
+		return fmt.Errorf("slotpool: state for %d slots loaded into %d-slot pool", n, capacity)
 	}
-	if st.HasClock != (sp.stamp != nil) {
-		return fmt.Errorf("slotpool: clock presence mismatch (state %v, pool %v)", st.HasClock, sp.stamp != nil)
+	for s := range sp.next {
+		c.I32(&sp.next[s])
 	}
-	if st.HasClock && len(st.Stamp) != capacity {
-		return fmt.Errorf("slotpool: %d enqueue stamps for %d slots", len(st.Stamp), capacity)
+	if n := c.FixedLen(capacity); n != capacity {
+		return fmt.Errorf("slotpool: owner map for %d slots loaded into %d-slot pool", n, capacity)
 	}
-	if st.Quar != nil && len(st.Quar) != capacity {
-		return fmt.Errorf("slotpool: %d quarantine bytes for %d slots", len(st.Quar), capacity)
+	owners := 0
+	for s, p := range sp.owner {
+		idx := int32(-1)
+		if p != nil {
+			idx = int32(owners)
+		}
+		if c.I32(&idx); c.Decoding() {
+			// A well-formed stream names each packet once, in order.
+			// Its body follows the registers.
+			switch idx {
+			case -1:
+				sp.owner[s] = nil
+			case int32(owners):
+				sp.owner[s] = new(packet.Packet)
+			default:
+				return fmt.Errorf("slotpool: slot %d owner index %d breaks packet order", s, idx)
+			}
+		}
+		if sp.owner[s] != nil {
+			owners++
+		}
+	}
+	c.I32(&sp.freeHead)
+	c.I32(&sp.freeTail)
+	count(&sp.freeCount, "free count")
+	for reg := range queueRegs {
+		if n := c.FixedLen(nq); n != nq {
+			return fmt.Errorf("slotpool: state for %d queues loaded into %d-queue pool", n, nq)
+		}
+		for q := 0; q < nq; q++ {
+			if r := &sp.queues[q*queueRegs+reg]; reg == regHead || reg == regTail {
+				c.I32(r)
+			} else {
+				count(r, "queue counter")
+			}
+		}
+	}
+	hasQuar := sp.quar != nil
+	if c.Bool(&hasQuar); hasQuar {
+		quar := sp.quar
+		if c.Bytes(&quar); c.Decoding() && c.Err() == nil {
+			if len(quar) != capacity {
+				return fmt.Errorf("slotpool: %d quarantine bytes for %d slots", len(quar), capacity)
+			}
+			sp.quar = bytes.Clone(quar)
+		}
+	} else {
+		sp.quar = nil
+	}
+	count(&sp.quarCount, "quarantine count")
+	hasClock := sp.stamp != nil
+	if c.Bool(&hasClock); hasClock != (sp.stamp != nil) {
+		return fmt.Errorf("slotpool: clock presence mismatch (state %v, pool %v)", hasClock, sp.stamp != nil)
+	}
+	if hasClock {
+		if n := c.FixedLen(capacity); n != capacity {
+			return fmt.Errorf("slotpool: %d enqueue stamps for %d slots", n, capacity)
+		}
+		for s := range sp.stamp {
+			c.I64(&sp.stamp[s])
+		}
+		c.I64(&sp.now)
+	}
+	if n := c.FixedLen(owners); n != owners {
+		return fmt.Errorf("slotpool: %d owner slots for %d packets", owners, n)
+	}
+	for _, p := range sp.owner {
+		if p != nil {
+			p.Walk(c)
+		}
+	}
+	if !c.Decoding() || c.Err() != nil {
+		return nil
+	}
+	if bad != nil {
+		return bad
 	}
 	inRange := func(s int32) bool { return s == nilSlot || (s >= 0 && int(s) < capacity) }
-	for _, s := range st.Next {
+	for _, s := range sp.next {
 		if !inRange(s) {
 			return fmt.Errorf("slotpool: next register points at invalid slot %d", s)
 		}
 	}
 	for q := 0; q < nq; q++ {
-		if !inRange(st.QHead[q]) || !inRange(st.QTail[q]) {
+		if r := sp.queue(q); !inRange(r[regHead]) || !inRange(r[regTail]) {
 			return fmt.Errorf("slotpool: queue %d head/tail registers out of range", q)
 		}
-		// Every queued packet holds a slot, so neither counter can exceed
-		// the capacity; the bound also keeps them exact in the int32
-		// registers.
-		if st.QPkts[q] < 0 || st.QPkts[q] > capacity || st.QSlots[q] < 0 || st.QSlots[q] > capacity {
-			return fmt.Errorf("slotpool: queue %d has impossible counters (%d pkts, %d slots)",
-				q, st.QPkts[q], st.QSlots[q])
-		}
 	}
-	if !inRange(st.FreeHead) || !inRange(st.FreeTail) ||
-		st.FreeCount < 0 || st.FreeCount > capacity {
+	if !inRange(sp.freeHead) || !inRange(sp.freeTail) {
 		return fmt.Errorf("slotpool: free list registers out of range")
 	}
-	if st.QuarCount < 0 || st.QuarCount > capacity {
-		return fmt.Errorf("slotpool: quarantine count %d out of range", st.QuarCount)
-	}
-	for s, v := range st.Quar {
+	for s, v := range sp.quar {
 		if v > slotQuarantined {
 			return fmt.Errorf("slotpool: slot %d has unknown quarantine state %d", s, v)
 		}
 	}
-	seen := 0
-	for s, idx := range st.Owner {
-		if idx == -1 {
+	for _, p := range sp.owner {
+		if p == nil {
 			continue
 		}
-		// Owner indices are assigned in slot order by SaveState, so a
-		// well-formed state references Packets exactly once each, in
-		// order.
-		if int(idx) != seen || seen >= len(st.Packets) || st.Packets[seen] == nil {
-			return fmt.Errorf("slotpool: slot %d owner index %d breaks packet order", s, idx)
+		if err := check(p); err != nil {
+			return err
 		}
-		seen++
-	}
-	if seen != len(st.Packets) {
-		return fmt.Errorf("slotpool: %d owner slots for %d packets", seen, len(st.Packets))
 	}
 	// The free list is the one chain CheckInvariants does not tie to a
 	// tail register; verify its termination, length, and tail here (all
 	// indices are validated above, and the step bound kills cycles).
 	last, steps := nilSlot, 0
-	for s := st.FreeHead; s != nilSlot; s = st.Next[s] {
+	for s := sp.freeHead; s != nilSlot; s = sp.next[s] {
 		if steps++; steps > capacity {
 			return fmt.Errorf("slotpool: free list is cyclic")
 		}
 		last = s
 	}
-	if steps != st.FreeCount || last != st.FreeTail {
+	if steps != int(sp.freeCount) || last != sp.freeTail {
 		return fmt.Errorf("slotpool: free list walk (%d slots, tail %d) disagrees with registers (%d, %d)",
-			steps, last, st.FreeCount, st.FreeTail)
-	}
-	copy(sp.next, st.Next)
-	for q := 0; q < nq; q++ {
-		*sp.queue(q) = [queueRegs]int32{
-			regHead: st.QHead[q], regTail: st.QTail[q],
-			regPkts: int32(st.QPkts[q]), regSlots: int32(st.QSlots[q]),
-		}
-	}
-	sp.freeHead, sp.freeTail, sp.freeCount = st.FreeHead, st.FreeTail, int32(st.FreeCount)
-	sp.quar, sp.quarCount = nil, int32(st.QuarCount)
-	if st.Quar != nil {
-		sp.quar = append([]uint8(nil), st.Quar...)
-	}
-	if st.HasClock {
-		copy(sp.stamp, st.Stamp)
-	}
-	sp.now = st.Now
-	for s := range sp.owner {
-		if st.Owner[s] == -1 {
-			sp.owner[s] = nil
-			continue
-		}
-		sp.owner[s] = st.Packets[st.Owner[s]]
+			steps, last, sp.freeCount, sp.freeTail)
 	}
 	return nil
 }

@@ -2,9 +2,12 @@
 // checkpoint/restore path (DESIGN.md §13). It provides the framing —
 // magic, format version, section tags, and a CRC32 trailer — plus one
 // Codec whose bounds-checked primitives either write or read, so a
-// section is a single walk, and an atomic file writer; the simulator
-// packages own what goes inside the sections
-// (netsim.(*Sim).Checkpoint / netsim.RestoreSim).
+// section is a single walk, and an atomic file writer. Each stateful
+// component walks its own registers with a Walk(*Codec) method in its
+// own package (buffer.SlotPool, arbiter.Arbiter, stats.Summary,
+// rng.Source, packet.Packet, the traffic patterns), and a simulator
+// composes those walks into its sections (netsim.(*Sim).Checkpoint /
+// netsim.RestoreSim).
 //
 // Framing, in order:
 //
@@ -293,6 +296,18 @@ func (c *Codec) Count(n *int, minSize int) {
 		return
 	}
 	*n = int(v)
+}
+
+// FixedLen walks the length prefix of a collection whose length n the
+// walker's own geometry fixes, such as a register file sized at
+// construction, so its elements can be walked in place. It returns the
+// length read: n when encoding or once c has failed. A decoding caller
+// that gets another value rejects the stream as written for another
+// geometry.
+func (c *Codec) FixedLen(n int) int {
+	v := uint64(n)
+	c.U64(&v)
+	return int(v)
 }
 
 // Bytes walks a length-prefixed byte string. Decoded bytes alias the

@@ -35,10 +35,8 @@ import (
 	"damq/internal/fault"
 	"damq/internal/obs"
 	"damq/internal/packet"
-	"damq/internal/rng"
 	"damq/internal/stats"
 	"damq/internal/sw"
-	"damq/internal/traffic"
 )
 
 // Section tags of the checkpoint payload, in stream order. Faults and
@@ -54,10 +52,6 @@ const (
 	secFaults   uint8 = 6
 	secObserver uint8 = 7
 )
-
-// pktWireSize is the encoded size of one packet body, the unit Count
-// uses to bound packet-list lengths against the remaining payload.
-const pktWireSize = 9*8 + 1
 
 // Delivery is the identity tuple of one measured delivery, logged when
 // RecordDeliveries is on. The torture tests compare delivery logs of a
@@ -196,7 +190,7 @@ func (s *Sim) walkCore(c *checkpoint.Codec) error {
 	c.I64(&s.cycle)
 	c.I64(&s.warmupBoundary)
 	c.I64(&s.measured)
-	if err := walkSummary(c, &s.backlog); err != nil {
+	if err := s.backlog.Walk(c); err != nil {
 		return ckptErr("backlog summary: %v", err)
 	}
 	if err := c.Err(); err != nil {
@@ -213,43 +207,14 @@ func (s *Sim) walkCore(c *checkpoint.Codec) error {
 	return nil
 }
 
-// walkSummary walks a running summary's state. Decoding loads it once
-// read and returns Load's validation error; stream errors stay on c.
-func walkSummary(c *checkpoint.Codec, sum *stats.Summary) error {
-	st := sum.Save()
-	c.I64(&st.N)
-	c.F64(&st.Mean)
-	c.F64(&st.M2)
-	c.F64(&st.Min)
-	c.F64(&st.Max)
-	if !c.Decoding() || c.Err() != nil {
-		return nil
-	}
-	return sum.Load(st)
-}
-
-// walkPacket walks one packet body.
-func walkPacket(c *checkpoint.Codec, p *packet.Packet) {
-	c.U64(&p.ID)
-	c.Int(&p.Source)
-	c.Int(&p.Dest)
-	c.Int(&p.Slots)
-	c.I64(&p.Born)
-	c.I64(&p.Injected)
-	c.Bool(&p.Hot)
-	c.Int(&p.OutPort)
-	c.Int(&p.Bytes)
-	c.I64(&p.ReadyAt)
-}
-
 // walkPackets walks a count-prefixed packet list; decoding allocates the
 // packets it reads.
 func walkPackets(c *checkpoint.Codec, ps *[]*packet.Packet) {
-	walkList(c, ps, pktWireSize, func(p **packet.Packet) {
+	walkList(c, ps, packet.EncodedSize, func(p **packet.Packet) {
 		if *p == nil {
 			*p = new(packet.Packet)
 		}
-		walkPacket(c, *p)
+		(*p).Walk(c)
 	})
 }
 
@@ -258,59 +223,37 @@ func walkPackets(c *checkpoint.Codec, ps *[]*packet.Packet) {
 // and Slots is charged against a maxSlots-slot pool. A packet buffered at
 // stage (stage >= 0) must also wait for the output its Dest routes
 // through there; one queued for another output would leave the network
-// at the wrong memory module and still count as delivered.
+// at the wrong memory module and still count as delivered. The caller
+// wraps the error with the packet's place in the stream.
 func (s *Sim) checkPacket(p *packet.Packet, maxSlots, stage int) error {
 	if p.Source < 0 || p.Source >= s.cfg.Inputs || p.Dest < 0 || p.Dest >= s.cfg.Inputs {
-		return ckptErr("packet %d addressed %d->%d outside the %d-input network",
+		return fmt.Errorf("packet %d addressed %d->%d outside the %d-input network",
 			p.ID, p.Source, p.Dest, s.cfg.Inputs)
 	}
 	if p.Slots < 1 || p.Slots > maxSlots {
-		return ckptErr("packet %d occupies %d slots of a %d-slot pool", p.ID, p.Slots, maxSlots)
+		return fmt.Errorf("packet %d occupies %d slots of a %d-slot pool", p.ID, p.Slots, maxSlots)
 	}
 	if p.OutPort < 0 || p.OutPort >= s.cfg.Radix {
-		return ckptErr("packet %d routed to output %d of a radix-%d switch", p.ID, p.OutPort, s.cfg.Radix)
+		return fmt.Errorf("packet %d routed to output %d of a radix-%d switch", p.ID, p.OutPort, s.cfg.Radix)
 	}
 	if p.Injected < -1 || p.Bytes < 0 {
-		return ckptErr("packet %d has impossible bookkeeping (injected %d, %d bytes)",
+		return fmt.Errorf("packet %d has impossible bookkeeping (injected %d, %d bytes)",
 			p.ID, p.Injected, p.Bytes)
 	}
 	if stage >= 0 && p.OutPort != s.top.RouteDigit(p.Dest, stage) {
-		return ckptErr("packet %d for destination %d waits for output %d at stage %d, which routes it to output %d",
+		return fmt.Errorf("packet %d for destination %d waits for output %d at stage %d, which routes it to output %d",
 			p.ID, p.Dest, p.OutPort, stage, s.top.RouteDigit(p.Dest, stage))
 	}
 	return nil
 }
-
-// walkRng walks one RNG stream's state; decoding loads it.
-func walkRng(c *checkpoint.Codec, src *rng.Source, what string) error {
-	st := src.State()
-	for i := range st {
-		c.U64(&st[i])
-	}
-	if !c.Decoding() || c.Err() != nil {
-		return c.Err()
-	}
-	if err := src.SetState(st); err != nil {
-		return ckptErr("%s stream: %v", what, err)
-	}
-	return nil
-}
-
-// rngSourced is the accessor every RNG-backed traffic pattern exposes.
-type rngSourced interface{ Src() *rng.Source }
 
 // walkSwitches walks every switch in stage order: its arbiter state, then
 // the slot pools behind it.
 func (s *Sim) walkSwitches(c *checkpoint.Codec) error {
 	for st := range s.stages {
 		for si, swc := range s.stages[st] {
-			ast := swc.Arbiter().SaveState()
-			c.Int(&ast.Prio)
-			c.I64s(&ast.Stale)
-			if c.Decoding() && c.Err() == nil {
-				if err := swc.Arbiter().LoadState(ast); err != nil {
-					return ckptErr("stage %d switch %d arbiter: %v", st, si, err)
-				}
+			if err := swc.Arbiter().Walk(c); err != nil {
+				return ckptErr("stage %d switch %d arbiter: %v", st, si, err)
 			}
 			if err := s.walkPools(c, st, si, swc); err != nil {
 				return err
@@ -323,50 +266,20 @@ func (s *Sim) walkSwitches(c *checkpoint.Codec) error {
 // walkPools walks the slot-pool state behind one switch: one pool when
 // the switch shares storage across its inputs, one per input port
 // otherwise. Packet bodies ride inside the pool state, each exactly once
-// (multi-slot packets occupy several slots but serialize once).
+// (multi-slot packets occupy several slots but serialize once), and
+// decoding checks each against the stage's routing.
 func (s *Sim) walkPools(c *checkpoint.Codec, stage, si int, swc *sw.Switch) error {
 	pools, maxSlots := swc.Ports(), s.poolCap()
 	if s.cfg.SharedPool {
 		pools = 1
 	}
+	check := func(p *packet.Packet) error { return s.checkPacket(p, maxSlots, stage) }
 	for in := 0; in < pools; in++ {
-		sp := swc.Buffer(in).Pool()
-		st := &buffer.SlotPoolState{}
-		if !c.Decoding() {
-			st = sp.SaveState()
-		}
-		c.I32s(&st.Next)
-		c.I32s(&st.Owner)
-		c.I32(&st.FreeHead)
-		c.I32(&st.FreeTail)
-		c.Int(&st.FreeCount)
-		c.I32s(&st.QHead)
-		c.I32s(&st.QTail)
-		c.Ints(&st.QPkts)
-		c.Ints(&st.QSlots)
-		hasQuar := st.Quar != nil
-		if c.Bool(&hasQuar); hasQuar {
-			c.Bytes(&st.Quar)
-		}
-		c.Int(&st.QuarCount)
-		if c.Bool(&st.HasClock); st.HasClock {
-			c.I64s(&st.Stamp)
-			c.I64(&st.Now)
-		}
-		walkPackets(c, &st.Packets)
-		if err := c.Err(); err != nil {
-			return err
-		}
-		if !c.Decoding() {
-			continue
-		}
-		for _, p := range st.Packets {
-			if err := s.checkPacket(p, maxSlots, stage); err != nil {
-				return err
-			}
-		}
-		if err := sp.LoadState(st); err != nil {
+		if err := swc.Buffer(in).Pool().Walk(c, check); err != nil {
 			return ckptErr("stage %d switch %d input %d: %v", stage, si, in, err)
+		}
+		if !c.Decoding() || c.Err() != nil {
+			continue
 		}
 		views := swc.Buffers()[in : in+1]
 		if s.cfg.SharedPool {
@@ -399,7 +312,7 @@ func (s *Sim) walkSources(c *checkpoint.Codec) error {
 		}
 		for _, p := range ps {
 			if err := s.checkPacket(p, slotCap, -1); err != nil {
-				return err
+				return ckptErr("source %d: %v", i, err)
 			}
 			if p.Source != i {
 				return ckptErr("packet %d queued at source %d claims source %d", p.ID, i, p.Source)
@@ -410,39 +323,23 @@ func (s *Sim) walkSources(c *checkpoint.Codec) error {
 	return c.Err()
 }
 
-// walkShards walks each shard's RNG streams (traffic, burst registers,
-// packet lengths, phase), its counters, its measurement partial, and its
-// per-stage arbitration stamps.
+// walkShards walks each shard's traffic pattern (its RNG stream and any
+// burst registers), its packet-length and phase streams, its counters,
+// its measurement partial, and its per-stage arbitration stamps.
 func (s *Sim) walkShards(c *checkpoint.Codec) error {
 	n := len(s.shards)
 	if c.Int(&n); c.Err() == nil && n != len(s.shards) {
 		return ckptErr("%d shard records for a %d-shard topology", n, len(s.shards))
 	}
 	for _, sh := range s.shards {
-		pat, ok := sh.pattern.(rngSourced)
-		if !ok {
-			return ckptErr("%T traffic pattern cannot be checkpointed", sh.pattern)
+		if err := sh.pattern.Walk(c); err != nil {
+			return ckptErr("shard %d traffic: %v", sh.id, err)
 		}
-		if err := walkRng(c, pat.Src(), "traffic"); err != nil {
-			return err
+		if err := sh.lengths.Walk(c); err != nil {
+			return ckptErr("shard %d packet lengths: %v", sh.id, err)
 		}
-		if b, ok := sh.pattern.(*traffic.Bursty); ok {
-			rem, dst := b.BurstState()
-			c.Ints(&rem)
-			c.Ints(&dst)
-			if c.Decoding() && c.Err() == nil {
-				if err := b.SetBurstState(rem, dst); err != nil {
-					return ckptErr("shard %d burst registers: %v", sh.id, err)
-				}
-			}
-		}
-		if ul, ok := sh.lengths.(traffic.UniformLengths); ok {
-			if err := walkRng(c, ul.Src, "length"); err != nil {
-				return err
-			}
-		}
-		if err := walkRng(c, sh.phase, "phase"); err != nil {
-			return err
+		if err := sh.phase.Walk(c); err != nil {
+			return ckptErr("shard %d phase stream: %v", sh.id, err)
 		}
 		issued := sh.alloc.Issued()
 		if c.U64(&issued); c.Decoding() {
@@ -458,24 +355,18 @@ func (s *Sim) walkShards(c *checkpoint.Codec) error {
 			return err
 		}
 		for st, stamps := range sh.lastArb {
-			arb := stamps
-			c.I64s(&arb)
-			if !c.Decoding() || c.Err() != nil {
-				continue
-			}
-			if len(arb) != len(stamps) {
+			if n := c.FixedLen(len(stamps)); n != len(stamps) {
 				return ckptErr("shard %d stage %d has %d arbitration stamps for %d switches",
-					sh.id, st, len(arb), len(stamps))
+					sh.id, st, n, len(stamps))
 			}
-			// Checkpoints fall between cycles: no switch can have
-			// been arbitrated in the cycle that has not run yet.
-			for i, v := range arb {
-				if v < -1 || v >= s.cycle {
+			for i := range stamps {
+				// Checkpoints fall between cycles: no switch can have
+				// been arbitrated in the cycle that has not run yet.
+				if c.I64(&stamps[i]); c.Decoding() && (stamps[i] < -1 || stamps[i] >= s.cycle) {
 					return ckptErr("shard %d stage %d switch %d arbitrated at impossible cycle %d",
-						sh.id, st, i, v)
+						sh.id, st, i, stamps[i])
 				}
 			}
-			copy(stamps, arb)
 		}
 	}
 	return c.Err()
@@ -498,7 +389,7 @@ func walkPartial(c *checkpoint.Codec, r *Result, shardID int) error {
 		sums = append(sums, &r.StageOccupancy[st])
 	}
 	for _, sum := range sums {
-		if err := walkSummary(c, sum); err != nil {
+		if err := sum.Walk(c); err != nil {
 			return ckptErr("shard %d summary: %v", shardID, err)
 		}
 	}

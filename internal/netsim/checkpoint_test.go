@@ -15,7 +15,6 @@ import (
 	"sync"
 	"testing"
 
-	"damq/internal/arbiter"
 	"damq/internal/buffer"
 	"damq/internal/cfgerr"
 	"damq/internal/checkpoint"
@@ -652,8 +651,9 @@ func misroutedCheckpoint(t *testing.T) []byte {
 	for st := range s.stages {
 		for _, swc := range s.stages[st] {
 			sp := swc.Buffer(0).Pool()
-			for _, p := range sp.SaveState().Packets {
-				for d := 0; d < s.cfg.Inputs; d++ {
+			for q := 0; q < sp.NumQueues(); q++ {
+				p := sp.Head(q)
+				for d := 0; p != nil && d < s.cfg.Inputs; d++ {
 					if s.top.RouteDigit(d, st) != p.OutPort {
 						p.Dest = d
 						var buf bytes.Buffer
@@ -700,22 +700,4 @@ func TestCheckpointRejectsTrailingGarbage(t *testing.T) {
 	raw := corpusCheckpoint(t)
 	mut := append(append([]byte(nil), raw...), 0xEE)
 	wantCheckpointError(t, mut, "trailing byte after frame")
-}
-
-// TestArbiterStateRoundTrip pins the arbiter Save/Load pair the switch
-// section rides on.
-func TestArbiterStateRoundTrip(t *testing.T) {
-	a := arbiter.New(arbiter.Smart, 4, 4)
-	st := a.SaveState()
-	st.Prio = 99
-	if err := a.LoadState(st); err == nil {
-		t.Error("LoadState accepted an out-of-range priority pointer")
-	}
-	st.Prio = 2
-	if err := a.LoadState(st); err != nil {
-		t.Errorf("LoadState rejected a valid state: %v", err)
-	}
-	if got := a.SaveState(); !reflect.DeepEqual(got.Stale, st.Stale) || got.Prio != 2 {
-		t.Errorf("arbiter state did not round-trip: %+v vs %+v", got, st)
-	}
 }

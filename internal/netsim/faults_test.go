@@ -2,14 +2,17 @@ package netsim
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"strings"
 	"testing"
 
 	"damq/internal/buffer"
+	"damq/internal/checkpoint"
 	"damq/internal/fault"
 	"damq/internal/obs"
+	"damq/internal/packet"
 	"damq/internal/parallel"
 	"damq/internal/sw"
 )
@@ -126,16 +129,45 @@ func TestCheckBuffersAuditsStaticKinds(t *testing.T) {
 			if err := s.CheckBuffers(); err != nil {
 				t.Fatalf("healthy %v network: %v", kind, err)
 			}
+			// Encode the pool with its walk, set queue 0's packet counter
+			// off by one, kept in range so the restore-time bounds checks
+			// let it through, and walk the pool back.
 			sp := s.stages[0][0].Buffer(0).Pool()
-			st := sp.SaveState()
-			// Off by one in queue 0's packet counter, kept in range so
-			// the restore-time bounds checks let it through.
-			if st.QPkts[0] > 0 {
-				st.QPkts[0]--
-			} else {
-				st.QPkts[0]++
+			noCheck := func(*packet.Packet) error { return nil }
+			enc := checkpoint.NewEncoder()
+			var buf bytes.Buffer
+			if err := sp.Walk(enc, noCheck); err != nil {
+				t.Fatal(err)
 			}
-			if err := sp.LoadState(st); err != nil {
+			if err := enc.Emit(&buf); err != nil {
+				t.Fatal(err)
+			}
+			raw := buf.Bytes()
+			// The counter follows the 20-byte frame header, the next
+			// pointers and the owner map (an 8-byte length, then 4 bytes
+			// a slot), the free list's head, tail and count, and the
+			// queues' head and tail arrays (an 8-byte length, then 4
+			// bytes a queue), and the packet counters' own length.
+			at := 20 + 2*(8+4*sp.Capacity()) + 4 + 4 + 8 + 2*(8+4*sp.NumQueues()) + 8
+			n := int64(binary.LittleEndian.Uint64(raw[at:]))
+			if n != int64(sp.QueueLen(0)) {
+				t.Fatalf("stream holds %d at queue 0's packet counter, the pool %d", n, sp.QueueLen(0))
+			}
+			if n > 0 {
+				n--
+			} else {
+				n++
+			}
+			binary.LittleEndian.PutUint64(raw[at:], uint64(n))
+			patchCRC(raw)
+			dec, err := checkpoint.NewDecoderBytes(raw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sp.Walk(dec, noCheck); err != nil {
+				t.Fatal(err)
+			}
+			if err := dec.Done(); err != nil {
 				t.Fatal(err)
 			}
 			err = s.CheckBuffers()

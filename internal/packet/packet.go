@@ -8,7 +8,11 @@
 // accounting metadata but no payload bytes.
 package packet
 
-import "fmt"
+import (
+	"fmt"
+
+	"damq/internal/checkpoint"
+)
 
 // Packet is one fixed- or variable-length packet traversing a simulated
 // network. Fields are exported because the simulator packages in this
@@ -44,6 +48,27 @@ type Packet struct {
 	// completes at its current switch and it becomes eligible for the
 	// crossbar. Rewritten at every hop.
 	ReadyAt int64
+}
+
+// EncodedSize is the number of bytes Walk writes for one packet: nine
+// 8-byte fields and the Hot byte. Checkpoint decoders bound a decoded
+// packet count by the remaining payload in units of it.
+const EncodedSize = 9*8 + 1
+
+// Walk walks the packet's fields through a checkpoint codec (DESIGN.md
+// §13). It validates nothing: the simulator that restores a packet
+// range-checks it against its own geometry.
+func (p *Packet) Walk(c *checkpoint.Codec) {
+	c.U64(&p.ID)
+	c.Int(&p.Source)
+	c.Int(&p.Dest)
+	c.Int(&p.Slots)
+	c.I64(&p.Born)
+	c.I64(&p.Injected)
+	c.Bool(&p.Hot)
+	c.Int(&p.OutPort)
+	c.Int(&p.Bytes)
+	c.I64(&p.ReadyAt)
 }
 
 // String renders the packet for traces and test failures.

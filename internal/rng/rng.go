@@ -17,6 +17,8 @@ package rng
 import (
 	"errors"
 	"math"
+
+	"damq/internal/checkpoint"
 )
 
 // splitMix64 advances a SplitMix64 state and returns the next output.
@@ -177,17 +179,18 @@ func (s *Source) IntnRange(lo, hi int) int {
 	return lo + s.Intn(hi-lo+1)
 }
 
-// State returns the generator's four state words, for checkpointing. A
-// Source restored with SetState continues the identical stream.
-func (s *Source) State() [4]uint64 { return [4]uint64{s.s0, s.s1, s.s2, s.s3} }
-
-// SetState overwrites the generator state with a previously captured
-// State. The all-zero state is xoshiro's single invalid fixed point
-// (the generator would emit zeros forever) and is rejected.
-func (s *Source) SetState(st [4]uint64) error {
-	if st[0]|st[1]|st[2]|st[3] == 0 {
+// Walk walks the generator's four state words through a checkpoint
+// codec (DESIGN.md §13): a restored Source continues the identical
+// stream. Decoding rejects the all-zero state, xoshiro's single invalid
+// fixed point (the generator would emit zeros forever); a stream error
+// stays on c.
+func (s *Source) Walk(c *checkpoint.Codec) error {
+	c.U64(&s.s0)
+	c.U64(&s.s1)
+	c.U64(&s.s2)
+	c.U64(&s.s3)
+	if c.Decoding() && s.s0|s.s1|s.s2|s.s3 == 0 {
 		return errors.New("rng: all-zero state is invalid")
 	}
-	s.s0, s.s1, s.s2, s.s3 = st[0], st[1], st[2], st[3]
 	return nil
 }

@@ -10,6 +10,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
+
+	"damq/internal/checkpoint"
 )
 
 // Summary accumulates a stream of observations with numerically stable
@@ -68,6 +70,22 @@ func (s *Summary) Merge(other *Summary) {
 		s.max = other.max
 	}
 	s.n = total
+}
+
+// Walk walks the accumulator through a checkpoint codec (DESIGN.md §13):
+// restored, it continues bit for bit, because Welford's update is a pure
+// function of (state, x). Decoding rejects a negative count; a stream
+// error stays on c.
+func (s *Summary) Walk(c *checkpoint.Codec) error {
+	c.I64(&s.n)
+	c.F64(&s.mean)
+	c.F64(&s.m2)
+	c.F64(&s.min)
+	c.F64(&s.max)
+	if c.Decoding() && s.n < 0 {
+		return fmt.Errorf("stats: summary with negative count %d", s.n)
+	}
+	return nil
 }
 
 // N returns the number of observations.

@@ -3,6 +3,7 @@ package traffic
 import (
 	"fmt"
 
+	"damq/internal/checkpoint"
 	"damq/internal/rng"
 )
 
@@ -78,33 +79,31 @@ func (b *Bursty) String() string {
 	return fmt.Sprintf("bursty(load=%.3g, mean burst %.3g)", b.load, b.meanBurst)
 }
 
-// Src exposes the pattern's random stream for the checkpoint codec.
-func (b *Bursty) Src() *rng.Source { return b.src }
-
-// BurstState returns copies of the per-input burst registers — packets
-// remaining in each source's current burst and its destination — for
-// the checkpoint codec.
-func (b *Bursty) BurstState() (remaining, dest []int) {
-	return append([]int(nil), b.remaining...), append([]int(nil), b.dest...)
-}
-
-// SetBurstState overwrites the per-input burst registers with
-// previously captured ones, validating lengths and ranges against the
-// pattern's geometry.
-func (b *Bursty) SetBurstState(remaining, dest []int) error {
-	if len(remaining) != len(b.remaining) || len(dest) != len(b.dest) {
-		return fmt.Errorf("traffic: burst state for %d inputs loaded into %d-input pattern",
-			len(remaining), len(b.remaining))
+// Walk implements Pattern: the random stream, then the per-source burst
+// registers — packets left in each source's current message, and that
+// message's destination — validated against the pattern's geometry.
+func (b *Bursty) Walk(c *checkpoint.Codec) error {
+	if err := b.src.Walk(c); err != nil {
+		return err
 	}
-	for i := range remaining {
-		if remaining[i] < 0 {
-			return fmt.Errorf("traffic: negative burst remainder %d", remaining[i])
+	for _, regs := range [][]int{b.remaining, b.dest} {
+		if n := c.FixedLen(len(regs)); n != len(regs) {
+			return fmt.Errorf("traffic: burst state for %d inputs loaded into %d-input pattern", n, len(regs))
 		}
-		if dest[i] < 0 || dest[i] >= b.n {
-			return fmt.Errorf("traffic: burst destination %d out of range [0, %d)", dest[i], b.n)
+		for i := range regs {
+			c.Int(&regs[i])
 		}
 	}
-	copy(b.remaining, remaining)
-	copy(b.dest, dest)
+	if !c.Decoding() {
+		return nil
+	}
+	for i := range b.remaining {
+		if b.remaining[i] < 0 {
+			return fmt.Errorf("traffic: negative burst remainder %d", b.remaining[i])
+		}
+		if b.dest[i] < 0 || b.dest[i] >= b.n {
+			return fmt.Errorf("traffic: burst destination %d out of range [0, %d)", b.dest[i], b.n)
+		}
+	}
 	return nil
 }

@@ -7,6 +7,7 @@ package traffic
 import (
 	"fmt"
 
+	"damq/internal/checkpoint"
 	"damq/internal/rng"
 )
 
@@ -22,6 +23,11 @@ type Pattern interface {
 	Load() float64
 	// String describes the pattern for logs and table captions.
 	String() string
+	// Walk walks the pattern's cross-cycle state — its random stream
+	// and any per-source registers — through a checkpoint codec
+	// (DESIGN.md §13). Decoding validates what it read; a stream error
+	// stays on c.
+	Walk(c *checkpoint.Codec) error
 }
 
 // Uniform generates Bernoulli(load) arrivals with uniformly random
@@ -56,6 +62,9 @@ func (u *Uniform) Load() float64 { return u.load }
 
 // String implements Pattern.
 func (u *Uniform) String() string { return fmt.Sprintf("uniform(load=%.3g)", u.load) }
+
+// Walk implements Pattern.
+func (u *Uniform) Walk(c *checkpoint.Codec) error { return u.src.Walk(c) }
 
 // HotSpot sends a fraction of all packets to one hot destination and the
 // rest uniformly: Pfister & Norton's hot-spot model. With fraction h, the
@@ -107,6 +116,9 @@ func (h *HotSpot) String() string {
 	return fmt.Sprintf("hotspot(load=%.3g, %.1f%%->%d)", h.load, h.fraction*100, h.hot)
 }
 
+// Walk implements Pattern.
+func (h *HotSpot) Walk(c *checkpoint.Codec) error { return h.src.Walk(c) }
+
 // Permutation sends every source's packets to one fixed destination given
 // by a permutation — a conflict-free pattern on an Omega network when the
 // permutation is passable, useful for latency floor measurements and
@@ -156,6 +168,9 @@ func (p *Permutation) Load() float64 { return p.load }
 // String implements Pattern.
 func (p *Permutation) String() string { return fmt.Sprintf("permutation(load=%.3g)", p.load) }
 
+// Walk implements Pattern.
+func (p *Permutation) Walk(c *checkpoint.Codec) error { return p.src.Walk(c) }
+
 // Lengths draws packet sizes in slots. Fixed-length experiments use
 // Fixed(1); the variable-length extension (paper §5: 1-32 byte packets in
 // 8-byte slots) uses UniformLengths(1, 4).
@@ -164,6 +179,9 @@ type Lengths interface {
 	Draw() int
 	// Mean returns the expected size, used to normalize offered load.
 	Mean() float64
+	// Walk walks the generator's random stream, if it has one, through
+	// a checkpoint codec, as Pattern.Walk does.
+	Walk(c *checkpoint.Codec) error
 }
 
 // Fixed always returns the same size.
@@ -174,6 +192,9 @@ func (f Fixed) Draw() int { return int(f) }
 
 // Mean implements Lengths.
 func (f Fixed) Mean() float64 { return float64(f) }
+
+// Walk implements Lengths: a fixed size has no state.
+func (Fixed) Walk(*checkpoint.Codec) error { return nil }
 
 // UniformLengths draws uniformly from [Lo, Hi] slots.
 type UniformLengths struct {
@@ -187,13 +208,5 @@ func (u UniformLengths) Draw() int { return u.Src.IntnRange(u.Lo, u.Hi) }
 // Mean implements Lengths.
 func (u UniformLengths) Mean() float64 { return float64(u.Lo+u.Hi) / 2 }
 
-// Src exposes the pattern's random stream for the checkpoint codec: a
-// pattern's only cross-cycle state is its source (Bursty adds per-input
-// burst registers, which it exposes separately).
-func (u *Uniform) Src() *rng.Source { return u.src }
-
-// Src exposes the pattern's random stream for the checkpoint codec.
-func (h *HotSpot) Src() *rng.Source { return h.src }
-
-// Src exposes the pattern's random stream for the checkpoint codec.
-func (p *Permutation) Src() *rng.Source { return p.src }
+// Walk implements Lengths.
+func (u UniformLengths) Walk(c *checkpoint.Codec) error { return u.Src.Walk(c) }

@@ -60,7 +60,8 @@
 // With -exp run, -metrics <file> attaches an observer and writes its
 // JSON snapshot (per-stage occupancy, per-queue depth, discard/block
 // counters, latency histograms); -metrics-interval N adds a cumulative
-// time series every N cycles. -check-metrics <file> validates a
+// time series every N cycles (a run resumed from an observed checkpoint
+// keeps the checkpoint's interval). -check-metrics <file> validates a
 // previously written snapshot and exits — the CI smoke check.
 //
 // -checkpoint-file <file> makes -exp run crash-safe: the simulation state
@@ -128,7 +129,7 @@ func main() {
 	jsonPath := flag.String("json", "", "report: also write the machine-readable report to this path")
 	reps := flag.Int("reps", 0, "report: replicate the saturation measurement across this many seeds, run concurrently on -workers goroutines (0 = skip)")
 	metricsPath := flag.String("metrics", "", "run: attach an observer and write its JSON snapshot to this path; report: run one instrumented over-subscribed DAMQ simulation, write its snapshot (with time series) to this path, and report the Figure-3-style curve recovered from it")
-	metricsInterval := flag.Int64("metrics-interval", 0, "run: record a cumulative time-series point every N cycles in the -metrics snapshot (0 = off)")
+	metricsInterval := flag.Int64("metrics-interval", 0, "run: record a cumulative time-series point every N cycles in the -metrics snapshot (0 = off); on -resume from an observed checkpoint the checkpoint's interval wins")
 	checkMetrics := flag.String("check-metrics", "", "validate a -metrics JSON file and exit (CI smoke check)")
 	faultsSpec := flag.String("faults", "", `run/faults/chip: fault spec, e.g. "linktransient=1e-3,slotstuck=1e-5,seed=7" (see damq.ParseFaultSpec); faults takes only linktransient`)
 	nbytes := flag.Int("bytes", 8, "chip: payload bytes (1..32)")

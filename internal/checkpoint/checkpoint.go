@@ -5,7 +5,8 @@
 // section is a single walk, and an atomic file writer. Each stateful
 // component walks its own registers with a Walk(*Codec) method in its
 // own package (buffer.SlotPool, arbiter.Arbiter, stats.Summary,
-// rng.Source, packet.Packet, the traffic patterns), and a simulator
+// stats.Histogram, rng.Source, packet.Packet, the traffic patterns,
+// and obs.Observer, whose Walk also takes the cycle), and a simulator
 // composes those walks into its sections (netsim.(*Sim).Checkpoint /
 // netsim.RestoreSim).
 //

@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"slices"
 
 	"damq/internal/buffer"
 	"damq/internal/cfgerr"
@@ -461,167 +460,24 @@ func (s *Sim) walkFaults(c *checkpoint.Codec) error {
 	return nil
 }
 
-// obsState carries a checkpoint's instrument values on a restored Sim
-// until an observer attaches (SetObserver applies and clears it). The
-// names and histogram shapes were validated against this simulation's
-// instrument set at restore time, so apply cannot fail or panic.
-type obsState struct {
-	interval   int64
-	lastSample int64
-	counters   []namedInt
-	gauges     []namedInt
-	hists      []histState
-	series     []obs.IntervalRecord
-}
-
-type namedInt struct {
-	name string
-	val  int64
-}
-
-type histState struct {
-	name     string
-	width    int64
-	buckets  []int64
-	overflow int64
-	total    int64
-	sum      int64
-}
-
-func (st *obsState) apply(s *Sim) {
-	m := s.metrics
-	r := m.observer.Registry()
-	for _, c := range st.counters {
-		r.Counter(c.name).Set(c.val)
-	}
-	for _, g := range st.gauges {
-		r.Gauge(g.name).Set(g.val)
-	}
-	for _, h := range st.hists {
-		// Shape and totals were pre-validated; Restore cannot fail.
-		_ = r.Histogram(h.name, len(h.buckets), h.width).Restore(h.buckets, h.overflow, h.total, h.sum)
-	}
-	m.observer.SetInterval(st.interval)
-	m.observer.RestoreSeries(st.series)
-	m.lastSample = st.lastSample
-}
-
-// captureObs reads the attached observer's instrument values into an
-// obsState for walkObserver to encode.
-func (s *Sim) captureObs() *obsState {
-	o := s.metrics.observer
-	r := o.Registry()
-	st := &obsState{interval: o.Interval(), lastSample: s.metrics.lastSample, series: o.Series()}
-	for _, n := range r.CounterNames() {
-		st.counters = append(st.counters, namedInt{name: n, val: r.Counter(n).Value()})
-	}
-	for _, n := range r.GaugeNames() {
-		st.gauges = append(st.gauges, namedInt{name: n, val: r.Gauge(n).Value()})
-	}
-	for _, n := range r.HistogramNames() {
-		h, _ := r.LookupHistogram(n)
-		st.hists = append(st.hists, histState{name: n, width: h.Width(), buckets: h.Buckets(),
-			overflow: h.Overflow(), total: h.Total(), sum: h.Sum()})
-	}
-	return st
-}
-
-// walkObserver walks the observer's instrument values: interval, counters,
-// gauges, histograms, and the interval series. Decoding validates them
-// and parks them on the Sim until an observer attaches.
+// walkObserver walks the attached observer (obs.Observer.Walk).
+// Decoding reads into a fresh observer holding this simulation's
+// instrument set — the registration SetObserver makes, so the set is
+// written down once — and parks it until SetObserver hands its values
+// to the caller's observer.
 func (s *Sim) walkObserver(c *checkpoint.Codec) error {
-	st := &obsState{}
-	if !c.Decoding() {
-		st = s.captureObs()
+	var o *obs.Observer
+	if c.Decoding() {
+		o = obs.NewObserver()
+		s.register(o)
+		s.pendingObs = o
+	} else {
+		o = s.metrics.observer
 	}
-	return s.walkObsState(c, st)
-}
-
-// walkObsState is walkObserver's codec walk over an explicit state.
-func (s *Sim) walkObsState(c *checkpoint.Codec, st *obsState) error {
-	c.I64(&st.interval)
-	c.I64(&st.lastSample)
-	named := func(v *namedInt) {
-		c.String(&v.name)
-		c.I64(&v.val)
+	if err := o.Walk(c, s.cycle); err != nil {
+		return ckptErr("observer: %v", err)
 	}
-	walkList(c, &st.counters, 9, named)
-	walkList(c, &st.gauges, 9, named)
-	walkList(c, &st.hists, 9, func(h *histState) {
-		c.String(&h.name)
-		c.I64(&h.width)
-		c.I64s(&h.buckets)
-		c.I64(&h.overflow)
-		c.I64(&h.total)
-		c.I64(&h.sum)
-	})
-	walkList(c, &st.series, 9*8, func(rec *obs.IntervalRecord) {
-		for _, v := range []*int64{&rec.Cycle, &rec.Generated, &rec.Injected, &rec.Delivered,
-			&rec.Discarded, &rec.InFlight, &rec.Backlog, &rec.LatencySum, &rec.LatencyCount} {
-			c.I64(v)
-		}
-	})
-	if !c.Decoding() || c.Err() != nil {
-		return c.Err()
-	}
-	if err := s.validateObsState(st); err != nil {
-		return err
-	}
-	s.pendingObs = st
-	return nil
-}
-
-// validateObsState checks a decoded observer section against a scratch
-// registration of this simulation's instrument set: unknown names,
-// mismatched histogram shapes, and contents the scratch histograms'
-// Restore refuses are corruption. Passing means obsState.apply cannot
-// fail, whichever observer later attaches.
-func (s *Sim) validateObsState(st *obsState) error {
-	r := s.register(obs.NewObserver()).observer.Registry()
-	counters, gauges := r.CounterNames(), r.GaugeNames()
-	for _, cv := range st.counters {
-		if _, ok := slices.BinarySearch(counters, cv.name); !ok {
-			return ckptErr("checkpointed counter %q is not one this simulation registers", cv.name)
-		}
-		if cv.val < 0 {
-			return ckptErr("checkpointed counter %q is negative", cv.name)
-		}
-	}
-	for _, gv := range st.gauges {
-		if _, ok := slices.BinarySearch(gauges, gv.name); !ok {
-			return ckptErr("checkpointed gauge %q is not one this simulation registers", gv.name)
-		}
-	}
-	for _, hv := range st.hists {
-		h, ok := r.LookupHistogram(hv.name)
-		if !ok {
-			return ckptErr("checkpointed histogram %q is not one this simulation registers", hv.name)
-		}
-		if n := len(h.Buckets()); len(hv.buckets) != n || hv.width != h.Width() {
-			return ckptErr("checkpointed histogram %q has shape %dx%d, this simulation registers %dx%d",
-				hv.name, len(hv.buckets), hv.width, n, h.Width())
-		}
-		if err := h.Restore(hv.buckets, hv.overflow, hv.total, hv.sum); err != nil {
-			return ckptErr("checkpointed histogram %q: %v", hv.name, err)
-		}
-	}
-	if st.interval < 0 {
-		return ckptErr("negative observer interval %d", st.interval)
-	}
-	// A record cycle past the clock, or a lastSample ahead of it, would
-	// silently suppress the resumed run's interval records.
-	if st.lastSample < -1 || st.lastSample > s.cycle {
-		return ckptErr("last interval sample at cycle %d outside [-1, %d]", st.lastSample, s.cycle)
-	}
-	for i, rec := range st.series {
-		if i > 0 && rec.Cycle <= st.series[i-1].Cycle {
-			return ckptErr("interval record %d at cycle %d does not follow cycle %d", i, rec.Cycle, st.series[i-1].Cycle)
-		}
-		if rec.Cycle > s.cycle {
-			return ckptErr("interval record %d at cycle %d is past the checkpoint's cycle %d", i, rec.Cycle, s.cycle)
-		}
-	}
-	return nil
+	return c.Err()
 }
 
 // checkpointSanity bounds a decoded config's geometry before New builds

@@ -62,6 +62,7 @@ import (
 	"damq/internal/arbiter"
 	"damq/internal/buffer"
 	"damq/internal/cfgerr"
+	"damq/internal/obs"
 	"damq/internal/omega"
 	"damq/internal/packet"
 	"damq/internal/parallel"
@@ -401,10 +402,11 @@ type Sim struct {
 	// logs in shard order. Off by default — the log grows with the run.
 	recordDeliv bool
 
-	// pendingObs carries checkpointed instrument values on a restored
-	// Sim until SetObserver re-registers the instruments and applies
-	// them; nil otherwise. See netsim/checkpoint.go.
-	pendingObs *obsState
+	// pendingObs is a restored Sim's checkpointed observer, decoded into
+	// a scratch registration of its instrument set, until SetObserver
+	// hands its values to the caller's observer; nil otherwise. See
+	// walkObserver.
+	pendingObs *obs.Observer
 	// ckptSize is the payload size of the last Checkpoint, which sizes
 	// the next one's buffer: periodic checkpoints then build each stream
 	// in one allocation instead of a chain of doublings.

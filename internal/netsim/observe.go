@@ -97,10 +97,6 @@ type netMetrics struct {
 	// are armed.
 	linkDrops   *obs.Counter
 	quarantined *obs.Counter
-
-	// lastSample is the cycle of the last time-series record (-1 = none
-	// yet); used only when the observer's interval is enabled.
-	lastSample int64
 }
 
 // shardMetrics is one shard's partial of the observer's instruments:
@@ -183,13 +179,11 @@ func (s *Sim) SetObserver(o *obs.Observer) {
 		sh.m = sm
 	}
 	s.metrics = m
-	// A restored Sim carries the checkpointed instrument values until the
-	// first observer attaches; applying them after registration makes the
-	// resumed run's final snapshot byte-identical to the uninterrupted
-	// run's. The values were validated against this config's instrument
-	// set at restore time, so application cannot fail.
+	// A restored Sim carries the checkpointed observer until the first
+	// observer attaches; adopting its values makes the resumed run's
+	// final snapshot byte-identical to the uninterrupted run's.
 	if s.pendingObs != nil {
-		s.pendingObs.apply(s)
+		o.Adopt(s.pendingObs)
 		s.pendingObs = nil
 	}
 }
@@ -221,7 +215,6 @@ func (s *Sim) register(o *obs.Observer) *netMetrics {
 		queueDepth:     r.Histogram(MetricQueueDepth, s.cfg.Capacity+1, 1),
 		latBorn:        r.Histogram(MetricLatencyBorn, 4096, c),
 		latInjected:    r.Histogram(MetricLatencyInjected, 4096, c),
-		lastSample:     -1,
 	}
 	for st := range s.stages {
 		m.stageOcc[st] = r.Gauge(StageOccupancyMetric(st))
@@ -357,14 +350,9 @@ func (s *Sim) foldMetrics(measuring bool, backlog int64) {
 	m.inFlight.Set(inFlight)
 	m.backlog.Set(backlog)
 
-	iv := m.observer.Interval()
-	if iv <= 0 {
+	if !m.observer.Due(s.cycle) {
 		return
 	}
-	if m.lastSample >= 0 && s.cycle-m.lastSample < iv {
-		return
-	}
-	m.lastSample = s.cycle
 	m.observer.RecordInterval(obs.IntervalRecord{
 		Cycle:        s.cycle,
 		Generated:    m.generated.Value(),

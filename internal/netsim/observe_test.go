@@ -238,3 +238,31 @@ func TestModernMetricsConditional(t *testing.T) {
 			occ.Total, pocc.Total)
 	}
 }
+
+// TestReattachKeepsSeriesCadence: the interval series' sampling
+// position belongs to the observer, so re-attaching the same observer
+// to a running Sim keeps its records on their cadence instead of taking
+// one at the re-attach.
+func TestReattachKeepsSeriesCadence(t *testing.T) {
+	sim, err := New(observeTestConfig(sw.Discarding, 0.5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sim.Close()
+	o := obs.NewObserver()
+	o.SetInterval(10)
+	sim.SetObserver(o)
+	for i := 0; i < 45; i++ {
+		if i == 25 {
+			sim.SetObserver(o)
+		}
+		sim.Step(true)
+	}
+	var got []int64
+	for _, rec := range o.Series() {
+		got = append(got, rec.Cycle)
+	}
+	if want := []int64{0, 10, 20, 30, 40}; !reflect.DeepEqual(got, want) {
+		t.Errorf("records at cycles %v, want %v", got, want)
+	}
+}

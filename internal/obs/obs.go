@@ -132,27 +132,11 @@ func (r *Registry) Histogram(name string, buckets int, width int64) *Histogram {
 // whose source has gone away; a later Counter(name) starts a new one.
 func (r *Registry) RemoveCounter(name string) { delete(r.counters, name) }
 
-// Set overwrites the count, for checkpoint restore.
+// Set overwrites the count.
 func (c *Counter) Set(v int64) { c.v = v }
 
-// CounterNames returns the registered counter names, sorted — the
-// deterministic iteration order the checkpoint codec serializes in.
-func (r *Registry) CounterNames() []string { return sortedKeys(r.counters) }
-
-// GaugeNames returns the registered gauge names, sorted.
-func (r *Registry) GaugeNames() []string { return sortedKeys(r.gauges) }
-
-// HistogramNames returns the registered histogram names, sorted.
-func (r *Registry) HistogramNames() []string { return sortedKeys(r.hists) }
-
-// LookupHistogram returns the histogram registered under name without
-// creating one: the restore path must never invent instruments (or
-// shapes) the simulation did not register.
-func (r *Registry) LookupHistogram(name string) (*Histogram, bool) {
-	h, ok := r.hists[name]
-	return h, ok
-}
-
+// sortedKeys returns m's keys in the order Observer.Walk serializes
+// instruments in.
 func sortedKeys[V any](m map[string]V) []string {
 	out := make([]string, 0, len(m))
 	for k := range m {

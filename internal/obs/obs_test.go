@@ -115,8 +115,8 @@ func TestRegistryIdentityAndShapeChecks(t *testing.T) {
 	old := r.Counter("a")
 	old.Inc()
 	r.RemoveCounter("a")
-	if names := r.CounterNames(); len(names) != 0 {
-		t.Errorf("removed counter still registered: %v", names)
+	if len(r.counters) != 0 {
+		t.Errorf("removed counter still registered: %v", r.counters)
 	}
 	if c := r.Counter("a"); c == old || c.Value() != 0 {
 		t.Error("a counter registered after removal must start afresh")

@@ -278,6 +278,28 @@ func (h *Histogram) Restore(buckets []int64, overflow, total, sum int64) error {
 	return nil
 }
 
+// Walk walks the histogram through a checkpoint codec (DESIGN.md §13):
+// width, buckets, overflow, total and sum. Decoding admits only the
+// histogram's own width and bucket count and then restores through
+// Restore, so contents CheckContents refuses leave the histogram as it
+// was; a stream error stays on c.
+func (h *Histogram) Walk(c *checkpoint.Codec) error {
+	width, buckets := h.width, h.buckets
+	overflow, total, sum := h.overflow, h.total, h.sum
+	c.I64(&width)
+	c.I64s(&buckets)
+	c.I64(&overflow)
+	c.I64(&total)
+	c.I64(&sum)
+	if !c.Decoding() || c.Err() != nil {
+		return nil
+	}
+	if width != h.width {
+		return fmt.Errorf("stats: histogram of width %d restored into one of width %d", width, h.width)
+	}
+	return h.Restore(buckets, overflow, total, sum)
+}
+
 // CheckContents reports whether Observe calls on a histogram of the
 // given bucket width could have produced these contents: non-negative
 // counts that add up (with overflow) to total, and a sum each sample's

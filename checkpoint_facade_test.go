@@ -12,7 +12,7 @@ import (
 
 func checkpointTestConfig() damq.NetworkConfig {
 	return damq.NetworkConfig{
-		Radix: 4, Inputs: 16, Capacity: 4, ClocksPerCycle: 12,
+		Radix: 4, Inputs: 16, Capacity: 4,
 		WarmupCycles: 30, MeasureCycles: 80, Seed: 11,
 		BufferKind: damq.DAMQ,
 		Traffic:    damq.TrafficSpec{Kind: damq.UniformTraffic, Load: 0.7},

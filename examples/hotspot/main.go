@@ -53,7 +53,6 @@ func hotCfg(kind damq.BufferKind, load float64) damq.NetworkConfig {
 			Kind:        damq.HotSpotTraffic,
 			Load:        load,
 			HotFraction: 0.05,
-			HotDest:     0,
 		},
 		WarmupCycles:  2000,
 		MeasureCycles: 6000,

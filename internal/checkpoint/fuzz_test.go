@@ -27,7 +27,7 @@ import (
 // for some configs.
 func fuzzSeedCheckpoint(f *testing.F, seed uint64, withExtras bool, tweak func(*netsim.Config)) []byte {
 	cfg := netsim.Config{
-		Radix: 4, Inputs: 16, Capacity: 4, ClocksPerCycle: 12,
+		Radix: 4, Inputs: 16, Capacity: 4,
 		WarmupCycles: 20, MeasureCycles: 30, Seed: seed,
 		BufferKind: buffer.DAMQ,
 		Traffic:    netsim.TrafficSpec{Kind: netsim.Uniform, Load: 0.8},

@@ -34,10 +34,6 @@ type Config struct {
 	// (drop + NACK on mismatch). The zero value keeps the chip exactly
 	// as fast and deterministic as a fault-free build.
 	Faults fault.Config
-	// FaultChip is this chip's number in the fault engine's site space
-	// (fault.ChipLinkSite), so multi-chip systems give every chip a
-	// distinct corruption schedule. Standalone chips leave it 0.
-	FaultChip int
 }
 
 // Validate checks the config under the repo-wide sentinel-error
@@ -81,7 +77,7 @@ func NewChip(cfg Config) *Chip {
 		if err != nil {
 			panic(err) // unreachable: Validate already passed
 		}
-		c.flt = newChipFaults(inj, cfg.FaultChip, cfg.Observer)
+		c.flt = newChipFaults(inj, cfg.Observer)
 	}
 	if cfg.Observer != nil {
 		c.m = newChipMetrics(cfg.Observer)

@@ -27,13 +27,11 @@ type FaultStats struct {
 }
 
 // chipFaults is the per-chip fault-injection state: the injector that
-// decides corruption, the chip's site number, the plain counters, and the
-// optional observer instruments. The Chip holds a nil *chipFaults when
-// faults are off, so the entire machinery sits behind one pointer check
-// on the cycle path.
+// decides corruption, the plain counters, and the optional observer
+// instruments. The Chip holds a nil *chipFaults when faults are off, so
+// the entire machinery sits behind one pointer check on the cycle path.
 type chipFaults struct {
 	inj   *fault.Injector
-	chip  int // site number for fault.ChipLinkSite
 	stats FaultStats
 	m     *chipFaultMetrics // nil without an observer
 }
@@ -48,8 +46,8 @@ type chipFaultMetrics struct {
 	poisoned  *obs.Counter
 }
 
-func newChipFaults(inj *fault.Injector, chip int, o *obs.Observer) *chipFaults {
-	f := &chipFaults{inj: inj, chip: chip}
+func newChipFaults(inj *fault.Injector, o *obs.Observer) *chipFaults {
+	f := &chipFaults{inj: inj}
 	if o != nil {
 		r := o.Registry()
 		f.m = &chipFaultMetrics{
@@ -72,7 +70,7 @@ func (f *chipFaults) corrupt(c *Chip) {
 		if !l.cur.valid || l.cur.start {
 			continue
 		}
-		mask, ok := f.inj.CorruptWire(fault.ChipLinkSite(f.chip, i), c.cycle)
+		mask, ok := f.inj.CorruptWire(fault.ChipLinkSite(i), c.cycle)
 		if !ok {
 			continue
 		}

@@ -10,6 +10,15 @@ import (
 	"damq/internal/pktq"
 	"damq/internal/rng"
 	"damq/internal/stats"
+	"damq/internal/traffic"
+)
+
+// RouteDelay is the idle-path turn-around per switch in cycles (Table 1's
+// four-cycle cut-through). Overhead is the per-packet framing on a link
+// in cycles (start bit + header + length).
+const (
+	RouteDelay = 4
+	Overhead   = 3
 )
 
 // Config parameterizes an asynchronous Omega-network simulation.
@@ -18,12 +27,6 @@ type Config struct {
 	Inputs     int // default 64
 	BufferKind buffer.Kind
 	Capacity   int // slots per input buffer, default 4
-
-	// RouteDelay is the idle-path turn-around per switch in cycles
-	// (Table 1: 4). Overhead is the per-packet framing on a link in
-	// cycles (start bit + header + length: 3).
-	RouteDelay int64
-	Overhead   int64
 
 	// MinBytes/MaxBytes bound the uniform payload-size distribution
 	// (default 8..8, one slot). Slots per packet = ceil(bytes/8).
@@ -34,10 +37,10 @@ type Config struct {
 	// renewal processes with geometric interarrivals.
 	Load float64
 
-	// HotFraction re-addresses that fraction of packets to HotDest
-	// (0 = uniform destinations), mirroring netsim's hot-spot pattern.
+	// HotFraction re-addresses that fraction of packets to
+	// traffic.HotModule (0 = uniform destinations), mirroring netsim's
+	// hot-spot pattern.
 	HotFraction float64
-	HotDest     int
 
 	// Warmup and Measure are simulation spans in cycles.
 	Warmup  int64
@@ -54,12 +57,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Capacity == 0 {
 		c.Capacity = 4
-	}
-	if c.RouteDelay == 0 {
-		c.RouteDelay = 4
-	}
-	if c.Overhead == 0 {
-		c.Overhead = 3
 	}
 	if c.MinBytes == 0 {
 		c.MinBytes = 8
@@ -142,15 +139,12 @@ func New(cfg Config) (*Sim, error) {
 		return nil, fmt.Errorf("eventsim: payload bounds %d..%d invalid: %w",
 			cfg.MinBytes, cfg.MaxBytes, cfgerr.ErrBadPacketSize)
 	}
-	if cfg.RouteDelay < 0 || cfg.Overhead < 0 || cfg.Warmup < 0 || cfg.Measure < 0 {
-		return nil, fmt.Errorf("eventsim: negative cycle count (route delay %d, overhead %d, warmup %d, measure %d): %w",
-			cfg.RouteDelay, cfg.Overhead, cfg.Warmup, cfg.Measure, cfgerr.ErrBadTiming)
+	if cfg.Warmup < 0 || cfg.Measure < 0 {
+		return nil, fmt.Errorf("eventsim: negative cycle count (warmup %d, measure %d): %w",
+			cfg.Warmup, cfg.Measure, cfgerr.ErrBadTiming)
 	}
 	if cfg.HotFraction < 0 || cfg.HotFraction > 1 {
 		return nil, fmt.Errorf("eventsim: hot fraction %v out of [0,1]: %w", cfg.HotFraction, cfgerr.ErrBadTraffic)
-	}
-	if cfg.HotFraction > 0 && (cfg.HotDest < 0 || cfg.HotDest >= cfg.Inputs) {
-		return nil, fmt.Errorf("eventsim: hot destination %d out of range: %w", cfg.HotDest, cfgerr.ErrBadTraffic)
 	}
 	s := &Sim{
 		cfg: cfg, top: top,
@@ -196,12 +190,12 @@ func (s *Sim) port(st, sw, p int) int {
 // duration is a packet's link occupancy in cycles.
 // damqvet:hotpath
 func (s *Sim) duration(p *packet.Packet) int64 {
-	return s.cfg.Overhead + int64(p.Bytes)
+	return Overhead + int64(p.Bytes)
 }
 
 // meanDuration is the expected link occupancy of one packet.
 func (s *Sim) meanDuration() float64 {
-	return float64(s.cfg.Overhead) + float64(s.cfg.MinBytes+s.cfg.MaxBytes)/2
+	return Overhead + float64(s.cfg.MinBytes+s.cfg.MaxBytes)/2
 }
 
 // dispatch routes one typed event to its handler: the switch is the
@@ -254,7 +248,7 @@ func (s *Sim) generate(src int) {
 	nbytes := s.sizes.IntnRange(s.cfg.MinBytes, s.cfg.MaxBytes)
 	var dest int
 	if s.cfg.HotFraction > 0 && s.gens[src].Bool(s.cfg.HotFraction) {
-		dest = s.cfg.HotDest
+		dest = traffic.HotModule
 	} else {
 		dest = s.gens[src].Intn(s.cfg.Inputs)
 	}
@@ -287,7 +281,7 @@ func (s *Sim) kickSource(src int) {
 	dur := s.duration(p)
 	s.srcBusyUntil[src] = now + dur
 	p.OutPort = out
-	p.ReadyAt = now + s.cfg.RouteDelay
+	p.ReadyAt = now + RouteDelay
 	p.Injected = now
 	if !b.Offer(p) {
 		panic("eventsim: stage-0 buffer refused a probed packet")
@@ -381,7 +375,7 @@ func (s *Sim) startTx(st, sw, in, out int) {
 		nsw, nport := s.top.NextStage(sw, out)
 		np := s.alloc.Clone(p)
 		np.OutPort = s.top.RouteDigit(p.Dest, st+1)
-		np.ReadyAt = now + s.cfg.RouteDelay
+		np.ReadyAt = now + RouteDelay
 		if !s.bufs[s.port(st+1, nsw, nport)].Offer(np) {
 			panic("eventsim: downstream buffer refused a probed packet")
 		}

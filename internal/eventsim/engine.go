@@ -10,7 +10,8 @@
 // link, as on the ComCoBB's 20 MHz byte-serial links). A packet of L
 // payload bytes occupies a link for Overhead+L cycles (start bit, header,
 // length, payload); a switch turns a packet around in RouteDelay cycles
-// when the path is idle (Table 1's four-cycle cut-through), so the
+// when the path is idle (Table 1's four-cycle cut-through). Both are
+// package constants, the ComCoBB's figures, so the
 // contention-free network latency of an h-hop path is
 // h·RouteDelay + Overhead + L — latency essentially independent of length
 // except for the final drain, which is exactly the virtual cut-through
@@ -21,8 +22,9 @@
 // closures, stored in a reusable slot arena and ordered by a timing
 // wheel — a bucketed calendar queue (Brown, "Calendar Queues", CACM
 // 1988) with one FIFO bucket per cycle of a 256-cycle horizon. Every
-// in-network delay (RouteDelay, Overhead+32) fits inside the horizon, so
-// scheduling and popping make no comparisons; only the rare long source
+// in-network delay, at most max(RouteDelay, Overhead+32) = 35 cycles by
+// the constants and New's 32-byte payload cap, fits inside the horizon,
+// so scheduling and popping make no comparisons; only the rare long source
 // interarrival gaps go to a small overflow heap. The seed implementation
 // — `container/heap` over closure-valued events — paid one closure
 // allocation plus one interface boxing per scheduled event; the typed

@@ -47,7 +47,6 @@ func equivConfigs() []Config {
 	hot.BufferKind = buffer.DAMQ
 	hot.Load = 0.6
 	hot.HotFraction = 0.1
-	hot.HotDest = 13
 	cfgs = append(cfgs, hot)
 	narrow := base
 	narrow.BufferKind = buffer.DAMQ

@@ -307,14 +307,11 @@ func TestNewValidation(t *testing.T) {
 		{"max < min bytes", func(c *Config) { c.MinBytes, c.MaxBytes = 8, 4 }, cfgerr.ErrBadPacketSize},
 		{"oversized packets", func(c *Config) { c.MaxBytes = 99 }, cfgerr.ErrBadPacketSize},
 		{"negative min bytes", func(c *Config) { c.MinBytes = -1 }, cfgerr.ErrBadPacketSize},
-		{"negative route delay", func(c *Config) { c.RouteDelay = -5 }, cfgerr.ErrBadTiming},
-		{"negative overhead", func(c *Config) { c.Overhead = -10 }, cfgerr.ErrBadTiming},
 		{"negative warmup", func(c *Config) { c.Warmup = -1 }, cfgerr.ErrBadTiming},
 		{"negative measure", func(c *Config) { c.Measure = -100 }, cfgerr.ErrBadTiming},
 		{"radix 1", func(c *Config) { c.Radix = 1 }, cfgerr.ErrBadRadix},
 		{"inputs not a power of radix", func(c *Config) { c.Inputs = 48 }, cfgerr.ErrBadRadix},
 		{"hot fraction > 1", func(c *Config) { c.HotFraction = 1.5 }, cfgerr.ErrBadTraffic},
-		{"hot destination out of range", func(c *Config) { c.HotFraction, c.HotDest = 0.05, 999 }, cfgerr.ErrBadTraffic},
 		{"SAMQ capacity not divisible by radix", func(c *Config) { c.BufferKind, c.Capacity = buffer.SAMQ, 5 }, cfgerr.ErrBadCapacity},
 		{"negative capacity", func(c *Config) { c.Capacity = -4 }, cfgerr.ErrBadCapacity},
 	} {
@@ -469,11 +466,6 @@ func TestAsyncHotSpotValidation(t *testing.T) {
 	cfg.HotFraction = 1.5
 	if _, err := New(cfg); err == nil {
 		t.Error("accepted hot fraction > 1")
-	}
-	cfg.HotFraction = 0.05
-	cfg.HotDest = 999
-	if _, err := New(cfg); err == nil {
-		t.Error("accepted out-of-range hot destination")
 	}
 }
 

@@ -19,6 +19,7 @@ import (
 	"damq/internal/omega"
 	"damq/internal/packet"
 	"damq/internal/rng"
+	"damq/internal/traffic"
 )
 
 // legacyEngine is the seed deterministic discrete-event executor.
@@ -155,11 +156,11 @@ func newLegacySim(cfg Config) (*legacySim, error) {
 }
 
 func (s *legacySim) duration(p *packet.Packet) int64 {
-	return s.cfg.Overhead + int64(p.Bytes)
+	return Overhead + int64(p.Bytes)
 }
 
 func (s *legacySim) meanDuration() float64 {
-	return float64(s.cfg.Overhead) + float64(s.cfg.MinBytes+s.cfg.MaxBytes)/2
+	return Overhead + float64(s.cfg.MinBytes+s.cfg.MaxBytes)/2
 }
 
 func (s *legacySim) scheduleGeneration(src int) {
@@ -175,7 +176,7 @@ func (s *legacySim) generate(src int) {
 	nbytes := s.sizes.IntnRange(s.cfg.MinBytes, s.cfg.MaxBytes)
 	var dest int
 	if s.cfg.HotFraction > 0 && s.gens[src].Bool(s.cfg.HotFraction) {
-		dest = s.cfg.HotDest
+		dest = traffic.HotModule
 	} else {
 		dest = s.gens[src].Intn(s.cfg.Inputs)
 	}
@@ -206,7 +207,7 @@ func (s *legacySim) kickSource(src int) {
 	dur := s.duration(p)
 	s.srcBusyUntil[src] = now + dur
 	p.OutPort = probe.OutPort
-	p.ReadyAt = now + s.cfg.RouteDelay
+	p.ReadyAt = now + RouteDelay
 	p.Injected = now
 	if err := s.bufs[0][swIdx][port].Accept(p); err != nil {
 		panic(err)
@@ -276,7 +277,7 @@ func (s *legacySim) startTx(st, sw, in, out int) {
 		nsw, nport := s.top.NextStage(sw, out)
 		np := *p
 		np.OutPort = s.top.RouteDigit(p.Dest, st+1)
-		np.ReadyAt = now + s.cfg.RouteDelay
+		np.ReadyAt = now + RouteDelay
 		if err := s.bufs[st+1][nsw][nport].Accept(&np); err != nil {
 			panic(fmt.Sprintf("eventsim: downstream accept after probe: %v", err))
 		}

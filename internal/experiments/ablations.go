@@ -248,14 +248,14 @@ func AblationSolver(clock func() time.Time) ([]SolverRow, error) {
 		row.States = chain.NumStates()
 
 		start := clock()
-		power, err := chain.Steady(markov.SolveOpts{})
+		power, err := chain.Steady()
 		if err != nil {
 			return nil, err
 		}
 		row.PowerTime = clock().Sub(start)
 
 		start = clock()
-		gs, err := chain.SteadyGaussSeidel(markov.SolveOpts{})
+		gs, err := chain.SteadyGaussSeidel()
 		if err != nil {
 			return nil, err
 		}

@@ -6,6 +6,7 @@ import (
 
 	"damq/internal/buffer"
 	"damq/internal/eventsim"
+	"damq/internal/netsim"
 	"damq/internal/parallel"
 )
 
@@ -22,9 +23,9 @@ type AsyncRow struct {
 }
 
 // asyncScale converts the long-clock Scale to event-sim cycle spans (one
-// long clock = 12 link cycles).
+// long clock = netsim.ClocksPerCycle link cycles).
 func asyncScale(sc Scale) (warmup, measure int64) {
-	return sc.Warmup * 12, sc.Measure * 12
+	return sc.Warmup * netsim.ClocksPerCycle, sc.Measure * netsim.ClocksPerCycle
 }
 
 // Async runs the asynchronous network experiment: FIFO vs DAMQ, fixed vs
@@ -40,18 +41,18 @@ func Async(sc Scale) ([]AsyncRow, error) {
 // AsyncPackets runs E9 with each point's measurement span sized to
 // deliver roughly the given number of packets, instead of sc's fixed
 // cycle count: packet birth rate is inputs·load/E[duration] per cycle
-// (64 inputs, 3 overhead cycles, uniform payload sizes), so the window
-// is packets·E[duration]/(inputs·load) cycles. This decouples statistical
-// weight from wall-clock across loads and length distributions — the
-// `omegasim -exp async -packets N` knob. packets <= 0 falls back to
-// Async's spans.
+// (64 inputs, eventsim.Overhead framing cycles, uniform payload sizes),
+// so the window is packets·E[duration]/(inputs·load) cycles. This
+// decouples statistical weight from wall-clock across loads and length
+// distributions — the `omegasim -exp async -packets N` knob. packets <= 0
+// falls back to Async's spans.
 func AsyncPackets(sc Scale, packets int64) ([]AsyncRow, error) {
 	if packets <= 0 {
 		return Async(sc)
 	}
 	warm, _ := asyncScale(sc)
 	return asyncRows(sc, func(load float64, minB, maxB int) (int64, int64) {
-		meanDur := 3 + float64(minB+maxB)/2
+		meanDur := eventsim.Overhead + float64(minB+maxB)/2
 		meas := int64(float64(packets)*meanDur/(64*load)) + 1
 		return warm, meas
 	})

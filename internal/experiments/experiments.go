@@ -276,7 +276,7 @@ func uniform(load float64) netsim.TrafficSpec {
 
 // hotspot builds the paper's 5% hot-spot spec.
 func hotspot(load float64) netsim.TrafficSpec {
-	return netsim.TrafficSpec{Kind: netsim.HotSpot, Load: load, HotFraction: 0.05, HotDest: 0}
+	return netsim.TrafficSpec{Kind: netsim.HotSpot, Load: load, HotFraction: 0.05}
 }
 
 // ---------------------------------------------------------------------------

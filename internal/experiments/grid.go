@@ -25,10 +25,9 @@ type Grid struct {
 	Protocol   sw.Protocol
 	Policy     arbiter.Policy
 	Traffic    netsim.TrafficKind
-	// HotFraction/HotDest apply when Traffic == netsim.HotSpot;
-	// MeanBurst when Traffic == netsim.Bursty.
+	// HotFraction applies when Traffic == netsim.HotSpot; MeanBurst
+	// when Traffic == netsim.Bursty.
 	HotFraction float64
-	HotDest     int
 	MeanBurst   float64
 }
 
@@ -94,7 +93,6 @@ func (g Grid) specs() []point {
 			cell := spec(kind, g.Protocol, g.Policy, cap, netsim.TrafficSpec{
 				Kind:        g.Traffic,
 				HotFraction: g.HotFraction,
-				HotDest:     g.HotDest,
 				MeanBurst:   g.MeanBurst,
 			})
 			if skipCell(cell) {

@@ -343,10 +343,11 @@ func BufferSite(st, sw, in int) uint64 {
 	return 2<<40 | uint64(st)<<28 | uint64(sw)<<8 | uint64(in)
 }
 
-// ChipLinkSite numbers the wire feeding input port `port` of chip `chip`
-// (chip numbering is the caller's; standalone chips use 0).
-func ChipLinkSite(chip, port int) uint64 {
-	return 3<<40 | uint64(chip)<<8 | uint64(port)
+// ChipLinkSite numbers the wire feeding input port `port` of a ComCoBB
+// chip. Chips carry no number of their own, so two chips armed with one
+// fault config corrupt the same ports in the same cycles.
+func ChipLinkSite(port int) uint64 {
+	return 3<<40 | uint64(port)
 }
 
 // Metric names -------------------------------------------------------------

@@ -317,9 +317,7 @@ func TestSitePackingDisjoint(t *testing.T) {
 			}
 		}
 	}
-	for chip := 0; chip < 4; chip++ {
-		for port := 0; port < 4; port++ {
-			add(ChipLinkSite(chip, port), "chip link")
-		}
+	for port := 0; port < 5; port++ {
+		add(ChipLinkSite(port), "chip link")
 	}
 }

@@ -129,31 +129,19 @@ func (c *Chain) NumStates() int { return len(c.keys) }
 // Key returns the model key of state index i.
 func (c *Chain) Key(i int) uint64 { return c.keys[i] }
 
-// SolveOpts tunes the steady-state solver.
-type SolveOpts struct {
-	// Tol is the convergence threshold on the L1 change of the
-	// distribution per iteration. Default 1e-12.
-	Tol float64
-	// MaxIter bounds iterations. Default 1_000_000.
-	MaxIter int
-}
-
-func (o SolveOpts) withDefaults() SolveOpts {
-	if o.Tol <= 0 {
-		o.Tol = 1e-12
-	}
-	if o.MaxIter <= 0 {
-		o.MaxIter = 1_000_000
-	}
-	return o
-}
+// The steady-state solvers stop once an iteration changes the
+// distribution by less than tol in L1 norm (Gauss-Seidel scales it by
+// the state count) and give up after maxIter iterations.
+const (
+	tol     = 1e-12
+	maxIter = 1_000_000
+)
 
 // Steady computes the stationary distribution by power iteration
 // (pi <- pi P). The chains arising from the switch models are finite,
 // irreducible and aperiodic (self-loops exist at the empty state for
 // load < 1), so the iteration converges geometrically.
-func (c *Chain) Steady(opts SolveOpts) ([]float64, error) {
-	opts = opts.withDefaults()
+func (c *Chain) Steady() ([]float64, error) {
 	n := len(c.keys)
 	if n == 0 {
 		return nil, fmt.Errorf("markov: empty chain")
@@ -161,7 +149,7 @@ func (c *Chain) Steady(opts SolveOpts) ([]float64, error) {
 	pi := make([]float64, n)
 	next := make([]float64, n)
 	pi[0] = 1
-	for iter := 0; iter < opts.MaxIter; iter++ {
+	for iter := 0; iter < maxIter; iter++ {
 		for i := range next {
 			next[i] = 0
 		}
@@ -185,11 +173,11 @@ func (c *Chain) Steady(opts SolveOpts) ([]float64, error) {
 			delta += math.Abs(next[i] - pi[i])
 		}
 		pi, next = next, pi
-		if delta < opts.Tol {
+		if delta < tol {
 			return pi, nil
 		}
 	}
-	return nil, fmt.Errorf("markov: power iteration did not converge in %d iterations", opts.MaxIter)
+	return nil, fmt.Errorf("markov: power iteration did not converge in %d iterations", maxIter)
 }
 
 // RewardRates returns the long-run average reward per step for each reward

@@ -35,7 +35,7 @@ func TestTwoStateSteady(t *testing.T) {
 	if c.NumStates() != 2 {
 		t.Fatalf("states = %d", c.NumStates())
 	}
-	pi, err := c.Steady(SolveOpts{})
+	pi, err := c.Steady()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestRingUniform(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pi, err := c.Steady(SolveOpts{})
+	pi, err := c.Steady()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestBirthDeathLossMonotoneInLoad(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pi, err := c.Steady(SolveOpts{})
+		pi, err := c.Steady()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -205,7 +205,7 @@ func TestDuplicateArcsMerged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pi, err := c.Steady(SolveOpts{})
+	pi, err := c.Steady()
 	if err != nil || math.Abs(pi[0]-1) > 1e-12 {
 		t.Fatalf("merge failed: pi=%v err=%v", pi, err)
 	}

@@ -11,8 +11,7 @@ import (
 // typically converges in far fewer sweeps than power iteration needs
 // steps — the solver ablation benchmark quantifies this — at the cost of
 // needing the transposed (incoming-arc) structure.
-func (c *Chain) SteadyGaussSeidel(opts SolveOpts) ([]float64, error) {
-	opts = opts.withDefaults()
+func (c *Chain) SteadyGaussSeidel() ([]float64, error) {
 	n := len(c.keys)
 	if n == 0 {
 		return nil, fmt.Errorf("markov: empty chain")
@@ -39,7 +38,7 @@ func (c *Chain) SteadyGaussSeidel(opts SolveOpts) ([]float64, error) {
 	for i := range pi {
 		pi[i] = 1 / float64(n)
 	}
-	for sweep := 0; sweep < opts.MaxIter; sweep++ {
+	for sweep := 0; sweep < maxIter; sweep++ {
 		delta := 0.0
 		for i := 0; i < n; i++ {
 			sum := 0.0
@@ -71,11 +70,11 @@ func (c *Chain) SteadyGaussSeidel(opts SolveOpts) ([]float64, error) {
 		for i := range pi {
 			pi[i] /= total
 		}
-		if delta < opts.Tol*float64(n) {
+		if delta < tol*float64(n) {
 			return pi, nil
 		}
 	}
-	return nil, fmt.Errorf("markov: gauss-seidel did not converge in %d sweeps", opts.MaxIter)
+	return nil, fmt.Errorf("markov: gauss-seidel did not converge in %d sweeps", maxIter)
 }
 
 // MixingTime estimates how many steps the chain needs from its initial

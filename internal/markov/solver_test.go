@@ -16,11 +16,11 @@ func TestGaussSeidelMatchesPowerIteration(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		power, err := c.Steady(SolveOpts{})
+		power, err := c.Steady()
 		if err != nil {
 			t.Fatal(err)
 		}
-		gs, err := c.SteadyGaussSeidel(SolveOpts{})
+		gs, err := c.SteadyGaussSeidel()
 		if err != nil {
 			t.Fatalf("model %d: %v", mi, err)
 		}
@@ -34,7 +34,7 @@ func TestGaussSeidelMatchesPowerIteration(t *testing.T) {
 
 func TestGaussSeidelEmptyChain(t *testing.T) {
 	c := &Chain{}
-	if _, err := c.SteadyGaussSeidel(SolveOpts{}); err == nil {
+	if _, err := c.SteadyGaussSeidel(); err == nil {
 		t.Fatal("empty chain accepted")
 	}
 }
@@ -42,7 +42,7 @@ func TestGaussSeidelEmptyChain(t *testing.T) {
 func TestMixingTimeTwoState(t *testing.T) {
 	m := twoState{a: 0.5, b: 0.5}
 	c, _ := Build(m, 0)
-	pi, _ := c.Steady(SolveOpts{})
+	pi, _ := c.Steady()
 	// With a=b=0.5 the chain reaches the uniform distribution in one
 	// step exactly.
 	steps, err := c.MixingTime(pi, 1e-9, 100)
@@ -57,7 +57,7 @@ func TestMixingTimeTwoState(t *testing.T) {
 func TestMixingTimeMonotoneInTolerance(t *testing.T) {
 	m := birthDeath{k: 6, a: 0.45, d: 0.35}
 	c, _ := Build(m, 0)
-	pi, _ := c.Steady(SolveOpts{})
+	pi, _ := c.Steady()
 	loose, err := c.MixingTime(pi, 0.1, 100000)
 	if err != nil {
 		t.Fatal(err)
@@ -77,14 +77,14 @@ func TestMixingTimeMonotoneInTolerance(t *testing.T) {
 func TestMixingTimeValidation(t *testing.T) {
 	m := twoState{a: 0.5, b: 0.5}
 	c, _ := Build(m, 0)
-	pi, _ := c.Steady(SolveOpts{})
+	pi, _ := c.Steady()
 	if _, err := c.MixingTime(pi, 0, 10); err == nil {
 		t.Fatal("accepted zero tolerance")
 	}
 	// Impossible tolerance within one step budget.
 	m2 := birthDeath{k: 6, a: 0.45, d: 0.35}
 	c2, _ := Build(m2, 0)
-	pi2, _ := c2.Steady(SolveOpts{})
+	pi2, _ := c2.Steady()
 	if _, err := c2.MixingTime(pi2, 1e-12, 1); err == nil {
 		t.Fatal("accepted unreachable step budget")
 	}
@@ -93,7 +93,7 @@ func TestMixingTimeValidation(t *testing.T) {
 func BenchmarkSteadyPower(b *testing.B) {
 	c, _ := Build(birthDeath{k: 30, a: 0.45, d: 0.4}, 0)
 	for i := 0; i < b.N; i++ {
-		if _, err := c.Steady(SolveOpts{}); err != nil {
+		if _, err := c.Steady(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -102,7 +102,7 @@ func BenchmarkSteadyPower(b *testing.B) {
 func BenchmarkSteadyGaussSeidel(b *testing.B) {
 	c, _ := Build(birthDeath{k: 30, a: 0.45, d: 0.4}, 0)
 	for i := 0; i < b.N; i++ {
-		if _, err := c.SteadyGaussSeidel(SolveOpts{}); err != nil {
+		if _, err := c.SteadyGaussSeidel(); err != nil {
 			b.Fatal(err)
 		}
 	}

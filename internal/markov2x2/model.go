@@ -386,7 +386,7 @@ func Solve(kind buffer.Kind, slots int, load float64) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	pi, err := chain.Steady(markov.SolveOpts{})
+	pi, err := chain.Steady()
 	if err != nil {
 		return Result{}, err
 	}

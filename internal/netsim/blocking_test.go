@@ -39,7 +39,7 @@ func blockingCells() []blockingCell {
 	base := func(kind buffer.Kind, capacity, maxSlots int) Config {
 		cfg := Config{
 			Radix: 4, Inputs: 64, BufferKind: kind, Capacity: capacity,
-			Policy: arbiter.Smart, Protocol: sw.Blocking, ClocksPerCycle: 12,
+			Policy: arbiter.Smart, Protocol: sw.Blocking,
 			Traffic:      TrafficSpec{Kind: HotSpot, Load: 0.7, HotFraction: 0.05},
 			WarmupCycles: 100, MeasureCycles: 500, Seed: 17,
 		}

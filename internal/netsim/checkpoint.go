@@ -36,6 +36,7 @@ import (
 	"damq/internal/packet"
 	"damq/internal/stats"
 	"damq/internal/sw"
+	"damq/internal/traffic"
 )
 
 // Section tags of the checkpoint payload, in stream order. Faults and
@@ -110,7 +111,7 @@ var sections = []struct {
 	{secSources, (*Sim).walkSources, nil},
 	{secShards, (*Sim).walkShards, nil},
 	{secFaults, (*Sim).walkFaults, func(s *Sim) bool { return s.flt != nil }},
-	{secObserver, (*Sim).walkObserver, func(s *Sim) bool { return s.metrics != nil }},
+	{secObserver, (*Sim).walkObserver, func(s *Sim) bool { return s.metrics != nil || s.pendingObs != nil }},
 }
 
 // Checkpoint writes the simulation's complete state to w. Call it only
@@ -155,20 +156,24 @@ func walkList[T any](c *checkpoint.Codec, p *[]T, minSize int, elem func(*T)) {
 }
 
 // walkConfig walks the resolved configuration. Restore walks it into a
-// bare Sim and builds the real one from it.
+// bare Sim and builds the real one from it. Two slots hold model
+// constants that were once config fields: encoding writes
+// ClocksPerCycle and traffic.HotModule there, and decoding rejects any
+// other value.
 func (s *Sim) walkConfig(c *checkpoint.Codec) error {
 	cfg := &s.cfg
+	clocks, hot := ClocksPerCycle, traffic.HotModule
 	c.Int(&cfg.Radix)
 	c.Int(&cfg.Inputs)
 	walkInt(c, &cfg.BufferKind)
 	c.Int(&cfg.Capacity)
 	walkInt(c, &cfg.Policy)
 	walkInt(c, &cfg.Protocol)
-	c.Int(&cfg.ClocksPerCycle)
+	c.Int(&clocks)
 	walkInt(c, &cfg.Traffic.Kind)
 	c.F64(&cfg.Traffic.Load)
 	c.F64(&cfg.Traffic.HotFraction)
-	c.Int(&cfg.Traffic.HotDest)
+	c.Int(&hot)
 	c.Ints(&cfg.Traffic.Perm)
 	c.F64(&cfg.Traffic.MeanBurst)
 	c.Int(&cfg.Traffic.MinSlots)
@@ -181,7 +186,16 @@ func (s *Sim) walkConfig(c *checkpoint.Codec) error {
 	c.F64(&cfg.Sharing.Alpha)
 	c.Int(&cfg.Sharing.Classes)
 	c.I64(&cfg.Sharing.DelayTarget)
-	return c.Err()
+	if err := c.Err(); err != nil {
+		return err
+	}
+	if clocks != ClocksPerCycle {
+		return ckptErr("clocks-per-cycle slot holds %d, the model fixes %d", clocks, ClocksPerCycle)
+	}
+	if hot != traffic.HotModule {
+		return ckptErr("hot-module slot holds %d, the model fixes %d", hot, traffic.HotModule)
+	}
+	return nil
 }
 
 // walkCore walks the clock position and the source-backlog summary.
@@ -460,18 +474,21 @@ func (s *Sim) walkFaults(c *checkpoint.Codec) error {
 	return nil
 }
 
-// walkObserver walks the attached observer (obs.Observer.Walk).
+// walkObserver walks the attached observer (obs.Observer.Walk), or
+// the parked one of a restored Sim no observer has attached to yet, so
+// checkpointing such a Sim again carries the parked values through.
 // Decoding reads into a fresh observer holding this simulation's
 // instrument set — the registration SetObserver makes, so the set is
 // written down once — and parks it until SetObserver hands its values
 // to the caller's observer.
 func (s *Sim) walkObserver(c *checkpoint.Codec) error {
-	var o *obs.Observer
-	if c.Decoding() {
+	o := s.pendingObs
+	switch {
+	case c.Decoding():
 		o = obs.NewObserver()
 		s.register(o)
 		s.pendingObs = o
-	} else {
+	case s.metrics != nil:
 		o = s.metrics.observer
 	}
 	if err := o.Walk(c, s.cycle); err != nil {
@@ -495,9 +512,6 @@ func (c Config) checkpointSanity() error {
 	}
 	if c.Capacity < 1 || c.Capacity > 1<<12 {
 		return ckptErr("implausible buffer capacity %d", c.Capacity)
-	}
-	if c.ClocksPerCycle < 1 || c.ClocksPerCycle > 1<<16 {
-		return ckptErr("implausible clocks-per-cycle %d", c.ClocksPerCycle)
 	}
 	if c.WarmupCycles < 0 || c.MeasureCycles < 0 {
 		return ckptErr("negative run length (%d warmup, %d measured)", c.WarmupCycles, c.MeasureCycles)

@@ -23,6 +23,7 @@ import (
 	"damq/internal/obs"
 	"damq/internal/rng"
 	"damq/internal/sw"
+	"damq/internal/traffic"
 )
 
 // runWithCheckpointAt drives s to completion exactly like Run, writing a
@@ -70,7 +71,7 @@ type tortureCase struct {
 func tortureCases() []tortureCase {
 	base := func(seed uint64) Config {
 		return Config{
-			Radix: 4, Inputs: 64, Capacity: 4, ClocksPerCycle: 12,
+			Radix: 4, Inputs: 64, Capacity: 4,
 			WarmupCycles: 60, MeasureCycles: 200, Seed: seed,
 			Traffic: TrafficSpec{Kind: Uniform, Load: 0.7},
 		}
@@ -294,7 +295,7 @@ func TestRestoreWorkersOverride(t *testing.T) {
 // faults armed, observer attached, blocking backlog, variable lengths.
 func corpusCheckpoint(t testing.TB) []byte {
 	cfg := Config{
-		Radix: 4, Inputs: 16, Capacity: 4, ClocksPerCycle: 12,
+		Radix: 4, Inputs: 16, Capacity: 4,
 		WarmupCycles: 30, MeasureCycles: 40, Seed: 11,
 		BufferKind: buffer.DAMQ, Protocol: sw.Blocking,
 		Traffic: TrafficSpec{Kind: Uniform, Load: 0.9},
@@ -469,7 +470,7 @@ func TestCheckpointStructuralCorruption(t *testing.T) {
 		// restore allocation cap.
 		var cfg Config
 		cfg.Radix, cfg.Inputs, cfg.Capacity = 2, 1<<16, 1<<12
-		cfg.ClocksPerCycle, cfg.WarmupCycles, cfg.MeasureCycles = 12, 1, 1
+		cfg.WarmupCycles, cfg.MeasureCycles = 1, 1
 		cfg.Traffic = TrafficSpec{Kind: Uniform, Load: 0.5}
 		sim := &Sim{cfg: cfg}
 		c.Section(secConfig, sim.walkConfig)
@@ -552,13 +553,10 @@ func TestCheckpointRejectsBadLatencyHist(t *testing.T) {
 	}
 }
 
-// negativeIntervalCheckpoint checkpoints a mid-run observed network,
-// patches the observer section's interval (its first field) to -1 and
-// re-seals the CRC, so only the observer's own validation can tell. The
-// instrument checks themselves are obs.Observer.Walk's and
-// stats.Histogram.Walk's, tested in their packages; this case pins that
-// restore runs them and types their failure.
-func negativeIntervalCheckpoint(t *testing.T) []byte {
+// observedCheckpoint checkpoints a 64-input DAMQ network observed at
+// interval 10 after 80 cycles, the last 60 measured, and returns the
+// stream with the observer.
+func observedCheckpoint(t *testing.T) ([]byte, *obs.Observer) {
 	t.Helper()
 	s, err := New(Config{Radix: 4, Inputs: 64, Capacity: 4, WarmupCycles: 20, MeasureCycles: 200,
 		Seed: 5, BufferKind: buffer.DAMQ, Traffic: TrafficSpec{Kind: Uniform, Load: 0.6}})
@@ -576,7 +574,18 @@ func negativeIntervalCheckpoint(t *testing.T) []byte {
 	if err := s.Checkpoint(&buf); err != nil {
 		t.Fatal(err)
 	}
-	raw := buf.Bytes()
+	return buf.Bytes(), o
+}
+
+// negativeIntervalCheckpoint patches the observer section's interval
+// (its first field) of observedCheckpoint's stream to -1 and re-seals
+// the CRC, so only the observer's own validation can tell. The
+// instrument checks themselves are obs.Observer.Walk's and
+// stats.Histogram.Walk's, tested in their packages; this case pins that
+// restore runs them and types their failure.
+func negativeIntervalCheckpoint(t *testing.T) []byte {
+	t.Helper()
+	raw, _ := observedCheckpoint(t)
 	// Sections follow the 20-byte frame header as tag, length, body.
 	at := 20
 	for raw[at] != secObserver {
@@ -594,6 +603,82 @@ func negativeIntervalCheckpoint(t *testing.T) []byte {
 	binary.LittleEndian.PutUint64(raw[at:], math.MaxUint64) // -1
 	patchCRC(raw)
 	return raw
+}
+
+// TestRecheckpointKeepsParkedObserver: a restored Sim parks the
+// checkpointed observer until an observer attaches. Checkpointing it
+// again before that must carry the parked values through: the second
+// stream equals the first, and an observer attached after restoring it
+// reads the checkpointed counters and series.
+func TestRecheckpointKeepsParkedObserver(t *testing.T) {
+	raw, o := observedCheckpoint(t)
+	r, err := RestoreSim(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	var again bytes.Buffer
+	if err := r.Checkpoint(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), raw) {
+		t.Fatalf("re-checkpoint before an observer attached wrote %d bytes, the first checkpoint %d; want the same stream",
+			again.Len(), len(raw))
+	}
+	r2, err := RestoreSim(&again)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r2.Close()
+	o2 := obs.NewObserver()
+	r2.SetObserver(o2)
+	want, _ := o.Snapshot().Counter(MetricGenerated)
+	if got, _ := o2.Snapshot().Counter(MetricGenerated); want == 0 || got != want {
+		t.Errorf("%s after two restores = %d, checkpointed %d", MetricGenerated, got, want)
+	}
+	if len(o.Series()) == 0 || !reflect.DeepEqual(o2.Series(), o.Series()) {
+		t.Errorf("series after two restores has %d records, checkpointed %d; want the same records",
+			len(o2.Series()), len(o.Series()))
+	}
+}
+
+// TestCheckpointRejectsConstantSlots: the config section keeps a slot
+// for the clocks per cycle and one for the hot module, both model
+// constants. Each case patches one slot of a real checkpoint and
+// re-seals the CRC; restore must reject it and name the slot, while the
+// unpatched stream restores.
+func TestCheckpointRejectsConstantSlots(t *testing.T) {
+	raw := corpusCheckpoint(t)
+	if r, err := RestoreSim(bytes.NewReader(raw)); err != nil {
+		t.Fatalf("unpatched checkpoint rejected: %v", err)
+	} else {
+		r.Close()
+	}
+	// The config section comes first after the 20-byte frame header, as
+	// tag, length, body; every field before the two slots takes 8 bytes.
+	const body = 20 + 9
+	for _, tc := range []struct {
+		slot        string
+		at          int
+		want, patch uint64
+	}{
+		{"clocks-per-cycle", body + 6*8, ClocksPerCycle, 6},
+		{"hot-module", body + 10*8, traffic.HotModule, 3},
+	} {
+		mut := append([]byte(nil), raw...)
+		if got := binary.LittleEndian.Uint64(mut[tc.at:]); got != tc.want {
+			t.Fatalf("%s slot holds %d, want %d", tc.slot, got, tc.want)
+		}
+		binary.LittleEndian.PutUint64(mut[tc.at:], tc.patch)
+		patchCRC(mut)
+		r, err := RestoreSim(bytes.NewReader(mut))
+		if r != nil {
+			r.Close()
+		}
+		if !errors.Is(err, cfgerr.ErrBadCheckpoint) || !strings.Contains(err.Error(), tc.slot) {
+			t.Errorf("%s slot patched to %d: restore error %v, want ErrBadCheckpoint naming the slot", tc.slot, tc.patch, err)
+		}
+	}
 }
 
 // misroutedCheckpoint checkpoints a mid-run DAMQ network after moving one

@@ -1,9 +1,10 @@
 // Package netsim simulates a multistage Omega network of n×n switches
 // under the paper's Section 4.2 assumptions (following Pfister & Norton):
 // transmissions are synchronized, so a packet fully moves from one stage
-// to the next once per "network cycle" of ClocksPerCycle clock cycles
-// (12 in the paper: 8 to transmit + 4 to route); processors are message
-// generators, memories are message receivers.
+// to the next once per "network cycle" of ClocksPerCycle = 12 clock
+// cycles (the paper's 8 to transmit + 4 to route); processors are message
+// generators, memories are message receivers. The cycle length and the
+// hot-spot module (traffic.HotModule) are constants of the model.
 //
 // One network cycle (two barrier-separated phases; DESIGN.md §11):
 //
@@ -73,13 +74,20 @@ import (
 	"damq/internal/traffic"
 )
 
+// ClocksPerCycle is the network cycle in clock cycles (Section 4.2: 8 to
+// transmit a packet plus 4 to route it). Latencies are reported in clocks,
+// so it scales every latency figure and sets the latency histograms'
+// bucket width.
+const ClocksPerCycle = 12
+
 // TrafficKind selects the workload.
 type TrafficKind int
 
 const (
 	// Uniform random destinations (paper Tables 3-5, Figure 3).
 	Uniform TrafficKind = iota
-	// HotSpot re-addresses a fraction of packets to one module (Table 6).
+	// HotSpot re-addresses a fraction of packets to traffic.HotModule
+	// (Table 6).
 	HotSpot
 	// Permutation uses one fixed destination per source.
 	Permutation
@@ -93,9 +101,9 @@ type TrafficSpec struct {
 	Kind TrafficKind
 	// Load is offered packets per source per network cycle.
 	Load float64
-	// HotFraction and HotDest configure HotSpot (e.g. 0.05 and 0).
+	// HotFraction configures HotSpot (e.g. 0.05): the share of packets
+	// re-addressed to traffic.HotModule.
 	HotFraction float64
-	HotDest     int
 	// Perm configures Permutation.
 	Perm []int
 	// MeanBurst configures Bursty: mean message length in packets (>= 1).
@@ -107,17 +115,16 @@ type TrafficSpec struct {
 
 // Config describes one simulation run.
 type Config struct {
-	Radix          int // switch size n (4 in the paper)
-	Inputs         int // network width N (64 in the paper)
-	BufferKind     buffer.Kind
-	Capacity       int // slots per input buffer (4 in most tables)
-	Policy         arbiter.Policy
-	Protocol       sw.Protocol
-	ClocksPerCycle int // 12 in the paper
-	Traffic        TrafficSpec
-	WarmupCycles   int64
-	MeasureCycles  int64
-	Seed           uint64
+	Radix         int // switch size n (4 in the paper)
+	Inputs        int // network width N (64 in the paper)
+	BufferKind    buffer.Kind
+	Capacity      int // slots per input buffer (4 in most tables)
+	Policy        arbiter.Policy
+	Protocol      sw.Protocol
+	Traffic       TrafficSpec
+	WarmupCycles  int64
+	MeasureCycles int64
+	Seed          uint64
 	// Workers shards this one run's per-cycle work across goroutines:
 	// 0 or 1 means serial, n > 1 uses up to n workers (silently clamped
 	// to the shard count), and a negative value means GOMAXPROCS. The
@@ -200,8 +207,7 @@ func (c Config) buildPattern(src *rng.Source) (traffic.Pattern, error) {
 	case Uniform:
 		return traffic.NewUniform(c.Inputs, c.Traffic.Load, src)
 	case HotSpot:
-		return traffic.NewHotSpot(c.Inputs, c.Traffic.Load,
-			c.Traffic.HotFraction, c.Traffic.HotDest, src)
+		return traffic.NewHotSpot(c.Inputs, c.Traffic.Load, c.Traffic.HotFraction, src)
 	case Permutation:
 		return traffic.NewPermutation(c.Traffic.Perm, c.Traffic.Load, src)
 	case Bursty:
@@ -220,9 +226,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Capacity == 0 {
 		c.Capacity = 4
-	}
-	if c.ClocksPerCycle == 0 {
-		c.ClocksPerCycle = 12
 	}
 	if c.WarmupCycles == 0 {
 		c.WarmupCycles = 1000
@@ -566,7 +569,7 @@ func New(cfg Config) (*Sim, error) {
 		for si := sh.lo; si < sh.hi; si++ {
 			s.shardOfSw[si] = int32(k)
 		}
-		sh.partial.LatencyHist = stats.NewHistogram(4096, int64(cfg.ClocksPerCycle))
+		sh.partial.LatencyHist = stats.NewHistogram(4096, ClocksPerCycle)
 		sh.partial.StageOccupancy = make([]stats.Summary, top.Stages())
 		sh.lastArb = make([][]int64, top.Stages())
 		for st := 0; st < top.Stages(); st++ {
@@ -1103,17 +1106,15 @@ func (sh *shard) deliver(p *packet.Packet, measuring bool) {
 		// The injection-based latency is logged for every measured
 		// delivery (it needs no RNG), so its histogram total always equals
 		// the delivered counter — the invariant ValidateSnapshot checks.
-		c := int64(s.cfg.ClocksPerCycle)
 		sh.m.n.delivered++
-		sh.m.latInj = append(sh.m.latInj, (s.cycle+1)*c-(p.Injected+1)*c)
+		sh.m.latInj = append(sh.m.latInj, (s.cycle-p.Injected)*ClocksPerCycle)
 	}
 	if p.Born < s.warmupBoundary {
 		return
 	}
-	c := int64(s.cfg.ClocksPerCycle)
-	bornClock := p.Born*c + int64(sh.phase.Intn(int(c)))
-	deliveryClock := (s.cycle + 1) * c
-	injectClock := (p.Injected + 1) * c
+	bornClock := p.Born*ClocksPerCycle + int64(sh.phase.Intn(ClocksPerCycle))
+	deliveryClock := (s.cycle + 1) * ClocksPerCycle
+	injectClock := (p.Injected + 1) * ClocksPerCycle
 	res.LatencyHist.Observe(deliveryClock - bornClock)
 	res.LatencyFromBorn.Add(float64(deliveryClock - bornClock))
 	res.LatencyFromInjection.Add(float64(deliveryClock - injectClock))
@@ -1140,7 +1141,7 @@ func (s *Sim) NewResult() *Result {
 	cfg.Workers = 0
 	return &Result{
 		Config:         cfg,
-		LatencyHist:    stats.NewHistogram(4096, int64(s.cfg.ClocksPerCycle)),
+		LatencyHist:    stats.NewHistogram(4096, ClocksPerCycle),
 		StageOccupancy: make([]stats.Summary, len(s.stages)),
 	}
 }

@@ -195,7 +195,7 @@ func TestHotSpotEqualizesSaturation(t *testing.T) {
 	}
 	for _, kind := range buffer.Kinds() {
 		cfg := baseCfg(kind, sw.Blocking, 1.0)
-		cfg.Traffic = TrafficSpec{Kind: HotSpot, Load: 1.0, HotFraction: 0.05, HotDest: 0}
+		cfg.Traffic = TrafficSpec{Kind: HotSpot, Load: 1.0, HotFraction: 0.05}
 		cfg.WarmupCycles = 3000
 		cfg.MeasureCycles = 8000
 		sim, err := New(cfg)
@@ -275,7 +275,7 @@ func TestVariableLengthRuns(t *testing.T) {
 // cold ones near hot-spot saturation.
 func TestHotColdLatencySplit(t *testing.T) {
 	cfg := baseCfg(buffer.DAMQ, sw.Blocking, 0.22)
-	cfg.Traffic = TrafficSpec{Kind: HotSpot, Load: 0.22, HotFraction: 0.05, HotDest: 0}
+	cfg.Traffic = TrafficSpec{Kind: HotSpot, Load: 0.22, HotFraction: 0.05}
 	cfg.WarmupCycles = 2000
 	cfg.MeasureCycles = 6000
 	sim, err := New(cfg)

@@ -197,7 +197,6 @@ func (s *Sim) SetObserver(o *obs.Observer) {
 // registration, so the instrument set is written down here alone.
 func (s *Sim) register(o *obs.Observer) *netMetrics {
 	r := o.Registry()
-	c := int64(s.cfg.ClocksPerCycle)
 	m := &netMetrics{
 		observer:       o,
 		generated:      r.Counter(MetricGenerated),
@@ -213,8 +212,8 @@ func (s *Sim) register(o *obs.Observer) *netMetrics {
 		backlog:        r.Gauge(MetricSourceBacklog),
 		stageOcc:       make([]*obs.Gauge, len(s.stages)),
 		queueDepth:     r.Histogram(MetricQueueDepth, s.cfg.Capacity+1, 1),
-		latBorn:        r.Histogram(MetricLatencyBorn, 4096, c),
-		latInjected:    r.Histogram(MetricLatencyInjected, 4096, c),
+		latBorn:        r.Histogram(MetricLatencyBorn, 4096, ClocksPerCycle),
+		latInjected:    r.Histogram(MetricLatencyInjected, 4096, ClocksPerCycle),
 	}
 	for st := range s.stages {
 		m.stageOcc[st] = r.Gauge(StageOccupancyMetric(st))

@@ -43,7 +43,7 @@ func TestTreeSaturationGradient(t *testing.T) {
 		t.Skip("saturation run")
 	}
 	cfg := baseCfg(buffer.DAMQ, sw.Blocking, 1.0)
-	cfg.Traffic = TrafficSpec{Kind: HotSpot, Load: 1.0, HotFraction: 0.05, HotDest: 0}
+	cfg.Traffic = TrafficSpec{Kind: HotSpot, Load: 1.0, HotFraction: 0.05}
 	cfg.WarmupCycles = 3000
 	cfg.MeasureCycles = 5000
 	sim, err := New(cfg)

@@ -7,7 +7,7 @@ import (
 )
 
 func TestLoadAccessors(t *testing.T) {
-	h, _ := NewHotSpot(8, 0.3, 0.05, 0, rng.New(1))
+	h, _ := NewHotSpot(8, 0.3, 0.05, rng.New(1))
 	if h.Load() != 0.3 {
 		t.Fatalf("hotspot Load = %v", h.Load())
 	}

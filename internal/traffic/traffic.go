@@ -66,8 +66,12 @@ func (u *Uniform) String() string { return fmt.Sprintf("uniform(load=%.3g)", u.l
 // Walk implements Pattern.
 func (u *Uniform) Walk(c *checkpoint.Codec) error { return u.src.Walk(c) }
 
-// HotSpot sends a fraction of all packets to one hot destination and the
-// rest uniformly: Pfister & Norton's hot-spot model. With fraction h, the
+// HotModule is the hot-spot destination: every Table 6 run aims its hot
+// spot at memory module 0.
+const HotModule = 0
+
+// HotSpot sends a fraction of all packets to HotModule and the rest
+// uniformly: Pfister & Norton's hot-spot model. With fraction h, the
 // hot module receives offered traffic load*(h*N + (1-h)) and therefore
 // saturates the whole network near 1/(h*N + 1-h) — ≈ 0.241 for h = 5%,
 // N = 64, which is Table 6's universal saturation point.
@@ -75,13 +79,12 @@ type HotSpot struct {
 	n        int
 	load     float64
 	fraction float64
-	hot      int
 	src      *rng.Source
 }
 
 // NewHotSpot builds a hot-spot pattern. fraction is the probability a
-// generated packet is re-addressed to destination hot.
-func NewHotSpot(n int, load, fraction float64, hot int, src *rng.Source) (*HotSpot, error) {
+// generated packet is re-addressed to HotModule.
+func NewHotSpot(n int, load, fraction float64, src *rng.Source) (*HotSpot, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("traffic: destinations must be positive, got %d", n)
 	}
@@ -91,10 +94,7 @@ func NewHotSpot(n int, load, fraction float64, hot int, src *rng.Source) (*HotSp
 	if fraction < 0 || fraction > 1 {
 		return nil, fmt.Errorf("traffic: hot fraction %v out of [0,1]", fraction)
 	}
-	if hot < 0 || hot >= n {
-		return nil, fmt.Errorf("traffic: hot destination %d out of range", hot)
-	}
-	return &HotSpot{n: n, load: load, fraction: fraction, hot: hot, src: src}, nil
+	return &HotSpot{n: n, load: load, fraction: fraction, src: src}, nil
 }
 
 // Generate implements Pattern.
@@ -103,7 +103,7 @@ func (h *HotSpot) Generate(int) (int, bool, bool) {
 		return 0, false, false
 	}
 	if h.src.Bool(h.fraction) {
-		return h.hot, true, true
+		return HotModule, true, true
 	}
 	return h.src.Intn(h.n), false, true
 }
@@ -113,7 +113,7 @@ func (h *HotSpot) Load() float64 { return h.load }
 
 // String implements Pattern.
 func (h *HotSpot) String() string {
-	return fmt.Sprintf("hotspot(load=%.3g, %.1f%%->%d)", h.load, h.fraction*100, h.hot)
+	return fmt.Sprintf("hotspot(load=%.3g, %.1f%%->%d)", h.load, h.fraction*100, HotModule)
 }
 
 // Walk implements Pattern.

@@ -53,22 +53,19 @@ func TestUniformRate(t *testing.T) {
 }
 
 func TestHotSpotValidation(t *testing.T) {
-	if _, err := NewHotSpot(0, 0.5, 0.05, 0, rng.New(1)); err == nil {
+	if _, err := NewHotSpot(0, 0.5, 0.05, rng.New(1)); err == nil {
 		t.Error("accepted zero destinations")
 	}
-	if _, err := NewHotSpot(4, 0.5, 1.5, 0, rng.New(1)); err == nil {
+	if _, err := NewHotSpot(4, 0.5, 1.5, rng.New(1)); err == nil {
 		t.Error("accepted fraction > 1")
 	}
-	if _, err := NewHotSpot(4, 0.5, 0.05, 9, rng.New(1)); err == nil {
-		t.Error("accepted out-of-range hot destination")
-	}
-	if _, err := NewHotSpot(4, 2, 0.05, 0, rng.New(1)); err == nil {
+	if _, err := NewHotSpot(4, 2, 0.05, rng.New(1)); err == nil {
 		t.Error("accepted load > 1")
 	}
 }
 
 func TestHotSpotFraction(t *testing.T) {
-	h, err := NewHotSpot(64, 1.0, 0.05, 7, rng.New(3))
+	h, err := NewHotSpot(64, 1.0, 0.05, rng.New(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,11 +78,11 @@ func TestHotSpotFraction(t *testing.T) {
 		}
 		if hot {
 			hotCount++
-			if dest != 7 {
+			if dest != HotModule {
 				t.Fatal("hot packet not addressed to hot module")
 			}
 		}
-		if dest == 7 {
+		if dest == HotModule {
 			toHot++
 		}
 	}
@@ -165,7 +162,7 @@ func TestUniformLengths(t *testing.T) {
 
 func TestStrings(t *testing.T) {
 	u, _ := NewUniform(4, 0.5, rng.New(1))
-	h, _ := NewHotSpot(4, 0.5, 0.05, 0, rng.New(1))
+	h, _ := NewHotSpot(4, 0.5, 0.05, rng.New(1))
 	if u.String() == "" || h.String() == "" {
 		t.Fatal("empty descriptions")
 	}

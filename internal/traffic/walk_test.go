@@ -43,7 +43,7 @@ func TestPatternWalk(t *testing.T) {
 		mk   func(seed uint64) Pattern
 	}{
 		{"uniform", func(seed uint64) Pattern { p, _ := NewUniform(8, 0.6, rng.New(seed)); return p }},
-		{"hotspot", func(seed uint64) Pattern { p, _ := NewHotSpot(8, 0.6, 0.2, 3, rng.New(seed)); return p }},
+		{"hotspot", func(seed uint64) Pattern { p, _ := NewHotSpot(8, 0.6, 0.2, rng.New(seed)); return p }},
 		{"permutation", func(seed uint64) Pattern {
 			p, _ := NewPermutation([]int{3, 1, 0, 2, 7, 6, 5, 4}, 0.6, rng.New(seed))
 			return p
